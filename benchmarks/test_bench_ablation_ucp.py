@@ -58,7 +58,7 @@ def test_bench_ucp_ilp(benchmark, covering_instance):
     reference = solve_cover(covering_instance)
     rows = [
         ("covering matrix", "-", f"{covering_instance.n_rows}x{covering_instance.n_columns}"),
-        ("ILP LP-relaxation nodes", "-", f"{solution.stats['nodes']:.0f}"),
+        ("ILP (HiGHS) MIP nodes", "-", f"{solution.stats['nodes']:.0f}"),
         ("optimum weight (ilp == bnb)", "equal", f"{solution.weight:,.1f}"),
     ]
     print()

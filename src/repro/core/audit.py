@@ -11,8 +11,8 @@ independent machinery:
    from scratch (fresh point-to-point planning, fresh merge placement)
    and compared to the claimed column weight;
 3. **covering optimality** — the covering instance is re-solved with
-   the *independent* LP-based 0-1 ILP solver (different author-path
-   from the branch-and-bound) and the optima compared;
+   the *independent* HiGHS 0-1 ILP solver (no code shared with the
+   branch-and-bound) and the optima compared;
 4. **global optimality** (small instances only) — brute-force partition
    enumeration confirms no better architecture exists at all.
 

@@ -132,11 +132,16 @@ COLGEN_EXHAUSTIVE_SURVIVORS = 512
 #: payoff beats its cost lower bound by more than this slack.
 _PRICE_RTOL = 1e-7
 
-#: the native B&B's per-node dominance reductions are quadratic in
-#: matrix size, so past this many columns the LP-relaxation ILP engine
-#: is orders of magnitude faster on covering instances (their root
-#: relaxations are usually integral) — and equally exact.  Engine
-#: choice only; the optimum is the same either way.
+#: covers with at least this many columns go to the HiGHS ILP engine,
+#: narrower ones to the native B&B.  Speed alone would cut over near 24
+#: columns: on decompose cluster covers (2-core x86, scipy 1.17) the
+#: B&B's median is 3.3 ms to HiGHS's 15 ms below 10 columns, 36 ms to
+#: 9.5 ms at 24-31, and 0.14-5.4 s to 6-18 ms at 68-204.  But HiGHS
+#: breaks equal-weight ties its own way (on WAN's 62-column cover it
+#: picks another selection, 6e-11 apart), and no bundled domain's cover
+#: is wider than 170 columns, so below this cutover decompose and
+#: colgen serve the exact pipeline's selection.  Engine choice only;
+#: the optimum is the same either way.
 ILP_CUTOVER_COLUMNS = 192
 
 

@@ -1,10 +1,11 @@
 """Weighted Unate Covering Problem substrate (paper refs [4], [8]).
 
-Exact solvers for the global-selection step of the synthesis: a native
-branch-and-bound with classical reductions and MIS/LP lower bounds, an
-independent 0-1 ILP solver for cross-checking, an exhaustive oracle for
-tests, and a greedy heuristic used to seed incumbents (and as a
-baseline).
+Exact solvers for the global-selection step of the synthesis: the
+paper-faithful native branch-and-bound with classical reductions and
+MIS/LP lower bounds; a 0-1 ILP engine that hands the whole instance to
+HiGHS in one MIP solve, used for wide covers and as an independent
+cross-check; an exhaustive oracle for tests; and a greedy heuristic
+used to seed incumbents (and as a baseline).
 """
 
 from .bnb import SolverOptions, greedy_cover, solve_cover

@@ -1,29 +1,34 @@
-"""Generic 0-1 ILP branch-and-bound over the covering formulation.
+"""Exact 0-1 ILP covering engine: one HiGHS MIP solve.
 
 The paper observes that the synthesis optimization "can be seen as a
 special case of 0-1 integer linear programming".  This module makes
 that concrete: it states the covering instance as
 
     minimize    w·x
-    subject to  A x >= 1   (one inequality per row)
+    subject to  A x >= 1   (one inequality per row, ``A`` sparse)
                 x ∈ {0,1}^n
 
-and solves it by LP-relaxation branch-and-bound (scipy ``linprog`` with
-the HiGHS backend at every node, branching on the most fractional
-variable).  It is intentionally *library-agnostic* of the covering
-reductions — it serves as an independently-implemented cross-check of
-:mod:`repro.covering.bnb` and as the "plain ILP" arm of the UCP
-ablation benchmark.
+and solves it with one ``scipy.optimize.milp`` call (HiGHS: presolve,
+cutting planes, branch-and-bound) at a relative gap of zero, so a
+returned cover is optimal.  It shares no search code with
+:mod:`repro.covering.bnb`: it cross-checks that paper-faithful engine,
+and decompose sends it every cluster cover at or above
+``ILP_CUTOVER_COLUMNS``.
+
+HiGHS takes no starting solution and has no incumbent callback, so a
+budget maps onto its limits: the tracker's remaining time becomes
+``time_limit``, the root's remaining node budget ``node_limit``, and
+the nodes HiGHS searched are charged to the root afterwards.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
-from scipy import optimize
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..core.exceptions import BudgetExceeded, CoveringError
 from ..obs import current_tracer
@@ -33,26 +38,8 @@ from .matrix import CoverSolution, CoveringProblem
 
 __all__ = ["solve_ilp"]
 
-_INT_TOL = 1e-6
-
-
-@dataclass
-class _Node:
-    fixed_zero: frozenset
-    fixed_one: frozenset
-
-
-def _lp(problem_arrays, fixed_zero: frozenset, fixed_one: frozenset):
-    weights, a_ub, b_ub, n = problem_arrays
-    bounds: List[Tuple[float, float]] = []
-    for j in range(n):
-        if j in fixed_zero:
-            bounds.append((0.0, 0.0))
-        elif j in fixed_one:
-            bounds.append((1.0, 1.0))
-        else:
-            bounds.append((0.0, 1.0))
-    return optimize.linprog(weights, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+#: ``milp`` statuses: proven optimal, and stopped at a time or node limit.
+_OPTIMAL, _LIMIT = 0, 1
 
 
 def solve_ilp(
@@ -63,126 +50,72 @@ def solve_ilp(
 ) -> CoverSolution:
     """Solve the covering instance as a 0-1 ILP; exact.
 
-    Raises :class:`CoveringError` on infeasibility.  Node or ``budget``
-    (deadline) exhaustion raises :class:`BudgetExceeded` with the best
-    integral incumbent found so far (if any) attached as ``.partial``.
+    Raises :class:`CoveringError` on infeasibility or a solver failure.
+    Running out of nodes (``max_nodes`` or the budget's) or of
+    ``budget`` time raises :class:`BudgetExceeded`, with HiGHS's best
+    feasible cover attached as ``.partial`` when it found one.
 
-    ``journal`` records every strict integral improvement durably and
-    seeds a resumed solve from the best recorded incumbent, mirroring
-    :func:`repro.covering.bnb.solve_cover`.
+    ``journal`` records the final cover as an ``"ilp"`` incumbent.  A
+    solve killed mid-way leaves no record and re-solves cold on resume;
+    HiGHS is deterministic, so it serves the uninterrupted selection.
     """
     problem.validate_coverable()
+    if problem.n_rows == 0:
+        return CoverSolution(column_names=(), weight=0.0, optimal=True)
     tracker = as_tracker(budget)
     tracer = current_tracer()
     cols = problem.columns
-    if not cols:
-        if problem.n_rows == 0:
-            return CoverSolution(column_names=(), weight=0.0, optimal=True)
-        raise CoveringError("no columns")
-    names = [c.name for c in cols]
-    n = len(cols)
-    rows = list(problem.rows)
-    row_index = {r: i for i, r in enumerate(rows)}
-
+    row_index = {r: i for i, r in enumerate(problem.rows)}
+    row_of, col_of = zip(*[(row_index[r], j) for j, c in enumerate(cols) for r in c.rows])
+    matrix = sparse.csr_array(
+        (np.ones(len(row_of)), (row_of, col_of)), shape=(problem.n_rows, len(cols))
+    )
     weights = np.array([c.weight for c in cols], dtype=float)
-    a_ub = np.zeros((len(rows), n))
-    for j, c in enumerate(cols):
-        for r in c.rows:
-            a_ub[row_index[r], j] = -1.0
-    b_ub = -np.ones(len(rows))
-    arrays = (weights, a_ub, b_ub, n)
 
-    best_weight = float("inf")
-    best_x: Optional[np.ndarray] = None
-    if journal is not None and journal.best_incumbent is not None:
-        # Seed from the journal of a killed run: strict-improvement
-        # updates below guarantee the served solution matches an
-        # uninterrupted run's despite the warmer start.
-        weight, columns, _stage = journal.best_incumbent
-        index_of = {name: j for j, name in enumerate(names)}
-        if all(c in index_of for c in columns):
-            seeded = np.zeros(n, dtype=int)
-            for c in columns:
-                seeded[index_of[c]] = 1
-            try:
-                problem.check_solution(
-                    CoverSolution(column_names=columns, weight=weight, optimal=False)
-                )
-            except CoveringError:
-                pass  # stale record: ignore, solve cold
-            else:
-                best_weight = float(weight)
-                best_x = seeded
-    stack: List[_Node] = [_Node(frozenset(), frozenset())]
-    nodes = 0
-
-    def _partial() -> Optional[CoverSolution]:
-        if best_x is None:
-            return None
-        chosen = tuple(sorted(names[j] for j in range(n) if best_x[j] == 1))
-        return CoverSolution(
-            column_names=chosen, weight=best_weight, optimal=False, stats={"nodes": nodes}
+    with tracer.span("covering.ilp", rows=problem.n_rows, columns=len(cols)) as ilp_span:
+        tracker.checkpoint("ilp.start", force=True)
+        nodes_left = tracker.nodes_left()
+        node_limit = max_nodes if nodes_left is None else min(max_nodes, nodes_left)
+        if node_limit <= 0:
+            raise BudgetExceeded("node budget exhausted before the ILP", reason="nodes")
+        start = time.perf_counter()
+        res = milp(
+            weights,
+            constraints=LinearConstraint(matrix, lb=1.0),
+            integrality=np.ones(len(cols)),
+            bounds=Bounds(0.0, 1.0),
+            options={
+                "mip_rel_gap": 0.0,
+                "node_limit": node_limit,
+                "time_limit": tracker.remaining_s(),
+            },
         )
+        # HiGHS's node count is deterministic; its wall time is not,
+        # so that is a *local* counter.
+        nodes = int(res.get("mip_node_count") or 0)
+        tracker.add_nodes(nodes)
+        tracer.count("covering.ilp.nodes", nodes)
+        tracer.count_local("covering.ilp.solve_s", time.perf_counter() - start)
+        ilp_span.set("nodes", nodes)
 
-    lp_solves = 0
-    lp_time_s = 0.0
-    with tracer.span("covering.ilp", rows=len(rows), columns=n) as ilp_span:
-        tracker.checkpoint("ilp.start")
-        try:
-            while stack:
-                node = stack.pop()
-                nodes += 1
-                if nodes > max_nodes:
-                    raise BudgetExceeded(
-                        f"ILP branch-and-bound exceeded max_nodes={max_nodes}",
-                        reason="nodes",
-                        partial=_partial(),
-                    )
-                try:
-                    tracker.charge_node("ilp.node")
-                except BudgetExceeded as exc:
-                    raise BudgetExceeded(
-                        str(exc), reason=exc.reason, partial=exc.partial or _partial()
-                    ) from exc
-                lp_start = time.perf_counter()
-                res = _lp(arrays, node.fixed_zero, node.fixed_one)
-                lp_time_s += time.perf_counter() - lp_start
-                lp_solves += 1
-                if not res.success:
-                    continue  # infeasible subproblem
-                if res.fun >= best_weight - 1e-12:
-                    continue
-                x = np.asarray(res.x)
-                frac = np.abs(x - np.round(x))
-                j = int(np.argmax(frac))
-                if frac[j] <= _INT_TOL:
-                    xi = np.round(x).astype(int)
-                    weight = float(weights @ xi)
-                    if weight < best_weight:
-                        best_weight = weight
-                        best_x = xi
-                        if journal is not None:
-                            journal.record_incumbent(
-                                "ilp",
-                                tuple(names[j] for j in range(n) if xi[j] == 1),
-                                weight,
-                            )
-                    continue
-                stack.append(_Node(node.fixed_zero | {j}, node.fixed_one))
-                stack.append(_Node(node.fixed_zero, node.fixed_one | {j}))
-        finally:
-            # Deterministic counts; LP wall time is process/load dependent
-            # and therefore a *local* counter.
-            tracer.count("covering.ilp.nodes", nodes)
-            tracer.count("covering.ilp.lp_solves", lp_solves)
-            tracer.count_local("covering.ilp.lp_time_s", lp_time_s)
-            ilp_span.set("nodes", nodes)
-
-        if best_x is None:
-            raise CoveringError("ILP found no integral solution")
-        selection = tuple(sorted(names[j] for j in range(n) if best_x[j] == 1))
-        solution = CoverSolution(
-            column_names=selection, weight=best_weight, optimal=True, stats={"nodes": nodes}
+    cover = None
+    if res.status in (_OPTIMAL, _LIMIT) and res.x is not None:
+        chosen = np.round(res.x)
+        cover = CoverSolution(
+            column_names=tuple(sorted(c.name for c, keep in zip(cols, chosen) if keep)),
+            weight=float(weights @ chosen),
+            optimal=res.status == _OPTIMAL,
+            stats={"nodes": nodes},
         )
-        problem.check_solution(solution)
-        return solution
+        problem.check_solution(cover)
+        if journal is not None:
+            journal.record_incumbent("ilp", cover.column_names, cover.weight)
+    if res.status == _OPTIMAL:
+        return cover
+    if res.status == _LIMIT:
+        raise BudgetExceeded(
+            f"ILP stopped after {nodes} nodes: {res.message}",
+            reason="nodes" if nodes >= node_limit else "deadline",
+            partial=cover,
+        )
+    raise CoveringError(f"ILP found no cover: {res.message}")

@@ -14,6 +14,9 @@ cadence); :meth:`Budget.start` produces the mutable
   loop.
 - :meth:`BudgetTracker.charge_node` — checkpoint plus a global
   search-node counter enforcing ``max_nodes`` across all solver stages.
+  A solver that searches in one external call (the HiGHS ILP engine)
+  takes :meth:`BudgetTracker.nodes_left` as its own node limit and is
+  charged afterwards with :meth:`BudgetTracker.add_nodes`.
 
 Both raise :class:`~repro.core.exceptions.BudgetExceeded` when a limit
 is hit, which every loop in the pipeline is written to tolerate (the
@@ -142,6 +145,17 @@ class BudgetTracker:
                 reason="nodes",
             )
         self.checkpoint(site)
+
+    def nodes_left(self) -> Optional[int]:
+        """Search nodes left in the root budget (None = unlimited)."""
+        cap = self.root.budget.max_nodes
+        return None if cap is None else cap - self.nodes_used
+
+    def add_nodes(self, count: int) -> None:
+        """Charge ``count`` nodes that an external solver searched in one
+        call.  Never raises: the solver was limited to :meth:`nodes_left`,
+        and the next :meth:`charge_node` enforces the cap."""
+        self.root._nodes += count
 
     # ------------------------------------------------------------------
     def stage(

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the resilient runtime.
 
 Every cooperative checkpoint in the synthesis pipeline calls
-:func:`fault_point` with a *site name* (``"bnb.node"``, ``"ilp.node"``,
+:func:`fault_point` with a *site name* (``"bnb.node"``, ``"ilp.start"``,
 ``"greedy.select"``, ``"candidates.subset"``, ...).  With no injector
 active this is a no-op; inside a :class:`FaultInjector` context the
 site is matched against the configured :class:`FaultSpec` list and the

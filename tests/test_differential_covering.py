@@ -4,12 +4,12 @@ Three independently implemented engines solve the same weighted unate
 covering instance:
 
 - the native branch-and-bound (:func:`repro.covering.solve_cover`),
-- the LP-relaxation 0-1 ILP (:func:`repro.covering.solve_ilp`),
+- the HiGHS 0-1 ILP (:func:`repro.covering.solve_ilp`),
 - brute-force enumeration (:func:`repro.covering.solve_exhaustive`).
 
 On seeded random instances all three must report the same optimal
 cost, greedy must never beat it, and the solvers' new observability
-counters must account for real work (nodes expanded, LPs solved).
+counters must account for real work (nodes expanded, solve time).
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ def test_solver_counters_account_for_work(seed):
     assert c["covering.bnb.nodes"] == bnb.stats["nodes"]
     assert c["covering.ilp.nodes"] > 0
     assert c["covering.ilp.nodes"] == ilp.stats["nodes"]
-    assert c["covering.ilp.lp_solves"] == c["covering.ilp.nodes"]
+    assert "covering.ilp.lp_solves" not in c
     assert c["covering.greedy.iterations"] > 0  # the incumbent seed ran
-    assert t.local_counters["covering.ilp.lp_time_s"] > 0
+    assert t.local_counters["covering.ilp.solve_s"] > 0
 
 
 def test_counters_are_deterministic_across_repeats():
