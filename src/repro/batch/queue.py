@@ -266,32 +266,19 @@ class _Shard:
 # manifest
 # ----------------------------------------------------------------------
 
-#: the result-shaping option surface frozen into the manifest — the
-#: fields a remote worker must reproduce for its solves to be
-#: interchangeable with the coordinator's.
-_OPTION_FIELDS = (
-    "max_arity",
-    "drop_dominated",
-    "heterogeneous",
-    "max_merge_hops",
-    "polish_placement",
-    "hop_penalty",
-    "ucp_solver",
-    "strategy",
-    "max_cluster_arcs",
-    "on_budget_exhausted",
-)
-
 
 def _options_doc(options: SynthesisOptions) -> Dict[str, Any]:
-    doc = {name: getattr(options, name) for name in _OPTION_FIELDS}
-    doc["pruning"] = options.pruning.value
-    return doc
+    """The option surface frozen into the manifest — what a remote
+    worker must reproduce for its solves to be interchangeable with the
+    coordinator's."""
+    return {**options.result_shaping(), "on_budget_exhausted": options.on_budget_exhausted}
 
 
 def _options_from_doc(doc: Dict[str, Any]) -> SynthesisOptions:
+    # manifests written before demand_margin joined the block solved at 0
+    doc = {"demand_margin": 0.0, **doc}
     try:
-        kwargs = {name: doc[name] for name in _OPTION_FIELDS}
+        kwargs = {name: doc[name] for name in _options_doc(SynthesisOptions())}
         kwargs["pruning"] = PruningLevel(doc["pruning"])
     except (KeyError, ValueError) as exc:
         raise BatchError(f"queue manifest: unusable options block: {exc!r}") from exc

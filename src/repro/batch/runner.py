@@ -74,31 +74,17 @@ def stable_result_dict(result) -> Dict[str, Any]:
     return doc
 
 
-def _options_digest(options: SynthesisOptions, deadline: Optional[float]) -> Dict[str, Any]:
-    """The result-shaping option surface (jobs/checkpointing excluded —
-    they change how a result is computed, never what it is)."""
-    return {
-        "pruning": options.pruning.value,
-        "max_arity": options.max_arity,
-        "drop_dominated": options.drop_dominated,
-        "heterogeneous": options.heterogeneous,
-        "max_merge_hops": options.max_merge_hops,
-        "polish_placement": options.polish_placement,
-        "hop_penalty": options.hop_penalty,
-        "ucp_solver": options.ucp_solver,
-        "deadline_per_instance": deadline,
-    }
-
-
 def _instance_sha(path: Path, options: SynthesisOptions, deadline: Optional[float]) -> str:
-    """Fingerprint of (instance file bytes, result-shaping options).
+    """Fingerprint of (instance file bytes, result-shaping options, and
+    the per-instance deadline).
 
     Editing the instance or changing the options changes the digest, so
     a resumed batch re-solves exactly the instances whose answer could
     differ.
     """
+    shaping = {**options.result_shaping(), "deadline_per_instance": deadline}
     digest = hashlib.sha256(path.read_bytes())
-    digest.update(canonical_json(_options_digest(options, deadline)).encode("utf-8"))
+    digest.update(canonical_json(shaping).encode("utf-8"))
     return digest.hexdigest()
 
 

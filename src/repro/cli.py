@@ -157,14 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         "N arcs (caps per-cluster cost; voids the optimality certificate)",
     )
     syn.add_argument(
-        "--kernels",
-        choices=("auto", "python", "numpy", "numba"),
-        default=None,
-        help="compute-kernel backend for the numeric hot paths; every "
-        "backend is bit-identical on results (default: REPRO_KERNELS "
-        "env var, else fastest available)",
-    )
-    syn.add_argument(
         "--demand-margin",
         type=_nonnegative_seconds,
         default=0.0,
@@ -557,7 +549,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         resume=args.resume,
         strategy=args.strategy,
         max_cluster_arcs=args.max_cluster_arcs,
-        kernels=args.kernels,
         demand_margin=args.demand_margin,
     )
     if args.resume:

@@ -40,7 +40,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..kernels import current_kernels, set_kernels
 from ..obs import TracerLike, Tracer, TraceSnapshot, current_tracer, tracing
 from ..runtime.budget import Budget, BudgetTracker, as_tracker
 from ..runtime.checkpoint import CheckpointJournal
@@ -90,11 +89,12 @@ _PRUNE_CHUNK = 8192
 #: surviving subsets per planning task — small enough to keep every
 #: pool worker busy near a deadline and to bound what a crash or
 #: budget death can lose, large enough to amortize pickling *and* to
-#: give the lockstep Weiszfeld batch (:mod:`repro.kernels`) a wide
-#: front of concurrent placement problems to fuse.  Width matters more
-#: than it looks: the alternating-descent active set thins out round by
-#: round, and a wide chunk keeps late rounds above the lockstep
-#: break-even width instead of draining into the scalar straggler path.
+#: give the lockstep Weiszfeld pump (:mod:`repro.core.placement`) a
+#: wide front of concurrent placement problems to fuse.  Width matters
+#: more than it looks: the alternating-descent active set thins out
+#: round by round, and a wide chunk keeps late rounds above the
+#: lockstep break-even width instead of draining into the scalar
+#: straggler path.
 _PLAN_CHUNK = 512
 
 _log = logging.getLogger(__name__)
@@ -325,7 +325,6 @@ def generate_candidates(
                     pool = _PoolManager(
                         jobs, graph, library, polish_placement, tracer.enabled,
                         cache_dir=str(store.directory) if store is not None else None,
-                        kernels=current_kernels().name,
                     )
                 mergings = _enumerate_mergings(
                     graph, library, matrices, pruning, max_arity, stats, polish_placement,
@@ -387,22 +386,17 @@ def _pool_init(
     polish_placement: bool,
     trace: bool = False,
     cache_dir: Optional[str] = None,
-    kernels: Optional[str] = None,
 ) -> None:
     """Process-pool initializer: stash the shared synthesis inputs.
 
     When the parent runs under a persistent cache, each worker opens its
     own append handle on the same directory (the store is multi-process
-    safe but each handle is single-process).  The parent's kernel
-    backend follows the work into the workers (results are bit-identical
-    either way — this keeps the *performance* story uniform)."""
+    safe but each handle is single-process)."""
     _POOL_STATE["graph"] = graph
     _POOL_STATE["library"] = library
     _POOL_STATE["polish"] = polish_placement
     _POOL_STATE["trace"] = trace
     set_persistent_cache(PersistentCache(cache_dir) if cache_dir else None)
-    if kernels is not None:
-        set_kernels(kernels)
 
 
 def _record_plan_outcome(
@@ -480,10 +474,9 @@ class _PoolManager:
         polish_placement: bool,
         trace: bool,
         cache_dir: Optional[str] = None,
-        kernels: Optional[str] = None,
     ) -> None:
         self.jobs = jobs
-        self._initargs = (graph, library, polish_placement, trace, cache_dir, kernels)
+        self._initargs = (graph, library, polish_placement, trace, cache_dir)
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def submit(self, fn, *args) -> Future:
@@ -520,7 +513,7 @@ def _prune_arity(
     are gone — see :class:`~repro.core.matrices.IncrementalArcMatrices`),
     so subsets enumerate over ``range(size)``.  Subsets stream out of
     ``itertools.combinations`` in chunks; each chunk is one batched
-    kernel call over the Γ/Δ column sums and one over the bandwidth
+    predicate call over the Γ/Δ column sums and one over the bandwidth
     vector instead of one ``np.ix_`` block per subset.  APRIORI's
     survivor memory is keyed by arc *name* (stable across compaction).
     """

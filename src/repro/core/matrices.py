@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels import current_kernels
 from .constraint_graph import Arc, ConstraintGraph
 
 __all__ = [
@@ -88,25 +87,25 @@ def compute_delta(graph: ConstraintGraph) -> np.ndarray:
     """``ComputeMergingDistanceSumMatrix(G)`` —
     Δ(a_i, a_j) = ||p(u_i) - p(u_j)|| + ||p(v_i) - p(v_j)||.
 
-    Norms with an exactly-vectorizable distance (Manhattan, Chebyshev:
-    pure ``abs``/``max``/``+``, no rounding ambiguity) fill through the
-    active :mod:`repro.kernels` backend; the Euclidean norm always runs
-    the scalar pair loop because its reference distance is
-    ``math.hypot``, which no vectorized routine reproduces bitwise.
+    Manhattan and Chebyshev distances are pure ``abs``/``max``/``+``,
+    so they fill vectorized with the scalar loop's exact doubles; the
+    Euclidean norm runs the scalar pair loop because its distance is
+    ``math.hypot``, which ``np.hypot`` does not reproduce bitwise.
     """
     arcs = graph.arcs
     n = len(arcs)
     norm = graph.norm
-    if n >= 2:
-        fast = current_kernels().delta_matrix(
-            np.array([a.source.position.x for a in arcs]),
-            np.array([a.source.position.y for a in arcs]),
-            np.array([a.target.position.x for a in arcs]),
-            np.array([a.target.position.y for a in arcs]),
-            norm.name,
-        )
-        if fast is not None:
-            return fast
+    if n >= 2 and norm.name in ("manhattan", "chebyshev"):
+        sx = np.array([a.source.position.x for a in arcs])
+        sy = np.array([a.source.position.y for a in arcs])
+        tx = np.array([a.target.position.x for a in arcs])
+        ty = np.array([a.target.position.y for a in arcs])
+        combine = np.add if norm.name == "manhattan" else np.maximum
+        du = combine(np.abs(sx[:, None] - sx[None, :]), np.abs(sy[:, None] - sy[None, :]))
+        dv = combine(np.abs(tx[:, None] - tx[None, :]), np.abs(ty[:, None] - ty[None, :]))
+        out = du + dv
+        np.fill_diagonal(out, 0.0)
+        return out
     delta = np.zeros((n, n), dtype=float)
     for i in range(n):
         for j in range(i + 1, n):

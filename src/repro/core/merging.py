@@ -273,8 +273,7 @@ def build_merging_plans_batch(
     feasibility outcomes are unchanged; what batches is the placement:
     all cache-miss groups' placement problems go through
     :func:`~repro.core.placement.optimize_two_points_batch`, whose
-    lockstep Weiszfeld rounds are where the vectorized kernel backends
-    earn their speedup.
+    lockstep Weiszfeld rounds are where batching earns its speedup.
     """
     store = current_persistent_cache()
     results: List[object] = [_UNRESOLVED] * len(groups)

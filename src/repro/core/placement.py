@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
 
-from ..kernels import current_kernels
 from .geometry import EUCLIDEAN, Norm, Point, centroid
 
 __all__ = [
@@ -60,6 +59,18 @@ _WEISZFELD_MAX_ITER = 2_000
 #: smoothing added under square roots to avoid the Weiszfeld singularity
 #: when an iterate lands exactly on an anchor.
 _EPS = 1e-12
+#: below this many in-flight tasks a fused lockstep iteration stops
+#: paying for itself (it costs roughly eight scalar problem-iterations)
+#: and :class:`_LockstepPump` finishes the stragglers on the scalar loop.
+_BATCH_MIN_ACTIVE = 8
+#: lockstep iterations between convergence sweeps.  Rows are mutually
+#: independent, so a row that converges mid-window can keep iterating
+#: harmlessly until the sweep — its final position is restored from the
+#: window history — and the steady-state loop body carries no
+#: convergence test, no compaction, and no index arrays at all.  On the
+#: profiled workloads a finish event lands only every ~100 iterations,
+#: so a long window amortizes the sweep without meaningful overshoot.
+_WINDOW = 48
 
 
 @dataclass(frozen=True)
@@ -103,9 +114,9 @@ def _weiszfeld_setup(
 
     Returns ``(point, None)`` when the problem is solved outright (one
     effective anchor, or an anchor satisfies the exact Fermat–Weber
-    optimality condition) or ``(None, task)`` with the iterate-loop
-    task tuple for the kernel backend.  Common to the single and
-    batched paths, so both see identical shortcut decisions.
+    optimality condition) or ``(None, task)`` with the arguments of
+    :func:`_weiszfeld_run` (all but ``max_iter``).  Common to the single
+    and batched paths, so both see identical shortcut decisions.
     """
     pts = [p for p, w in zip(anchors, weights) if w > 0]
     ws = [w for w in weights if w > 0]
@@ -132,9 +143,59 @@ def _weiszfeld_setup(
     tol = _WEISZFELD_RTOL * spread
     smoothing = (_EPS * spread) ** 2
     # Anchor counts are tiny (one per merged arc plus the coupled
-    # facility), so the task ships plain float lists: scalar backends
-    # iterate them directly, vectorized backends pad them into a batch.
+    # facility), so the task ships plain float lists: the scalar loop
+    # iterates them directly, the lockstep pump pads them into a batch.
     return None, (xs.tolist(), ys.tolist(), w.tolist(), cx, cy, tol, smoothing)
+
+
+def _weiszfeld_run(
+    axs: Sequence[float],
+    ays: Sequence[float],
+    aws: Sequence[float],
+    cx: float,
+    cy: float,
+    tol: float,
+    smoothing: float,
+    max_iter: int,
+    _sqrt=math.sqrt,
+) -> Tuple[float, float, int]:
+    """The modified-Weiszfeld iterate loop from ``(cx, cy)``.
+
+    Returns ``(x, y, iterations)``.  Anchor counts are tiny, so plain
+    floats beat numpy dispatch by ~10x per problem; this loop is also
+    the reference :class:`_LockstepPump` reproduces bit for bit.
+    """
+    anchors = list(zip(axs, ays, aws))
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        num_x = num_y = den = 0.0
+        for ax, ay, aw in anchors:
+            # dx * dx, not dx ** 2: libm's pow is not always correctly
+            # rounded, and the lockstep pump squares by multiplication
+            dx = ax - cx
+            dy = ay - cy
+            d2 = dx * dx + dy * dy
+            if d2 == 0.0:
+                # An anchor coinciding with the current iterate exerts no
+                # directional pull (its gradient term is undefined); with
+                # only the smoothing in the denominator its huge coef
+                # would pin the iterate at the anchor — skip it instead,
+                # per the standard modified-Weiszfeld step.
+                continue
+            coef = aw / _sqrt(d2 + smoothing)
+            num_x += coef * ax
+            num_y += coef * ay
+            den += coef
+        if den == 0.0:
+            # every anchor coincides with the iterate: nothing pulls
+            break
+        nx = num_x / den
+        ny = num_y / den
+        moved = max(abs(nx - cx), abs(ny - cy))
+        cx, cy = nx, ny
+        if moved < tol:
+            break
+    return cx, cy, iterations
 
 
 def weiszfeld(
@@ -146,14 +207,12 @@ def weiszfeld(
 
     Classic Weiszfeld iteration with ε-smoothing; returns the point and
     the number of iterations used.  Zero-weight anchors are ignored; a
-    single effective anchor returns that anchor directly.  The iterate
-    loop runs on the active :mod:`repro.kernels` backend (bit-identical
-    across backends by contract).
+    single effective anchor returns that anchor directly.
     """
     point, task = _weiszfeld_setup(anchors, weights, start)
     if point is not None:
         return point, 0
-    cx, cy, iterations = current_kernels().weiszfeld_run(*task, _WEISZFELD_MAX_ITER)
+    cx, cy, iterations = _weiszfeld_run(*task, _WEISZFELD_MAX_ITER)
     return Point(cx, cy), iterations
 
 
@@ -377,9 +436,9 @@ def optimize_two_points_batch(
     Result ``i`` is **bit-identical** to
     ``optimize_two_points(*problems[i])``: problems on the fully-linear
     Euclidean path run their alternating-Weiszfeld rounds in *lockstep*
-    (each round's Fermat–Weber half-steps across all still-active
-    problems form one kernel batch — the per-problem iterate map is
-    unchanged, so the trajectories are the solo ones); every other
+    (their Fermat–Weber half-steps iterate together in one
+    :class:`_LockstepPump` — the per-problem iterate map is unchanged,
+    so the trajectories are the solo ones); every other
     problem (nonlinear costs, non-Euclidean norms, degenerate pinned
     pairs) falls through to the serial solver unchanged.
     """
@@ -420,25 +479,283 @@ def optimize_two_points_batch(
     return results  # type: ignore[return-value]
 
 
+def _sequential_sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum of a (..., k) array over its last axis, left to right — the
+    scalar loop's order (numpy's own reduction switches to pairwise
+    summation at 8 elements and rounds differently)."""
+    acc = x[..., 0].copy()
+    for i in range(1, x.shape[-1]):
+        acc += x[..., i]
+    return acc
+
+
+class _LockstepPump:
+    """Windowed lockstep Weiszfeld over a *mutable* working set.
+
+    A single placement problem is too small for numpy (array dispatch
+    costs more than the ~5-anchor scalar loop), so the win comes from
+    fusing one iteration across many independent problems.
+    :meth:`inject` enqueues a :func:`_weiszfeld_setup` task under a
+    caller-chosen key; :meth:`pump` runs `_WINDOW`-sized blocks of fused
+    iterations over everything in flight and returns ``(key, x, y,
+    iterations)`` for at least one finished task unless nothing is in
+    flight.  Result order carries no information — callers key off the
+    returned keys.  Per-row state: padded anchors (zero weight, exact
+    ``+0.0`` contributions), current iterate, tolerance, smoothing, and
+    the remaining per-task iteration budget.
+
+    Bit-identity with :func:`_weiszfeld_run`: every row applies the
+    scalar per-iteration map to its own lane only, with additions in
+    anchor order — window size, co-batched rows, and injection order
+    are execution details that cannot change any task's trajectory.  A
+    row that converges mid-window keeps iterating harmlessly until the
+    sweep, which finds its *first* finish event and restores the
+    position recorded at that exact step; once fewer than
+    `_BATCH_MIN_ACTIVE` rows remain they are finished by the scalar
+    loop, continuing from the same state.
+    """
+
+    def __init__(self, max_iter: int) -> None:
+        self._max_iter = max_iter
+        self._queue: List[Tuple[Hashable, tuple]] = []
+        self._n = 0
+        self._kmax = 0
+        self._keys: List[Hashable] = []
+
+    @property
+    def in_flight(self) -> bool:
+        return bool(self._queue) or self._n > 0
+
+    def inject(self, key: Hashable, task: tuple) -> None:
+        self._queue.append((key, task))
+
+    def _absorb(self) -> None:
+        """Fold queued tasks into the working arrays."""
+        if not self._queue:
+            return
+        tasks = self._queue
+        self._queue = []
+        p = len(tasks)
+        kmax = max(max(len(t[0]) for _, t in tasks), self._kmax)
+        # plane 0/1: anchor x/y; plane 2: constant 1.0, so one fused
+        # ``coef · A3`` reduction yields num_x, num_y *and* den in a
+        # single pass (``coef * 1.0`` is bitwise ``coef``, and padding
+        # columns carry an exact-0.0 coef, so den rounds identically to
+        # the separate sum).
+        A3 = np.zeros((p, 3, kmax))
+        A3[:, 2, :] = 1.0
+        W = np.zeros((p, kmax))
+        pos = np.empty((p, 2))
+        tl = np.empty(p)
+        sm = np.empty((p, 1))
+        for r, (_, (txs, tys, tws, cx, cy, tol, smoothing)) in enumerate(tasks):
+            k = len(txs)
+            A3[r, 0, :k] = txs
+            A3[r, 1, :k] = tys
+            W[r, :k] = tws
+            pos[r, 0] = cx
+            pos[r, 1] = cy
+            tl[r] = tol
+            sm[r, 0] = smoothing
+        rem = np.full(p, self._max_iter, dtype=np.int64)
+        used = np.zeros(p, dtype=np.int64)
+        if self._n:
+            oldA, oldW = self._A3, self._W
+            if kmax > self._kmax:
+                # widen existing rows with zero-weight padding (exact
+                # +0.0 accumulation terms — unobservable)
+                wideA = np.zeros((self._n, 3, kmax))
+                wideA[:, 2, :] = 1.0
+                wideA[:, :, : self._kmax] = oldA
+                wideW = np.zeros((self._n, kmax))
+                wideW[:, : self._kmax] = oldW
+                oldA, oldW = wideA, wideW
+            self._A3 = np.concatenate([oldA, A3])
+            self._W = np.concatenate([oldW, W])
+            self._pos = np.concatenate([self._pos, pos])
+            self._tl = np.concatenate([self._tl, tl])
+            self._sm = np.concatenate([self._sm, sm])
+            self._rem = np.concatenate([self._rem, rem])
+            self._used = np.concatenate([self._used, used])
+        else:
+            self._A3, self._W, self._pos = A3, W, pos
+            self._tl, self._sm = tl, sm
+            self._rem, self._used = rem, used
+        self._keys.extend(key for key, _ in tasks)
+        self._kmax = kmax
+        self._n += p
+
+    def _drain_scalar(self) -> List[Tuple[object, float, float, int]]:
+        """Finish every remaining row on the scalar loop, continuing
+        from its current iterate and budget."""
+        out = []
+        for r in range(self._n):
+            x, y, extra = _weiszfeld_run(
+                self._A3[r, 0].tolist(), self._A3[r, 1].tolist(),
+                self._W[r].tolist(), float(self._pos[r, 0]),
+                float(self._pos[r, 1]), float(self._tl[r]),
+                float(self._sm[r, 0]), int(self._rem[r]),
+            )
+            out.append((self._keys[r], x, y, int(self._used[r]) + extra))
+        self._n = 0
+        self._kmax = 0
+        self._keys = []
+        return out
+
+    def pump(self) -> List[Tuple[object, float, float, int]]:
+        self._absorb()
+        results: List[Tuple[object, float, float, int]] = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while self._n:
+                if self._n < _BATCH_MIN_ACTIVE:
+                    results.extend(self._drain_scalar())
+                    break
+                results.extend(self._window())
+                if results:
+                    break
+        return results
+
+    def _window(self) -> List[Tuple[object, float, float, int]]:
+        """One block of fused lockstep iterations + one finish sweep."""
+        n, kmax = self._n, self._kmax
+        A3, W, tl, sm = self._A3, self._W, self._tl, self._sm
+        pos = self._pos
+        span = min(_WINDOW, int(self._rem.min()))
+        base = pos
+        A2 = A3[:, :2, :]
+        # Window history and scratch, preallocated: every ufunc below
+        # writes into these (``out=``), so the hot loop allocates
+        # nothing.  ``traj[j]``/``sums[j]``/``d2h[j]`` are each step's
+        # own rows — no aliasing across steps.  The hot loop only
+        # *advances* the iterates; step sizes, den == 0 events, and
+        # coincident-anchor hits are all recovered from the recorded
+        # history after the loop.  ``traj`` carries a third channel
+        # (den/den — exactly 1.0 for live rows) so the whole ``nsum``
+        # row divides in one contiguous op.
+        traj = np.empty((span, n, 3))
+        sums = np.empty((span, n, 3))
+        d2h = np.empty((span, n, kmax))
+        diff = np.empty((n, 2, kmax))
+        coef = np.empty((n, kmax))
+        prod = np.empty((n, 3, kmax))
+        fast = kmax < 8
+        for masked in (False, True):
+            cur = pos
+            for j in range(span):
+                np.subtract(A2, cur[:, :, None], out=diff)
+                np.multiply(diff, diff, out=diff)
+                d2 = d2h[j]
+                # binary add of the two planes: exactly dx*dx + dy*dy
+                np.add(diff[:, 0], diff[:, 1], out=d2)
+                np.add(d2, sm, out=coef)
+                np.sqrt(coef, out=coef)
+                np.divide(W, coef, out=coef)
+                if masked:
+                    # a d2 == 0.0 entry is a skipped coincident anchor
+                    # (or zero-weight padding with the iterate on the
+                    # origin): its coef must be exact 0.0, not
+                    # w/sqrt(smoothing).
+                    np.copyto(coef, 0.0, where=d2 == 0.0)
+                np.multiply(coef[:, None, :], A3, out=prod)
+                nsum = sums[j]
+                if fast:
+                    # one fused pass over the three planes: num_x,
+                    # num_y, den
+                    np.add.reduce(prod, axis=2, out=nsum)
+                else:
+                    nsum[:] = _sequential_sum_last(prod)
+                # den == 0.0 rows (every anchor coincides) go NaN here
+                # and are unwound at the sweep below — the scalar loop
+                # stops *before* this update.
+                np.divide(nsum, nsum[:, 2:], out=traj[j])
+                cur = traj[j, :, :2]
+            if bool((d2h > 0.0).all()):
+                # No step of any row touched a coincident anchor (the
+                # overwhelmingly common case): the unmasked trajectories
+                # are exact and the masked pass is skipped.  A d2 of 0.0
+                # — or the NaNs it cascades into — fails the > 0.0 test,
+                # triggering the one masked redo from the same start.
+                break
+
+        out: List[Tuple[object, float, float, int]] = []
+        # Chebyshev step sizes for the whole window at once (the hot
+        # loop records positions only): steps[j] = |traj[j] - traj[j-1]|
+        # elementwise — identical doubles to a per-step computation.
+        # The third channel contributes |1.0 - 1.0| = 0.0 (NaN on dead
+        # rows), which never changes a maximum of absolute values.
+        steps = np.empty((span, n, 3))
+        np.subtract(traj[0, :, :2], base, out=steps[0, :, :2])
+        steps[0, :, 2] = 0.0
+        if span > 1:
+            np.subtract(traj[1:], traj[:-1], out=steps[1:])
+        np.abs(steps, out=steps)
+        movs = np.maximum.reduce(steps, axis=2)
+        fin = movs < tl         # NaN rows compare False
+        dzero = sums[:, :, 2] == 0.0
+        has_m = fin.any(axis=0)
+        has_d = dzero.any(axis=0)
+        finished = has_m | has_d
+        used = self._used
+        if finished.any():
+            # First finish event per row; restore that row's state *at
+            # its own event* from the window history (its later
+            # in-window iterates touched nothing but its own lane).
+            rows = np.arange(n)
+            jm = fin.argmax(axis=0)
+            jd = dzero.argmax(axis=0)
+            move_fin = has_m & (~has_d | (jm < jd))
+            for r in rows[move_fin]:
+                out.append((
+                    self._keys[r], float(traj[jm[r], r, 0]),
+                    float(traj[jm[r], r, 1]), int(used[r] + jm[r] + 1),
+                ))
+            for r in rows[finished & ~move_fin]:
+                # the den == 0 iteration is counted but does not move
+                # the iterate: restore the *previous* position
+                j = jd[r]
+                px, py = (traj[j - 1, r, :2] if j > 0 else base[r])
+                out.append((self._keys[r], float(px), float(py),
+                            int(used[r] + j + 1)))
+        alive = ~finished
+        pos = traj[span - 1, :, :2]
+        used = used + span
+        exhausted = alive & (self._rem - span == 0)
+        if exhausted.any():
+            for r in np.arange(n)[exhausted]:
+                out.append((self._keys[r], float(pos[r, 0]),
+                            float(pos[r, 1]), int(used[r])))
+            alive &= ~exhausted
+        self._A3 = A3[alive]
+        self._W = W[alive]
+        self._pos = pos[alive]
+        self._tl = tl[alive]
+        self._sm = sm[alive]
+        self._rem = self._rem[alive] - span
+        self._used = used[alive]
+        self._keys = [k for k, a in zip(self._keys, alive) if a]
+        self._n = int(alive.sum())
+        if self._n == 0:
+            self._kmax = 0
+        return out
+
+
 def _alternating_weiszfeld_lockstep(
     items: Sequence[tuple],
 ) -> List[PlacementResult]:
-    """Run many alternating-Weiszfeld descents through one kernel pump.
+    """Run many alternating-Weiszfeld descents through one lockstep pump.
 
     ``items`` are ``(problem, F, pinned_s, pinned_t)`` tuples, all on
     the fully-linear Euclidean path.  Each problem is an independent
     state machine (s half-step → t half-step → round convergence
     check); whenever a half-step needs the iterate loop, its task goes
-    into a shared :meth:`~repro.kernels.base.KernelBackend.weiszfeld_pump`
-    and the *next* half-step is submitted the moment the previous one
-    finishes.  Problems therefore never wait for each other at round
-    boundaries — a vectorized backend keeps one wide batch busy instead
-    of draining a thinning batch per round — while each problem runs
-    the exact serial sequence of half-steps on the exact serial
-    iterates: what any single problem computes never changes, only
-    which problems happen to iterate together.
+    into a shared :class:`_LockstepPump` and the *next* half-step is
+    submitted the moment the previous one finishes.  Problems therefore
+    never wait for each other at round boundaries — the pump keeps one
+    wide batch busy instead of draining a thinning batch per round —
+    while each problem runs the exact serial sequence of half-steps on
+    the exact serial iterates: what any single problem computes never
+    changes, only which problems happen to iterate together.
     """
-    backend = current_kernels()
     m = len(items)
     s: List[Point] = []
     t: List[Point] = []
@@ -450,7 +767,7 @@ def _alternating_weiszfeld_lockstep(
         t.append(pinned_t if pinned_t is not None else centroid(list(p.sinks)))
         prev.append(F(s[-1], t[-1]))
 
-    pump = backend.weiszfeld_pump(_WEISZFELD_MAX_ITER)
+    pump = _LockstepPump(_WEISZFELD_MAX_ITER)
 
     def drive(i: int, phase: str) -> None:
         """Advance problem ``i`` until it submits a pump task or its

@@ -31,7 +31,11 @@ library* (as long as Assumption 2.1 holds):
   always wins.
 
 All predicates answer "is this subset *certainly not* mergeable?";
-``False`` means "possibly mergeable" (the cost step decides).
+``False`` means "possibly mergeable" (the cost step decides).  The
+scalar predicates are one-row calls of the batched ones, so both give
+one verdict.  Sums accumulate left to right in member order: numpy's
+axis reduction switches to pairwise summation at 8 elements, so rows
+of 8 or more members are summed one column at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels import current_kernels
 from ..obs import current_tracer
 from .library import CommunicationLibrary
 from .matrices import ArcMatrices
@@ -60,6 +63,59 @@ __all__ = [
 #: shared-endpoint geometries, as the paper's a1/a3 pair) must count as
 #: "not mergeable" even in floating point.
 PRUNE_TOL = 1e-9
+
+
+def _lemma_3_2_verdicts(
+    gamma: np.ndarray, delta: np.ndarray, subsets: np.ndarray
+) -> np.ndarray:
+    """Lemma 3.2 verdicts for an ``(m, k)`` batch of index subsets.
+
+    For each subset and each pivot ``p``: column sums ``g = Σ_i Γ[s_i,
+    s_p] − Γ[s_p, s_p]`` and ``d = Σ_i Δ[s_i, s_p]``; the subset is
+    pruned when any pivot has ``g <= d + tol·max(1, |g|, |d|)``.
+    """
+    s = subsets
+    # blocks[r, i, p] = M[s[r, i], s[r, p]]: one gather per matrix,
+    # then accumulation over the member axis (i).
+    gamma_blocks = gamma[s[:, :, None], s[:, None, :]]
+    delta_blocks = delta[s[:, :, None], s[:, None, :]]
+    k = s.shape[1]
+    if k < 8:
+        # below numpy's pairwise-summation threshold the axis
+        # reduction rounds exactly like the sequential loop
+        gsum = np.add.reduce(gamma_blocks, axis=1)
+        dsum = np.add.reduce(delta_blocks, axis=1)
+    else:
+        gsum = gamma_blocks[:, 0, :].copy()
+        dsum = delta_blocks[:, 0, :].copy()
+        for i in range(1, k):
+            gsum += gamma_blocks[:, i, :]
+            dsum += delta_blocks[:, i, :]
+    gsum -= np.diagonal(gamma_blocks, axis1=1, axis2=2)
+    scale = np.maximum(1.0, np.maximum(np.abs(gsum), np.abs(dsum)))
+    return np.any(gsum <= dsum + PRUNE_TOL * scale, axis=1)
+
+
+def _theorem_3_2_verdicts(b: np.ndarray, max_link_bandwidth: float) -> np.ndarray:
+    """Theorem 3.2 verdicts for an ``(m, k)`` bandwidth batch.
+
+    ``total = Σ b_i``, ``threshold = max_link + min b_i``; pruned when
+    ``total >= threshold + tol·scale`` or ``total == threshold``.
+    """
+    k = b.shape[1]
+    if k < 8:
+        # np.sum without its wrapper, which costs more than the
+        # reduction itself at these widths
+        total = np.add.reduce(b, axis=1)
+    else:
+        total = b[:, 0].copy()
+        for i in range(1, k):
+            total += b[:, i]
+    # min is order-insensitive in IEEE-754 (no rounding), so the axis
+    # reduction is exact.
+    threshold = max_link_bandwidth + b.min(axis=1)
+    scale = np.maximum(1.0, np.maximum(np.abs(total), np.abs(threshold)))
+    return (total >= threshold + PRUNE_TOL * scale) | (total == threshold)
 
 
 def _leq(lhs: float, rhs: float) -> bool:
@@ -82,12 +138,7 @@ def lemma_3_2_not_mergeable(matrices: ArcMatrices, indices: Sequence[int]) -> bo
     idx = np.asarray(indices, dtype=int)
     if idx.size < 2:
         raise ValueError("mergings involve at least two arcs")
-    # One-row batch through the active kernel backend: scalar and
-    # batched calls share one implementation (hence one verdict).
-    verdict = current_kernels().lemma_3_2_batch(
-        matrices.gamma, matrices.delta, idx[None, :], PRUNE_TOL
-    )
-    return bool(verdict[0])
+    return bool(_lemma_3_2_verdicts(matrices.gamma, matrices.delta, idx[None, :])[0])
 
 
 def lemma_3_2_not_mergeable_batch(
@@ -98,17 +149,14 @@ def lemma_3_2_not_mergeable_batch(
 
     ``subsets`` is an ``(m, k)`` integer array of arc indices; the
     result is a boolean ``(m,)`` vector, ``True`` ⇒ certainly not
-    mergeable.  Equivalent to ``lemma_3_2_not_mergeable`` row by row —
-    both dispatch to the active :mod:`repro.kernels` backend, whose
-    contract fixes the reduction order (sequential, left to right), so
-    the verdicts are bit-identical across backends and batch shapes.
+    mergeable.  Equivalent to ``lemma_3_2_not_mergeable`` row by row.
     """
     s = np.asarray(subsets, dtype=int)
     if s.ndim != 2 or s.shape[1] < 2:
         raise ValueError("subset batch must be (m, k) with k >= 2")
     if s.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    return current_kernels().lemma_3_2_batch(matrices.gamma, matrices.delta, s, PRUNE_TOL)
+    return _lemma_3_2_verdicts(matrices.gamma, matrices.delta, s)
 
 
 def theorem_3_2_not_mergeable(
@@ -126,8 +174,7 @@ def theorem_3_2_not_mergeable(
     b = np.asarray(bandwidths, dtype=float)
     if b.size < 2:
         raise ValueError("mergings involve at least two arcs")
-    verdict = current_kernels().theorem_3_2_batch(b[None, :], max_link_bandwidth, PRUNE_TOL)
-    return bool(verdict[0])
+    return bool(_theorem_3_2_verdicts(b[None, :], max_link_bandwidth)[0])
 
 
 def theorem_3_2_not_mergeable_batch(
@@ -144,7 +191,7 @@ def theorem_3_2_not_mergeable_batch(
         raise ValueError("bandwidth batch must be (m, k) with k >= 2")
     if b.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    return current_kernels().theorem_3_2_batch(b, max_link_bandwidth, PRUNE_TOL)
+    return _theorem_3_2_verdicts(b, max_link_bandwidth)
 
 
 class PruningMemo:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # circular at runtime: decompose builds on this module
     from .decompose import DecompositionReport
@@ -25,7 +25,6 @@ if TYPE_CHECKING:  # circular at runtime: decompose builds on this module
 from ..covering.bnb import SolverOptions, solve_cover
 from ..covering.ilp import solve_ilp
 from ..covering.matrix import Column, CoverSolution, CoveringProblem
-from ..kernels import current_kernels, resolve_backend, use_kernels
 from ..obs import NULL_TRACER, Tracer, current_tracer, tracing
 from ..runtime.budget import Budget, BudgetTracker, as_tracker
 from ..runtime.checkpoint import CheckpointJournal, instance_fingerprint
@@ -154,23 +153,35 @@ class SynthesisOptions:
     #: certificate (the stitch pass re-prices 2-way cross-cut
     #: candidates; ``gap_bound`` becomes ``None``).
     max_cluster_arcs: Optional[int] = None
-    #: compute-kernel backend for the numeric hot paths (Weiszfeld
-    #: iterations, batched Lemma 3.2 / Theorem 3.2 predicates, Δ matrix
-    #: fill): ``"python"`` (pure-python reference), ``"numpy"``,
-    #: ``"numba"`` (when installed), or ``None``/``"auto"`` to honour
-    #: the ``REPRO_KERNELS`` environment variable and fall back to the
-    #: fastest available backend.  Every backend is bit-identical on
-    #: result JSON — an execution knob, not a semantic one — so it is
-    #: excluded from checkpoint fingerprints.  See :mod:`repro.kernels`.
-    kernels: Optional[str] = None
     #: uniform static headroom: synthesize as if every ``b(a)`` were
     #: ``(1 + demand_margin)`` times larger, so the architecture keeps
     #: slack for bursts/overload.  ``0.0`` (default) reproduces the
     #: paper exactly.  The closed loop (:mod:`repro.loop`) instead
     #: tightens arcs *selectively* from simulation feedback and leaves
-    #: this at 0 to avoid double-scaling.  Result-shaping, so it is
-    #: part of the checkpoint fingerprint.
+    #: this at 0 to avoid double-scaling.
     demand_margin: float = 0.0
+
+    def result_shaping(self) -> Dict[str, Any]:
+        """The options that can change *what* a synthesis returns.
+
+        The one list behind every "same answer?" key: checkpoint
+        fingerprints, batch resume keys and queue manifests.  Execution
+        knobs (``jobs``, ``validate_result``, ``retry``, budget policy,
+        checkpointing) are left out, so a resume may change them.
+        """
+        return {
+            "pruning": self.pruning.value,
+            "max_arity": self.max_arity,
+            "drop_dominated": self.drop_dominated,
+            "heterogeneous": self.heterogeneous,
+            "max_merge_hops": self.max_merge_hops,
+            "polish_placement": self.polish_placement,
+            "hop_penalty": self.hop_penalty,
+            "ucp_solver": self.ucp_solver,
+            "strategy": self.strategy,
+            "max_cluster_arcs": self.max_cluster_arcs,
+            "demand_margin": self.demand_margin,
+        }
 
 
 @dataclass
@@ -333,21 +344,10 @@ def synthesize(
     else:
         tracer = trace
 
-    if options.kernels is None:
-        # honour an ambient ``use_kernels(...)`` scope (or the process
-        # default a pool-worker initializer installed)
-        backend = current_kernels()
-    else:
-        try:
-            backend = resolve_backend(options.kernels)
-        except (ValueError, RuntimeError) as exc:
-            raise SynthesisError(str(exc)) from None
-
-    with use_kernels(backend):
-        if tracer is None:
-            return _synthesize_traced(graph, library, options, budget)
-        with tracing(tracer):
-            result = _synthesize_traced(graph, library, options, budget)
+    if tracer is None:
+        return _synthesize_traced(graph, library, options, budget)
+    with tracing(tracer):
+        result = _synthesize_traced(graph, library, options, budget)
     result.trace = tracer
     return result
 

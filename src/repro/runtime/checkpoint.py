@@ -79,11 +79,9 @@ def instance_fingerprint(graph, library, options=None) -> str:
     """SHA-256 over the instance and every result-shaping option.
 
     Includes the full constraint graph and library (their canonical
-    JSON dict forms) plus the :class:`~repro.core.synthesis.SynthesisOptions`
-    fields that change the candidate set or the covering objective.
-    Deliberately excludes execution knobs that cannot change the result
-    (``jobs``, ``validate_result``, budget policy, the checkpoint path
-    itself), so a resume may use a different worker count or deadline.
+    JSON dict forms) plus
+    :meth:`~repro.core.synthesis.SynthesisOptions.result_shaping`, so a
+    resume may use a different worker count or deadline.
     """
     from ..io.json_io import constraint_graph_to_dict, library_to_dict
 
@@ -93,24 +91,7 @@ def instance_fingerprint(graph, library, options=None) -> str:
         "library": library_to_dict(library),
     }
     if options is not None:
-        doc["options"] = {
-            "pruning": options.pruning.value,
-            "max_arity": options.max_arity,
-            "drop_dominated": options.drop_dominated,
-            "heterogeneous": options.heterogeneous,
-            "max_merge_hops": options.max_merge_hops,
-            "polish_placement": options.polish_placement,
-            "hop_penalty": options.hop_penalty,
-            "ucp_solver": options.ucp_solver,
-            # the strategy shapes the candidate set (decompose/colgen
-            # may plan fewer columns), so resuming across strategies
-            # would replay chunks into a differently-shaped run
-            "strategy": options.strategy,
-            "max_cluster_arcs": options.max_cluster_arcs,
-            # demand_margin inflates every b(a) before planning — as
-            # result-shaping as it gets
-            "demand_margin": options.demand_margin,
-        }
+        doc["options"] = options.result_shaping()
     digest = hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
     return digest
 

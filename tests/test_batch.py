@@ -10,6 +10,7 @@ and a shared persistent cache turns repeat runs into hit streams.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.batch.runner import _crc
 from repro.cli import main as cli_main
 from repro.core import SynthesisOptions, synthesize
 from repro.core.exceptions import InstanceFormatError
+from repro.domains import wan_example
 from repro.io import load_instance, save_instance
 from repro.netgen import clustered_graph, two_tier_library
 
@@ -197,6 +199,27 @@ def test_resume_re_solves_when_instance_file_changes(tmp_path):
     save_instance(directory / "inst01.json", graph, library)
     summary = run_batch(discover_corpus(directory), results_path=results, resume=True)
     assert summary.skipped == 1 and summary.completed == 1
+
+
+@pytest.mark.parametrize(
+    "changed", [{"strategy": "decompose"}, {"demand_margin": 0.5}],
+    ids=["strategy", "demand_margin"],
+)
+def test_resume_re_solves_when_a_result_shaping_option_changes(tmp_path, changed):
+    directory = tmp_path / "c"
+    directory.mkdir()
+    graph, library = wan_example()
+    save_instance(directory / "wan.json", graph, library)
+    corpus = discover_corpus(directory)
+    results = tmp_path / "r.jsonl"
+    base = SynthesisOptions(strategy="exact")
+    run_batch(corpus, options=base, results_path=results)
+
+    options = replace(base, **changed)
+    summary = run_batch(corpus, options=options, results_path=results, resume=True)
+    assert summary.skipped == 0 and summary.completed == 1
+    fresh = synthesize(graph, library, options)
+    assert summary.records[0]["result"] == stable_result_dict(fresh)
 
 
 def test_resume_ignores_failed_records(tmp_path):

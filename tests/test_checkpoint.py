@@ -252,6 +252,21 @@ def test_fingerprint_covers_result_shaping_options(wan):
         assert base != instance_fingerprint(graph, library, options)
 
 
+#: WAN's fingerprint under default options.  Journals already on disk
+#: carry it, so it must not move while the journal version stays.
+WAN_DEFAULT_FINGERPRINT = "ff6b194aecedcad1bb24f8978dd7d6b45b7e884b25d6b34be6b553c244d4fca5"
+
+
+def test_wan_fingerprint_is_pinned(wan):
+    graph, library = wan
+    assert instance_fingerprint(graph, library, SynthesisOptions()) == WAN_DEFAULT_FINGERPRINT
+
+
+def test_removed_kernels_option_is_a_type_error():
+    with pytest.raises(TypeError, match="kernels"):
+        SynthesisOptions(kernels="numpy")
+
+
 # ----------------------------------------------------------------------
 # end-to-end: checkpointed synthesis
 # ----------------------------------------------------------------------

@@ -240,6 +240,12 @@ class TestArgumentValidation:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
 
+    def test_removed_kernels_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["synthesize", "x.json", "--kernels", "numpy"])
+        assert exc.value.code == 2
+        assert "--kernels" in capsys.readouterr().err
+
     def test_valid_values_still_accepted(self):
         args = build_parser().parse_args(
             ["synthesize", "x.json", "--deadline", "2.5", "--jobs", "4"]

@@ -104,6 +104,29 @@ def test_enqueue_refuses_a_different_workload(tmp_path):
         enqueue(qdir, tasks, other, None, QueueConfig())
 
 
+def test_manifest_options_round_trip(tmp_path):
+    options = SynthesisOptions(
+        demand_margin=0.5, strategy="decompose", max_cluster_arcs=4,
+        on_budget_exhausted="fail", hop_penalty=2.0,
+    )
+    corpus = discover_corpus(_make_corpus(tmp_path / "corpus", count=1))
+    qdir = tmp_path / "q"
+    enqueue(qdir, _tasks(corpus, options), options, None, QueueConfig())
+    assert QueueWorker(qdir).options == options
+
+
+def test_manifest_without_demand_margin_solves_at_zero(tmp_path):
+    """Manifests enqueued before the margin joined the options block."""
+    options = SynthesisOptions(demand_margin=0.5)
+    corpus = discover_corpus(_make_corpus(tmp_path / "corpus", count=1))
+    qdir = tmp_path / "q"
+    enqueue(qdir, _tasks(corpus, options), options, None, QueueConfig())
+    doc = load_manifest(qdir)
+    del doc["options"]["demand_margin"]
+    _Paths(qdir).manifest.write_text(canonical_json(doc))
+    assert QueueWorker(qdir).options == SynthesisOptions()
+
+
 def test_enqueue_shards_in_corpus_order(tmp_path):
     qdir, _, tasks, _ = _enqueued(tmp_path, count=5, shard_size=2)
     doc = load_manifest(qdir)
