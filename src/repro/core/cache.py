@@ -70,10 +70,11 @@ __all__ = [
     "current_persistent_cache",
 ]
 
-#: bump on any incompatible change to the record schema; entry files
-#: are version-suffixed, so a bump orphans old files instead of
-#: misreading them.
-CACHE_VERSION = 1
+#: bump on any incompatible change to the record schema or to the
+#: answers of the solvers whose results are stored (version 2: merge
+#: placement); entry files are version-suffixed, so a bump orphans old
+#: files instead of misreading them.
+CACHE_VERSION = 2
 
 
 def _canonical(doc: Any) -> str:

@@ -88,13 +88,9 @@ _PRUNE_CHUNK = 8192
 
 #: surviving subsets per planning task — small enough to keep every
 #: pool worker busy near a deadline and to bound what a crash or
-#: budget death can lose, large enough to amortize pickling *and* to
-#: give the lockstep Weiszfeld pump (:mod:`repro.core.placement`) a
-#: wide front of concurrent placement problems to fuse.  Width matters
-#: more than it looks: the alternating-descent active set thins out
-#: round by round, and a wide chunk keeps late rounds above the
-#: lockstep break-even width instead of draining into the scalar
-#: straggler path.
+#: budget death can lose, large enough to amortize pickling.  The
+#: boundaries also key checkpoint journal records, so changing the
+#: width orphans journals written before.
 _PLAN_CHUNK = 512
 
 _log = logging.getLogger(__name__)

@@ -104,6 +104,7 @@ from .synthesis import (
     build_covering_problem,
     materialize_selection,
     _replay_solution,
+    _selection_cost,
 )
 from .validation import validate
 
@@ -440,7 +441,7 @@ def _finish(
     return SynthesisResult(
         implementation=impl,
         selected=selected,
-        total_cost=cover.weight,
+        total_cost=_selection_cost(selected),
         candidates=candidates,
         covering=covering,
         cover=cover,

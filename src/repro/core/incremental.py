@@ -37,7 +37,10 @@ from .matrices import IncrementalArcMatrices
 from .merging import build_merging_plan
 from .point_to_point import best_point_to_point
 from .pruning import PruningMemo, subset_pruned
-from .synthesis import SynthesisOptions, SynthesisResult, build_covering_problem, materialize_selection
+from .synthesis import (
+    SynthesisOptions, SynthesisResult, _selection_cost, build_covering_problem,
+    materialize_selection,
+)
 from ..covering.bnb import solve_cover
 
 __all__ = ["IncrementalSynthesizer"]
@@ -248,7 +251,7 @@ class IncrementalSynthesizer:
         return SynthesisResult(
             implementation=impl,
             selected=selected,
-            total_cost=cover.weight,
+            total_cost=_selection_cost(selected),
             candidates=candidates,
             covering=covering,
             cover=cover,

@@ -270,10 +270,10 @@ def build_merging_plans_batch(
     bit for bit.
 
     The per-group cache lookups, stage-cost construction and
-    feasibility outcomes are unchanged; what batches is the placement:
-    all cache-miss groups' placement problems go through
-    :func:`~repro.core.placement.optimize_two_points_batch`, whose
-    lockstep Weiszfeld rounds are where batching earns its speedup.
+    feasibility outcomes are unchanged; all cache-miss groups' placement
+    problems go to one
+    :func:`~repro.core.placement.optimize_two_points_batch` call, which
+    solves each on its own and counts their iterations once.
     """
     store = current_persistent_cache()
     results: List[object] = [_UNRESOLVED] * len(groups)

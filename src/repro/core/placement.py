@@ -14,9 +14,13 @@ that stage's bandwidth over that distance).
 Two regimes:
 
 - **Linear costs** (per-unit-priced, unbounded-length links — the WAN
-  example): F is jointly convex in (s, t), and we solve it with an
-  alternating Weiszfeld iteration (each half-step is a weighted
-  Fermat–Weber problem) — fast and accurate to ~1e-9.
+  example): F is jointly convex in (s, t), and we solve it with the
+  joint two-facility Weiszfeld iteration (Miehle 1958): each step
+  reweights every anchor and the trunk and solves the 2×2 linear
+  system for (s, t) together, after trying a damped Newton step.  F's
+  kinks — s on a source, t on a sink, s = t — are settled by exact
+  optimality tests instead of being crawled onto, and a run stops on a
+  certified optimality gap.
 - **General costs** (fixed-cost links, segmentation steps — the SoC
   example): F is piecewise-constant/nonconvex; we run multi-start
   Nelder–Mead (scipy) seeded at the anchor points and centroids, using
@@ -32,11 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import combinations
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
 
+from ..obs import current_tracer
 from .geometry import EUCLIDEAN, Norm, Point, centroid
 
 __all__ = [
@@ -49,28 +56,26 @@ __all__ = [
     "optimize_two_points_batch",
 ]
 
-#: convergence tolerance for Weiszfeld iterations, relative to the
-#: anchor-coordinate spread (so km-scale and mm-scale instances behave
-#: identically).  Position error maps at worst quadratically into cost
-#: near an interior optimum, so 1e-9 · spread is far below any cost
-#: tolerance the synthesis cares about.
-_WEISZFELD_RTOL = 1e-9
+#: iteration cap of one Weiszfeld run (joint or single-facility).
 _WEISZFELD_MAX_ITER = 2_000
-#: smoothing added under square roots to avoid the Weiszfeld singularity
-#: when an iterate lands exactly on an anchor.
-_EPS = 1e-12
-#: below this many in-flight tasks a fused lockstep iteration stops
-#: paying for itself (it costs roughly eight scalar problem-iterations)
-#: and :class:`_LockstepPump` finishes the stragglers on the scalar loop.
-_BATCH_MIN_ACTIVE = 8
-#: lockstep iterations between convergence sweeps.  Rows are mutually
-#: independent, so a row that converges mid-window can keep iterating
-#: harmlessly until the sweep — its final position is restored from the
-#: window history — and the steady-state loop body carries no
-#: convergence test, no compaction, and no index arrays at all.  On the
-#: profiled workloads a finish event lands only every ~100 iterations,
-#: so a long window amortizes the sweep without meaningful overshoot.
-_WINDOW = 48
+#: a run stops once its certified optimality gap is below this fraction
+#: of the objective.  F is convex and its optimum lies in the anchors'
+#: hull, so F(x) - F* <= ||γ|| · ||x - x*|| <= ||γ|| · √m · diam for any
+#: subgradient γ at the iterate x of m facilities.
+_GAP_RTOL = 1e-10
+#: joint iterations between the exact kink tests.
+_KINK_EVERY = 2
+#: relative slack of the exact anchor and collapse optimality tests.
+_KINK_RTOL = 1e-12
+#: damping μ of the Newton steps, from Newton (0) to Weiszfeld (1):
+#: where it starts, and its floor.
+_DAMP_START = 1e-3
+_DAMP_MIN = 1e-12
+#: relative change of an objective value that rounding can produce.
+_COST_ULPS = 1e-15
+
+#: an anchor as ``(x, y, weight)``.
+_Anchor = Tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -105,97 +110,228 @@ class PlacementResult:
     method: str
 
 
-def _weiszfeld_setup(
-    anchors: Sequence[Point],
-    weights: Sequence[float],
-    start: Optional[Point],
-) -> Tuple[Optional[Point], Optional[tuple]]:
-    """Shared Weiszfeld preamble: filter, shortcuts, scaling.
+def _diameter(anchors: Sequence[_Anchor]) -> float:
+    """Diagonal of the anchors' bounding box: at least the hull diameter."""
+    xs = [a[0] for a in anchors]
+    ys = [a[1] for a in anchors]
+    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
-    Returns ``(point, None)`` when the problem is solved outright (one
-    effective anchor, or an anchor satisfies the exact Fermat–Weber
-    optimality condition) or ``(None, task)`` with the arguments of
-    :func:`_weiszfeld_run` (all but ``max_iter``).  Common to the single
-    and batched paths, so both see identical shortcut decisions.
+
+def _near(diam: float) -> float:
+    """Distance under which a point counts as sitting on an anchor."""
+    return 1e-15 * max(1.0, diam)
+
+
+def _pull(
+    anchors: Sequence[_Anchor], x: float, y: float, near: float
+) -> Tuple[float, float, float]:
+    """``(here, px, py)`` at ``(x, y)``: the weight of the anchors sitting
+    there and the pull ``Σ w (a - x) / |a - x|`` of the others (minus
+    their gradient)."""
+    here = px = py = 0.0
+    for ax, ay, aw in anchors:
+        dx = ax - x
+        dy = ay - y
+        d = math.sqrt(dx * dx + dy * dy)
+        if d <= near:
+            here += aw
+        else:
+            px += aw * dx / d
+            py += aw * dy / d
+    return here, px, py
+
+
+def _optimal_anchor(anchors: Sequence[_Anchor]) -> Optional[int]:
+    """Index of the anchor that minimizes ``Σ w |a - x|``, if any does.
+
+    Anchor ``a_i`` is the optimum iff the pull of the other anchors
+    does not exceed the (coincident-summed) weight at ``a_i`` — the
+    Fermat–Weber subgradient condition.  Weiszfeld converges only
+    sublinearly onto anchor optima, so testing them up front is both
+    faster and exact.
     """
-    pts = [p for p, w in zip(anchors, weights) if w > 0]
-    ws = [w for w in weights if w > 0]
-    if not pts:
-        raise ValueError("weiszfeld needs at least one positively weighted anchor")
-    if len(pts) == 1:
-        return pts[0], None
-
-    xs = np.array([p.x for p in pts])
-    ys = np.array([p.y for p in pts])
-    w = np.array(ws, dtype=float)
-
-    anchor = _optimal_anchor(xs, ys, w)
-    if anchor is not None:
-        return anchor, None
-
-    if start is None:
-        cx = float(np.average(xs, weights=w))
-        cy = float(np.average(ys, weights=w))
-    else:
-        cx, cy = start.x, start.y
-
-    spread = max(xs.max() - xs.min(), ys.max() - ys.min(), 1.0)
-    tol = _WEISZFELD_RTOL * spread
-    smoothing = (_EPS * spread) ** 2
-    # Anchor counts are tiny (one per merged arc plus the coupled
-    # facility), so the task ships plain float lists: the scalar loop
-    # iterates them directly, the lockstep pump pads them into a batch.
-    return None, (xs.tolist(), ys.tolist(), w.tolist(), cx, cy, tol, smoothing)
+    for i, (ax, ay, _) in enumerate(anchors):
+        far = max(math.hypot(bx - ax, by - ay) for bx, by, _ in anchors)
+        here, px, py = _pull(anchors, ax, ay, 1e-15 * max(1.0, far))
+        if math.hypot(px, py) <= here * (1 + _KINK_RTOL):
+            return i
+    return None
 
 
-def _weiszfeld_run(
-    axs: Sequence[float],
-    ays: Sequence[float],
-    aws: Sequence[float],
-    cx: float,
-    cy: float,
-    tol: float,
-    smoothing: float,
+def _fermat_weber_terms(
+    anchors: Sequence[_Anchor], x: float, y: float
+) -> Tuple[float, float, float, float, float, float, float]:
+    """``(cost, den, px, py, hxx, hxy, hyy)`` of ``Σ w |a - x|`` at
+    ``(x, y)``: the Weiszfeld weight sum ``Σ w / |a - x|``, the pull
+    (minus the gradient) and the Hessian.  An anchor on ``(x, y)`` is
+    skipped; its subgradient ball is centred on the rest's gradient."""
+    cost = den = px = py = hxx = hxy = hyy = 0.0
+    for ax, ay, aw in anchors:
+        dx = ax - x
+        dy = ay - y
+        d2 = dx * dx + dy * dy
+        if d2 == 0.0:
+            continue
+        d = math.sqrt(d2)
+        c = aw / d
+        cost += aw * d
+        den += c
+        px += c * dx
+        py += c * dy
+        c /= d2
+        hxx += c * dy * dy
+        hxy -= c * dx * dy
+        hyy += c * dx * dx
+    return cost, den, px, py, hxx, hxy, hyy
+
+
+def _single_state(anchors: Sequence[_Anchor], z: List[float]) -> tuple:
+    """``(cost, pull, step)`` of one facility at ``z``; ``step(μ)`` solves
+    ``((1 - μ) H + μ · den · I) Δ = pull``: Newton at μ = 0, the
+    Weiszfeld step at μ = 1."""
+    cost, den, px, py, hxx, hxy, hyy = _fermat_weber_terms(anchors, z[0], z[1])
+
+    def step(mu: float) -> Optional[List[float]]:
+        axx = (1.0 - mu) * hxx + mu * den
+        axy = (1.0 - mu) * hxy
+        ayy = (1.0 - mu) * hyy + mu * den
+        det = axx * ayy - axy * axy
+        if not det > 0.0:
+            return None
+        return [(ayy * px - axy * py) / det, (axx * py - axy * px) / det]
+
+    return cost, [px, py], step
+
+
+def _joint_state(
+    src: Sequence[_Anchor], snk: Sequence[_Anchor], w: float, z: List[float]
+) -> Optional[tuple]:
+    """``(cost, pull, step)`` of F at ``z = (s, t)``, or None at s = t,
+    where the trunk term has no gradient.
+
+    ``step(μ)`` solves ``((1 - μ) H + μ M) Δ = pull`` for F's Hessian
+    ``H`` and the Weiszfeld majorizer's ``M = [[A + W, -W], [-W, B + W]]
+    ⊗ I``: Newton at μ = 0, the joint Weiszfeld step at μ = 1.  The
+    trunk's Hessian is ``k n nᵀ`` with ``n ⊥ t - s``, so the system is
+    ``[[P, -C], [-C, Q]]`` with ``C = (1 - μ) k n nᵀ + μ W I``;
+    eliminating t leaves the 2×2 Schur complement ``P - C Q⁻¹ C``.
+    """
+    sx, sy, tx, ty = z
+    dx = tx - sx
+    dy = ty - sy
+    r2 = dx * dx + dy * dy
+    if r2 == 0.0:
+        return None
+    s_cost, a, psx, psy, sxx, sxy, syy = _fermat_weber_terms(src, sx, sy)
+    t_cost, b, ptx, pty, txx, txy, tyy = _fermat_weber_terms(snk, tx, ty)
+    r = math.sqrt(r2)
+    wr = w / r
+    k = wr / r2
+    lsx = psx + wr * dx
+    lsy = psy + wr * dy
+    ltx = ptx - wr * dx
+    lty = pty - wr * dy
+
+    def step(mu: float) -> Optional[List[float]]:
+        nu = 1.0 - mu
+        cxx = nu * k * dy * dy + mu * wr
+        cxy = -nu * k * dx * dy
+        cyy = nu * k * dx * dx + mu * wr
+        qxx = nu * txx + mu * b + cxx
+        qxy = nu * txy + cxy
+        qyy = nu * tyy + mu * b + cyy
+        det = qxx * qyy - qxy * qxy
+        if not det > 0.0:
+            return None
+        # X = Q⁻¹ C and u = Q⁻¹ L_t
+        xxx = (qyy * cxx - qxy * cxy) / det
+        xxy = (qyy * cxy - qxy * cyy) / det
+        xyx = (qxx * cxy - qxy * cxx) / det
+        xyy = (qxx * cyy - qxy * cxy) / det
+        ux = (qyy * ltx - qxy * lty) / det
+        uy = (qxx * lty - qxy * ltx) / det
+        # (P - C X) Δs = L_s + C u
+        pxx = nu * sxx + mu * a + cxx - (cxx * xxx + cxy * xyx)
+        pxy = nu * sxy + cxy - (cxx * xxy + cxy * xyy)
+        pyy = nu * syy + mu * a + cyy - (cxy * xxy + cyy * xyy)
+        rx = lsx + cxx * ux + cxy * uy
+        ry = lsy + cxy * ux + cyy * uy
+        det = pxx * pyy - pxy * pxy
+        if not det > 0.0:
+            return None
+        dsx = (pyy * rx - pxy * ry) / det
+        dsy = (pxx * ry - pxy * rx) / det
+        return [dsx, dsy, ux + xxx * dsx + xxy * dsy, uy + xyx * dsx + xyy * dsy]
+
+    return s_cost + t_cost + w * r, [lsx, lsy, ltx, lty], step
+
+
+def _better(cost: float, grad2: float, old_cost: float, old_grad2: float) -> bool:
+    """Whether a damped Newton trial improves on the iterate: it lowers
+    the objective, or — once the objective no longer resolves the
+    difference — ties it within rounding and lowers the gradient."""
+    if cost < old_cost:
+        return True
+    return cost <= old_cost * (1 + _COST_ULPS) and grad2 < old_grad2
+
+
+def _descend(
+    state_at: Callable[[List[float]], Optional[tuple]],
+    z: List[float],
+    lim: float,
     max_iter: int,
-    _sqrt=math.sqrt,
-) -> Tuple[float, float, int]:
-    """The modified-Weiszfeld iterate loop from ``(cx, cy)``.
+    damp: float = _DAMP_START,
+) -> Tuple[List[float], int, bool, float]:
+    """Minimize a Weiszfeld-majorized objective from ``z``.
 
-    Returns ``(x, y, iterations)``.  Anchor counts are tiny, so plain
-    floats beat numpy dispatch by ~10x per problem; this loop is also
-    the reference :class:`_LockstepPump` reproduces bit for bit.
+    Each iteration tries ``step(μ)`` (see :func:`_joint_state`) and keeps
+    it if :func:`_better`, else raises μ tenfold; at μ = 1 it is the
+    Weiszfeld step, the majorizer's minimizer, which never ascends and
+    is kept.  Small μ is damped Newton, which crosses the near-flat
+    valleys of nearly collinear anchors where Weiszfeld alone crawls.
+    Stops once the certified gap bound ``||pull|| / lim`` is within the
+    objective, or at ``z`` where ``state_at`` is None.  Returns ``(z,
+    steps, certified, μ)``.
     """
-    anchors = list(zip(axs, ays, aws))
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        num_x = num_y = den = 0.0
-        for ax, ay, aw in anchors:
-            # dx * dx, not dx ** 2: libm's pow is not always correctly
-            # rounded, and the lockstep pump squares by multiplication
-            dx = ax - cx
-            dy = ay - cy
-            d2 = dx * dx + dy * dy
-            if d2 == 0.0:
-                # An anchor coinciding with the current iterate exerts no
-                # directional pull (its gradient term is undefined); with
-                # only the smoothing in the denominator its huge coef
-                # would pin the iterate at the anchor — skip it instead,
-                # per the standard modified-Weiszfeld step.
+    state = state_at(z)
+    for it in range(max_iter):
+        if state is None:
+            return z, it, False, damp
+        cost, pull, step_at = state
+        norm2 = sum(p * p for p in pull)
+        if norm2 <= (lim * cost) ** 2:
+            return z, it, True, damp
+        while True:
+            step = step_at(damp)
+            if step is None:
+                if damp == 1.0:
+                    return z, it, False, damp  # nothing pulls
+                damp = 1.0
                 continue
-            coef = aw / _sqrt(d2 + smoothing)
-            num_x += coef * ax
-            num_y += coef * ay
-            den += coef
-        if den == 0.0:
-            # every anchor coincides with the iterate: nothing pulls
-            break
-        nx = num_x / den
-        ny = num_y / den
-        moved = max(abs(nx - cx), abs(ny - cy))
-        cx, cy = nx, ny
-        if moved < tol:
-            break
-    return cx, cy, iterations
+            trial = state_at([v + d for v, d in zip(z, step)])
+            if damp == 1.0 or (
+                trial is not None
+                and _better(trial[0], sum(p * p for p in trial[1]), cost, norm2)
+            ):
+                damp = max(damp / 10, _DAMP_MIN)
+                break
+            damp = min(damp * 10, 1.0)
+        z = [v + d for v, d in zip(z, step)]
+        state = trial
+    return z, max_iter, False, damp
+
+
+def _fermat_weber(anchors: Sequence[_Anchor], x: float, y: float) -> Tuple[float, float, int]:
+    """Weighted Fermat–Weber point of ``anchors`` (positive weights),
+    iterated from ``(x, y)`` unless an anchor is optimal."""
+    i = _optimal_anchor(anchors)
+    if i is not None:
+        return anchors[i][0], anchors[i][1], 0
+    (x, y), iterations, _, _ = _descend(
+        partial(_single_state, anchors), [x, y], _GAP_RTOL / _diameter(anchors),
+        _WEISZFELD_MAX_ITER,
+    )
+    return x, y, iterations
 
 
 def weiszfeld(
@@ -205,48 +341,221 @@ def weiszfeld(
 ) -> Tuple[Point, int]:
     """Weighted Fermat–Weber point: argmin_s Σ w_i ||x_i - s||_2.
 
-    Classic Weiszfeld iteration with ε-smoothing; returns the point and
-    the number of iterations used.  Zero-weight anchors are ignored; a
-    single effective anchor returns that anchor directly.
+    Classic Weiszfeld iteration with ε-smoothing, after an exact
+    anchor-optimality shortcut; stops once a step moves less than
+    ``1e-9`` of the anchor spread and returns the point and the number
+    of iterations used.  Zero-weight anchors are ignored; a single
+    effective anchor returns that anchor directly.
     """
-    point, task = _weiszfeld_setup(anchors, weights, start)
-    if point is not None:
-        return point, 0
-    cx, cy, iterations = _weiszfeld_run(*task, _WEISZFELD_MAX_ITER)
+    pts = [(p.x, p.y, w) for p, w in zip(anchors, weights) if w > 0]
+    if not pts:
+        raise ValueError("weiszfeld needs at least one positively weighted anchor")
+    if len(pts) == 1:
+        return Point(pts[0][0], pts[0][1]), 0
+    i = _optimal_anchor(pts)
+    if i is not None:
+        return Point(pts[i][0], pts[i][1]), 0
+    if start is None:
+        total = sum(w for _, _, w in pts)
+        start = Point(sum(x * w for x, _, w in pts) / total, sum(y * w for _, y, w in pts) / total)
+    cx, cy = start.x, start.y
+    # the step tolerance and smoothing scale with the anchor spread, so
+    # km-scale and mm-scale instances behave identically
+    xs = [a[0] for a in pts]
+    ys = [a[1] for a in pts]
+    spread = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    tol = 1e-9 * spread
+    smoothing = (1e-12 * spread) ** 2
+    iterations = 0
+    for iterations in range(1, _WEISZFELD_MAX_ITER + 1):
+        num_x = num_y = den = 0.0
+        for ax, ay, aw in pts:
+            dx = ax - cx
+            dy = ay - cy
+            d2 = dx * dx + dy * dy
+            if d2 == 0.0:
+                # an anchor on the iterate exerts no directional pull
+                continue
+            coef = aw / math.sqrt(d2 + smoothing)
+            num_x += coef * ax
+            num_y += coef * ay
+            den += coef
+        if den == 0.0:
+            break  # every anchor coincides with the iterate: nothing pulls
+        nx = num_x / den
+        ny = num_y / den
+        moved = max(abs(nx - cx), abs(ny - cy))
+        cx, cy = nx, ny
+        if moved < tol:
+            break
     return Point(cx, cy), iterations
 
 
-def _optimal_anchor(xs: np.ndarray, ys: np.ndarray, w: np.ndarray) -> Optional[Point]:
-    """Check the Fermat–Weber anchor-optimality condition.
+def _discs_meet(discs: Sequence[Tuple[float, float, float]], slack: float) -> bool:
+    """Whether closed discs ``(cx, cy, r)`` share a point.
 
-    Anchor ``a_i`` is the optimum iff the pull of the other anchors,
-    ``R_i = || Σ_{j: a_j ≠ a_i} w_j (a_j - a_i)/||a_j - a_i|| ||``, does
-    not exceed the (coincident-summed) weight at ``a_i``.  Weiszfeld
-    converges only sublinearly onto anchor optima, so detecting them
-    up front is a large practical speedup (and exact).
+    If they do, their intersection contains a disc centre or a point
+    where two of the circles cross, so those are the only candidates.
     """
-    n = xs.size
-    # All pairwise rows at once; every entry is the same elementwise
-    # expression the per-row formulation computes (no reductions are
-    # moved, so the masked sums below keep their exact rounding).
-    DX = xs[None, :] - xs[:, None]
-    DY = ys[None, :] - ys[:, None]
-    DIST = np.sqrt(DX * DX + DY * DY)
-    thr = 1e-15 * np.maximum(1.0, DIST.max(axis=1))
-    for i in range(n):
-        dx = DX[i]
-        dy = DY[i]
-        dist = DIST[i]
-        here = dist <= thr[i]
-        weight_here = float(w[here].sum())
-        away = ~here
-        if not away.any():
-            return Point(float(xs[i]), float(ys[i]))
-        px = float(np.sum(w[away] * dx[away] / dist[away]))
-        py = float(np.sum(w[away] * dy[away] / dist[away]))
-        if math.hypot(px, py) <= weight_here * (1 + 1e-12):
-            return Point(float(xs[i]), float(ys[i]))
-    return None
+    candidates = [(cx, cy) for cx, cy, _ in discs]
+    for (x1, y1, r1), (x2, y2, r2) in combinations(discs, 2):
+        dx = x2 - x1
+        dy = y2 - y1
+        dist = math.hypot(dx, dy)
+        if dist == 0.0 or dist > r1 + r2 + slack or dist < abs(r1 - r2) - slack:
+            continue
+        along = (r1 * r1 - r2 * r2 + dist * dist) / (2 * dist)
+        half = math.sqrt(max(r1 * r1 - along * along, 0.0))
+        mx = x1 + along * dx / dist
+        my = y1 + along * dy / dist
+        candidates.append((mx - half * dy / dist, my + half * dx / dist))
+        candidates.append((mx + half * dy / dist, my - half * dx / dist))
+    return any(
+        all(math.hypot(x - cx, y - cy) <= r + slack for cx, cy, r in discs)
+        for x, y in candidates
+    )
+
+
+def _collapse(
+    src: Sequence[_Anchor], snk: Sequence[_Anchor], w: float, x: float, y: float
+) -> Tuple[float, float, int, bool]:
+    """Test whether F is minimized with s = t.
+
+    On the diagonal F is the Fermat–Weber objective of all 2k anchors,
+    so the only candidate is its minimizer x*.  There, (x*, x*) is
+    optimal iff some y with ``||y|| <= w`` balances both sides: the
+    sources' subgradient must contain ``-y`` and the sinks' ``y``.  Off
+    the anchors this is "the sources' pull is at most the trunk
+    weight".  Returns ``(x*, y*, iterations, optimal)``.
+    """
+    anchors = list(src) + list(snk)
+    x, y, iterations = _fermat_weber(anchors, x, y)
+    near = _near(_diameter(anchors))
+    here_s, psx, psy = _pull(src, x, y, near)
+    here_t, ptx, pty = _pull(snk, x, y, near)
+    limit = w * (1 + _KINK_RTOL)
+    if here_s == 0.0:
+        return x, y, iterations, math.hypot(psx, psy) <= limit
+    if here_t == 0.0:
+        return x, y, iterations, math.hypot(ptx, pty) <= limit
+    slack = _KINK_RTOL * (w + here_s + here_t)
+    ok = _discs_meet([(0.0, 0.0, w), (psx, psy, here_s), (-ptx, -pty, here_t)], slack)
+    return x, y, iterations, ok
+
+
+def _pin(
+    side: Sequence[_Anchor], other: Sequence[_Anchor], w: float,
+    fx: float, fy: float, ox: float, oy: float, near: float, close: float,
+) -> Optional[Tuple[float, float, float, float, int, bool]]:
+    """Try to pin the facility at ``(fx, fy)`` on its nearest anchor.
+
+    The anchor qualifies when it minimizes the facility's side given
+    the other facility at ``(ox, oy)`` (which must not be ``close`` to
+    it: that is a collapse).  The other facility is then re-solved with
+    the pinned one as an anchor of weight ``w``.  Returns None, or
+    ``(ax, ay, ox, oy, iterations, holds)`` where ``holds`` says the pin
+    still qualifies against the re-solved facility — then the pair is
+    optimal, as F's only coupling term is smooth there.
+    """
+
+    def qualifies(ax: float, ay: float, ox: float, oy: float) -> bool:
+        r = math.hypot(ox - ax, oy - ay)
+        if r <= close:
+            return False
+        here, px, py = _pull(side, ax, ay, near)
+        return math.hypot(px + w * (ox - ax) / r, py + w * (oy - ay) / r) <= here * (
+            1 + _KINK_RTOL
+        )
+
+    ax, ay, _ = min(side, key=lambda a: (a[0] - fx) ** 2 + (a[1] - fy) ** 2)
+    if not qualifies(ax, ay, ox, oy):
+        return None
+    ox, oy, iterations = _fermat_weber(list(other) + [(ax, ay, w)], ox, oy)
+    return ax, ay, ox, oy, iterations, qualifies(ax, ay, ox, oy)
+
+
+def _wants_collapse(
+    anchors: Sequence[_Anchor], ox: float, oy: float, w: float, near: float
+) -> bool:
+    """Whether a facility tied to ``anchors`` would rather sit on the
+    other facility at ``(ox, oy)``: the block-optimality of s = t."""
+    here, px, py = _pull(anchors, ox, oy, near)
+    return math.hypot(px, py) <= (w + here) * (1 + _KINK_RTOL)
+
+
+def _joint_weiszfeld(
+    src: Sequence[_Anchor], snk: Sequence[_Anchor], w: float,
+    sx: float, sy: float, tx: float, ty: float,
+) -> Tuple[float, float, float, float, int]:
+    """Minimize ``Σ a_i |u_i - s| + w |s - t| + Σ b_j |t - v_j|`` jointly.
+
+    ``src``/``snk`` hold the positively weighted anchors.  The
+    Weiszfeld step reweights every term at the current (s, t) and
+    solves the 2×2-coupled system of the quadratic majorizer for both
+    points together (:func:`_descend`, which tries a damped Newton step
+    first).  Every ``_KINK_EVERY`` steps the exact kink tests run: once
+    either facility would rather sit on the other, :func:`_collapse`
+    decides s = t for good; a facility whose nearest anchor minimizes
+    its side is pinned there (:func:`_pin`).  The run stops when the
+    certified gap closes.  Returns ``(sx, sy, tx, ty, iterations)``.
+    """
+    diam = _diameter(list(src) + list(snk))
+    near = _near(diam)
+    # facilities this close are converging onto one kink: the collapse
+    # test, not a pin, decides it
+    close = 1e-9 * diam
+    lim = _GAP_RTOL / (math.sqrt(2.0) * diam)
+    state_at = partial(_joint_state, src, snk, w)
+    z = [sx, sy, tx, ty]
+    damp = _DAMP_START
+    collapse_tested = False
+    # doubles after every pin that fails to hold, so the descent gets
+    # time to leave a nearly optimal anchor before it is tried again
+    interval = _KINK_EVERY
+    iterations = 0
+    while iterations < _WEISZFELD_MAX_ITER:
+        z, used, certified, damp = _descend(state_at, z, lim, interval, damp)
+        iterations += max(used, 1)
+        if certified:
+            break
+        sx, sy, tx, ty = z
+        if not collapse_tested and (
+            math.hypot(tx - sx, ty - sy) <= close
+            or _wants_collapse(src, tx, ty, w, near)
+            or _wants_collapse(snk, sx, sy, w, near)
+        ):
+            collapse_tested = True
+            x, y, extra, ok = _collapse(src, snk, w, (sx + tx) / 2, (sy + ty) / 2)
+            iterations += extra
+            if ok:
+                return x, y, x, y, iterations
+        if sx == tx and sy == ty:
+            # s = t but no collapse optimum: split, each side stepping
+            # towards its own anchors alone
+            _, a_den, psx, psy, *_ = _fermat_weber_terms(src, sx, sy)
+            _, b_den, ptx, pty, *_ = _fermat_weber_terms(snk, tx, ty)
+            if a_den > 0.0:
+                z[0:2] = [sx + psx / a_den, sy + psy / a_den]
+            if b_den > 0.0:
+                z[2:4] = [tx + ptx / b_den, ty + pty / b_den]
+            continue
+        # a pin that fails to hold leaves the other facility re-solved,
+        # maybe on an anchor of its own: try pinning that one next
+        for on_s in (True, False):
+            sx, sy, tx, ty = z
+            if on_s:
+                pinned = _pin(src, snk, w, sx, sy, tx, ty, near, close)
+            else:
+                pinned = _pin(snk, src, w, tx, ty, sx, sy, near, close)
+            if pinned is None:
+                continue
+            ax, ay, ox, oy, extra, holds = pinned
+            iterations += extra
+            z = [ax, ay, ox, oy] if on_s else [ox, oy, ax, ay]
+            if holds:
+                return z[0], z[1], z[2], z[3], iterations
+            interval *= 2
+    return z[0], z[1], z[2], z[3], iterations
 
 
 def _objective(
@@ -276,6 +585,123 @@ def _all_same(points: Sequence[Point]) -> Optional[Point]:
     return first
 
 
+def _linear_placement(
+    sources: Sequence[Point],
+    sinks: Sequence[Point],
+    feeder_costs: Sequence[StageCost],
+    trunk_cost: StageCost,
+    distributor_costs: Sequence[StageCost],
+    F: Callable[[Point, Point], float],
+    pinned_s: Optional[Point],
+    pinned_t: Optional[Point],
+) -> Tuple[Point, Point, int]:
+    """(s, t, iterations) minimizing the linear objective, the free
+    points started at their sides' centroids.
+
+    With one point pinned the other solves a single-facility problem:
+    :func:`weiszfeld` is repeated from its last answer until ``F`` (the
+    exact objective) stops improving.
+    """
+    s = pinned_s if pinned_s is not None else centroid(list(sources))
+    t = pinned_t if pinned_t is not None else centroid(list(sinks))
+    w = trunk_cost.slope
+    if pinned_s is not None or pinned_t is not None:
+        if pinned_s is not None:
+            anchors = list(sinks) + [s]
+            weights = [c.slope for c in distributor_costs] + [w]
+        else:
+            anchors = list(sources) + [t]
+            weights = [c.slope for c in feeder_costs] + [w]
+        iterations = 0
+        prev = F(s, t)
+        for _ in range(60):
+            if pinned_s is not None:
+                t, used = weiszfeld(anchors, weights, start=t)
+            else:
+                s, used = weiszfeld(anchors, weights, start=s)
+            iterations += used
+            cur = F(s, t)
+            if prev - cur < 1e-12 * max(1.0, abs(prev)):
+                break
+            prev = cur
+        return s, t, iterations
+    # Solve in coordinates relative to one anchor, so precision follows
+    # the anchors' spread rather than their distance from the origin;
+    # an answer on an anchor maps back to that anchor exactly.
+    positive = [(p, c.slope) for p, c in zip(sources, feeder_costs) if c.slope > 0]
+    positive += [(p, c.slope) for p, c in zip(sinks, distributor_costs) if c.slope > 0]
+    if not positive:
+        return t, t, 0
+    ox, oy = positive[0][0]
+    exact = {(p.x - ox, p.y - oy): p for p, _ in positive}
+    if len(exact) == 1:
+        return positive[0][0], positive[0][0], 0  # every anchor on one point
+    src = [(p.x - ox, p.y - oy, c.slope) for p, c in zip(sources, feeder_costs) if c.slope > 0]
+    snk = [(p.x - ox, p.y - oy, c.slope) for p, c in zip(sinks, distributor_costs) if c.slope > 0]
+    sx, sy, tx, ty, iterations = _joint_weiszfeld(
+        src, snk, w, s.x - ox, s.y - oy, t.x - ox, t.y - oy
+    )
+    s = exact.get((sx, sy)) or Point(sx + ox, sy + oy)
+    t = exact.get((tx, ty)) or Point(tx + ox, ty + oy)
+    return s, t, iterations
+
+
+def _optimize(
+    sources: Sequence[Point],
+    sinks: Sequence[Point],
+    feeder_costs: Sequence[StageCost],
+    trunk_cost: StageCost,
+    distributor_costs: Sequence[StageCost],
+    norm: Norm,
+    polish: bool,
+) -> Tuple[PlacementResult, int]:
+    """:func:`optimize_two_points` plus the Weiszfeld iterations it ran."""
+    if not sources or not sinks:
+        raise ValueError("need at least one source and one sink")
+    if len(sources) != len(feeder_costs) or len(sinks) != len(distributor_costs):
+        raise ValueError("one stage-cost per source/sink required")
+
+    F = _objective(norm, sources, sinks, feeder_costs, trunk_cost, distributor_costs)
+
+    pinned_s = _all_same(list(sources))
+    pinned_t = _all_same(list(sinks))
+    if pinned_s is not None and pinned_t is not None:
+        return PlacementResult(pinned_s, pinned_t, F(pinned_s, pinned_t), 0, "degenerate"), 0
+
+    all_linear = (
+        trunk_cost.is_linear
+        and all(c.is_linear for c in feeder_costs)
+        and all(c.is_linear for c in distributor_costs)
+    )
+    if all_linear and norm.name == "euclidean":
+        s, t, iterations = _linear_placement(
+            sources, sinks, feeder_costs, trunk_cost, distributor_costs, F, pinned_s, pinned_t
+        )
+        return PlacementResult(s, t, F(s, t), iterations, "weiszfeld"), iterations
+
+    # General costs: place with a linear surrogate (slope = average cost
+    # density at the instance's own length scale), then polish with
+    # Nelder-Mead from that point and a couple of centroid seeds.
+    scale = _typical_scale(list(sources) + list(sinks), norm)
+    s, t, iterations = _linear_placement(
+        sources,
+        sinks,
+        [_linearize(c, scale) for c in feeder_costs],
+        _linearize(trunk_cost, scale),
+        [_linearize(c, scale) for c in distributor_costs],
+        F,
+        pinned_s,
+        pinned_t,
+    )
+    if not polish:
+        # exact evaluation at the surrogate optimum, no refinement
+        return PlacementResult(s, t, F(s, t), iterations, "surrogate"), iterations
+    polished = _nelder_mead(
+        sources, sinks, F, norm, pinned_s, pinned_t, extra_seeds=[(s, t)]
+    )
+    return polished, iterations
+
+
 def optimize_two_points(
     sources: Sequence[Point],
     sinks: Sequence[Point],
@@ -288,68 +714,21 @@ def optimize_two_points(
     """Minimize the merged-implementation cost over (merge, split) points.
 
     Dispatches on the stage-cost structure: the fully linear Euclidean
-    case runs alternating Weiszfeld (convex, certified by a final exact
-    evaluation); everything else places with a linear surrogate and,
-    when ``polish`` is true (default), refines with Nelder–Mead on the
-    exact cost.  ``polish=False`` skips the refinement — much faster on
-    floor-style cost surfaces, at a small cost-quality risk — and never
-    affects the linear path.  The returned ``cost`` is always the
-    *exact* objective at the returned points.
+    case runs the joint Weiszfeld iteration (convex, certified by exact
+    kink tests or the optimality gap); everything else places with a
+    linear surrogate and, when ``polish`` is true (default), refines
+    with Nelder–Mead on the exact cost.  ``polish=False`` skips the
+    refinement — much faster on floor-style cost surfaces, at a small
+    cost-quality risk — and never affects the linear path.  The
+    returned ``cost`` is always the *exact* objective at the returned
+    points.  The Weiszfeld iterations feed the ``placement.iterations``
+    counter of the ambient tracer.
     """
-    if not sources or not sinks:
-        raise ValueError("need at least one source and one sink")
-    if len(sources) != len(feeder_costs) or len(sinks) != len(distributor_costs):
-        raise ValueError("one stage-cost per source/sink required")
-
-    F = _objective(norm, sources, sinks, feeder_costs, trunk_cost, distributor_costs)
-
-    pinned_s = _all_same(list(sources))
-    pinned_t = _all_same(list(sinks))
-    if pinned_s is not None and pinned_t is not None:
-        return PlacementResult(pinned_s, pinned_t, F(pinned_s, pinned_t), 0, "degenerate")
-
-    all_linear = (
-        trunk_cost.is_linear
-        and all(c.is_linear for c in feeder_costs)
-        and all(c.is_linear for c in distributor_costs)
+    result, iterations = _optimize(
+        sources, sinks, feeder_costs, trunk_cost, distributor_costs, norm, polish
     )
-    if all_linear and norm.name == "euclidean":
-        return _alternating_weiszfeld(
-            sources, sinks, feeder_costs, trunk_cost, distributor_costs, F, pinned_s, pinned_t
-        )
-
-    # General costs: place with a linear surrogate (slope = average cost
-    # density at the instance's own length scale), then polish with
-    # Nelder-Mead from that point and a couple of centroid seeds.
-    scale = _typical_scale(list(sources) + list(sinks), norm)
-    surrogate = _alternating_weiszfeld(
-        sources,
-        sinks,
-        [_linearize(c, scale) for c in feeder_costs],
-        _linearize(trunk_cost, scale),
-        [_linearize(c, scale) for c in distributor_costs],
-        F,
-        pinned_s,
-        pinned_t,
-    )
-    if not polish:
-        # exact evaluation at the surrogate optimum, no refinement
-        return PlacementResult(
-            surrogate.merge_point,
-            surrogate.split_point,
-            F(surrogate.merge_point, surrogate.split_point),
-            surrogate.iterations,
-            "surrogate",
-        )
-    return _nelder_mead(
-        sources,
-        sinks,
-        F,
-        norm,
-        pinned_s,
-        pinned_t,
-        extra_seeds=[(surrogate.merge_point, surrogate.split_point)],
-    )
+    current_tracer().count("placement.iterations", iterations)
+    return result
 
 
 def _typical_scale(points: Sequence[Point], norm: Norm) -> float:
@@ -372,46 +751,8 @@ def _linearize(cost: StageCost, scale: float) -> StageCost:
         return cost
     slope = cost(scale) / scale if scale > 0 else 0.0
     if slope <= 0:
-        slope = _EPS
+        slope = 1e-12
     return linear_stage(slope)
-
-
-def _alternating_weiszfeld(
-    sources: Sequence[Point],
-    sinks: Sequence[Point],
-    feeder_costs: Sequence[StageCost],
-    trunk_cost: StageCost,
-    distributor_costs: Sequence[StageCost],
-    F: Callable[[Point, Point], float],
-    pinned_s: Optional[Point],
-    pinned_t: Optional[Point],
-) -> PlacementResult:
-    """Block-coordinate descent on the jointly convex linear objective.
-
-    Each half-step is a weighted Fermat–Weber problem: optimizing ``s``
-    for fixed ``t`` sees anchors ``u_i`` (weights = feeder slopes) plus
-    ``t`` (weight = trunk slope), and symmetrically for ``t``.
-    """
-    s = pinned_s if pinned_s is not None else centroid(list(sources))
-    t = pinned_t if pinned_t is not None else centroid(list(sinks))
-    total_iters = 0
-    prev = F(s, t)
-    for _ in range(60):
-        if pinned_s is None:
-            anchors = list(sources) + [t]
-            weights = [c.slope for c in feeder_costs] + [trunk_cost.slope]
-            s, it1 = weiszfeld(anchors, weights, start=s)
-            total_iters += it1
-        if pinned_t is None:
-            anchors = list(sinks) + [s]
-            weights = [c.slope for c in distributor_costs] + [trunk_cost.slope]
-            t, it2 = weiszfeld(anchors, weights, start=t)
-            total_iters += it2
-        cur = F(s, t)
-        if prev - cur < 1e-12 * max(1.0, abs(prev)):
-            break
-        prev = cur
-    return PlacementResult(s, t, F(s, t), total_iters, "weiszfeld")
 
 
 @dataclass(frozen=True)
@@ -431,394 +772,24 @@ class PlacementProblem:
 def optimize_two_points_batch(
     problems: Sequence[PlacementProblem],
 ) -> List[PlacementResult]:
-    """Solve many independent placement problems, batching where it pays.
+    """Solve many independent placement problems.
 
     Result ``i`` is **bit-identical** to
-    ``optimize_two_points(*problems[i])``: problems on the fully-linear
-    Euclidean path run their alternating-Weiszfeld rounds in *lockstep*
-    (their Fermat–Weber half-steps iterate together in one
-    :class:`_LockstepPump` — the per-problem iterate map is unchanged,
-    so the trajectories are the solo ones); every other
-    problem (nonlinear costs, non-Euclidean norms, degenerate pinned
-    pairs) falls through to the serial solver unchanged.
+    ``optimize_two_points(*problems[i])``: every problem runs the same
+    scalar solver on its own.  The batch adds the Weiszfeld iterations
+    of all its problems to the ``placement.iterations`` counter once.
     """
-    results: List[Optional[PlacementResult]] = [None] * len(problems)
-    lockstep: List[Tuple[int, tuple]] = []
-    for i, p in enumerate(problems):
-        if not p.sources or not p.sinks:
-            raise ValueError("need at least one source and one sink")
-        if len(p.sources) != len(p.feeder_costs) or len(p.sinks) != len(p.distributor_costs):
-            raise ValueError("one stage-cost per source/sink required")
-        pinned_s = _all_same(list(p.sources))
-        pinned_t = _all_same(list(p.sinks))
-        all_linear = (
-            p.trunk_cost.is_linear
-            and all(c.is_linear for c in p.feeder_costs)
-            and all(c.is_linear for c in p.distributor_costs)
+    results: List[PlacementResult] = []
+    iterations = 0
+    for p in problems:
+        result, used = _optimize(
+            p.sources, p.sinks, p.feeder_costs, p.trunk_cost, p.distributor_costs,
+            p.norm, p.polish,
         )
-        if (
-            all_linear
-            and p.norm.name == "euclidean"
-            and not (pinned_s is not None and pinned_t is not None)
-        ):
-            F = _objective(
-                p.norm, p.sources, p.sinks, p.feeder_costs, p.trunk_cost,
-                p.distributor_costs,
-            )
-            lockstep.append((i, (p, F, pinned_s, pinned_t)))
-        else:
-            results[i] = optimize_two_points(
-                p.sources, p.sinks, p.feeder_costs, p.trunk_cost,
-                p.distributor_costs, norm=p.norm, polish=p.polish,
-            )
-
-    if lockstep:
-        solved = _alternating_weiszfeld_lockstep([item for _, item in lockstep])
-        for (i, _), res in zip(lockstep, solved):
-            results[i] = res
-    return results  # type: ignore[return-value]
-
-
-def _sequential_sum_last(x: np.ndarray) -> np.ndarray:
-    """Sum of a (..., k) array over its last axis, left to right — the
-    scalar loop's order (numpy's own reduction switches to pairwise
-    summation at 8 elements and rounds differently)."""
-    acc = x[..., 0].copy()
-    for i in range(1, x.shape[-1]):
-        acc += x[..., i]
-    return acc
-
-
-class _LockstepPump:
-    """Windowed lockstep Weiszfeld over a *mutable* working set.
-
-    A single placement problem is too small for numpy (array dispatch
-    costs more than the ~5-anchor scalar loop), so the win comes from
-    fusing one iteration across many independent problems.
-    :meth:`inject` enqueues a :func:`_weiszfeld_setup` task under a
-    caller-chosen key; :meth:`pump` runs `_WINDOW`-sized blocks of fused
-    iterations over everything in flight and returns ``(key, x, y,
-    iterations)`` for at least one finished task unless nothing is in
-    flight.  Result order carries no information — callers key off the
-    returned keys.  Per-row state: padded anchors (zero weight, exact
-    ``+0.0`` contributions), current iterate, tolerance, smoothing, and
-    the remaining per-task iteration budget.
-
-    Bit-identity with :func:`_weiszfeld_run`: every row applies the
-    scalar per-iteration map to its own lane only, with additions in
-    anchor order — window size, co-batched rows, and injection order
-    are execution details that cannot change any task's trajectory.  A
-    row that converges mid-window keeps iterating harmlessly until the
-    sweep, which finds its *first* finish event and restores the
-    position recorded at that exact step; once fewer than
-    `_BATCH_MIN_ACTIVE` rows remain they are finished by the scalar
-    loop, continuing from the same state.
-    """
-
-    def __init__(self, max_iter: int) -> None:
-        self._max_iter = max_iter
-        self._queue: List[Tuple[Hashable, tuple]] = []
-        self._n = 0
-        self._kmax = 0
-        self._keys: List[Hashable] = []
-
-    @property
-    def in_flight(self) -> bool:
-        return bool(self._queue) or self._n > 0
-
-    def inject(self, key: Hashable, task: tuple) -> None:
-        self._queue.append((key, task))
-
-    def _absorb(self) -> None:
-        """Fold queued tasks into the working arrays."""
-        if not self._queue:
-            return
-        tasks = self._queue
-        self._queue = []
-        p = len(tasks)
-        kmax = max(max(len(t[0]) for _, t in tasks), self._kmax)
-        # plane 0/1: anchor x/y; plane 2: constant 1.0, so one fused
-        # ``coef · A3`` reduction yields num_x, num_y *and* den in a
-        # single pass (``coef * 1.0`` is bitwise ``coef``, and padding
-        # columns carry an exact-0.0 coef, so den rounds identically to
-        # the separate sum).
-        A3 = np.zeros((p, 3, kmax))
-        A3[:, 2, :] = 1.0
-        W = np.zeros((p, kmax))
-        pos = np.empty((p, 2))
-        tl = np.empty(p)
-        sm = np.empty((p, 1))
-        for r, (_, (txs, tys, tws, cx, cy, tol, smoothing)) in enumerate(tasks):
-            k = len(txs)
-            A3[r, 0, :k] = txs
-            A3[r, 1, :k] = tys
-            W[r, :k] = tws
-            pos[r, 0] = cx
-            pos[r, 1] = cy
-            tl[r] = tol
-            sm[r, 0] = smoothing
-        rem = np.full(p, self._max_iter, dtype=np.int64)
-        used = np.zeros(p, dtype=np.int64)
-        if self._n:
-            oldA, oldW = self._A3, self._W
-            if kmax > self._kmax:
-                # widen existing rows with zero-weight padding (exact
-                # +0.0 accumulation terms — unobservable)
-                wideA = np.zeros((self._n, 3, kmax))
-                wideA[:, 2, :] = 1.0
-                wideA[:, :, : self._kmax] = oldA
-                wideW = np.zeros((self._n, kmax))
-                wideW[:, : self._kmax] = oldW
-                oldA, oldW = wideA, wideW
-            self._A3 = np.concatenate([oldA, A3])
-            self._W = np.concatenate([oldW, W])
-            self._pos = np.concatenate([self._pos, pos])
-            self._tl = np.concatenate([self._tl, tl])
-            self._sm = np.concatenate([self._sm, sm])
-            self._rem = np.concatenate([self._rem, rem])
-            self._used = np.concatenate([self._used, used])
-        else:
-            self._A3, self._W, self._pos = A3, W, pos
-            self._tl, self._sm = tl, sm
-            self._rem, self._used = rem, used
-        self._keys.extend(key for key, _ in tasks)
-        self._kmax = kmax
-        self._n += p
-
-    def _drain_scalar(self) -> List[Tuple[object, float, float, int]]:
-        """Finish every remaining row on the scalar loop, continuing
-        from its current iterate and budget."""
-        out = []
-        for r in range(self._n):
-            x, y, extra = _weiszfeld_run(
-                self._A3[r, 0].tolist(), self._A3[r, 1].tolist(),
-                self._W[r].tolist(), float(self._pos[r, 0]),
-                float(self._pos[r, 1]), float(self._tl[r]),
-                float(self._sm[r, 0]), int(self._rem[r]),
-            )
-            out.append((self._keys[r], x, y, int(self._used[r]) + extra))
-        self._n = 0
-        self._kmax = 0
-        self._keys = []
-        return out
-
-    def pump(self) -> List[Tuple[object, float, float, int]]:
-        self._absorb()
-        results: List[Tuple[object, float, float, int]] = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while self._n:
-                if self._n < _BATCH_MIN_ACTIVE:
-                    results.extend(self._drain_scalar())
-                    break
-                results.extend(self._window())
-                if results:
-                    break
-        return results
-
-    def _window(self) -> List[Tuple[object, float, float, int]]:
-        """One block of fused lockstep iterations + one finish sweep."""
-        n, kmax = self._n, self._kmax
-        A3, W, tl, sm = self._A3, self._W, self._tl, self._sm
-        pos = self._pos
-        span = min(_WINDOW, int(self._rem.min()))
-        base = pos
-        A2 = A3[:, :2, :]
-        # Window history and scratch, preallocated: every ufunc below
-        # writes into these (``out=``), so the hot loop allocates
-        # nothing.  ``traj[j]``/``sums[j]``/``d2h[j]`` are each step's
-        # own rows — no aliasing across steps.  The hot loop only
-        # *advances* the iterates; step sizes, den == 0 events, and
-        # coincident-anchor hits are all recovered from the recorded
-        # history after the loop.  ``traj`` carries a third channel
-        # (den/den — exactly 1.0 for live rows) so the whole ``nsum``
-        # row divides in one contiguous op.
-        traj = np.empty((span, n, 3))
-        sums = np.empty((span, n, 3))
-        d2h = np.empty((span, n, kmax))
-        diff = np.empty((n, 2, kmax))
-        coef = np.empty((n, kmax))
-        prod = np.empty((n, 3, kmax))
-        fast = kmax < 8
-        for masked in (False, True):
-            cur = pos
-            for j in range(span):
-                np.subtract(A2, cur[:, :, None], out=diff)
-                np.multiply(diff, diff, out=diff)
-                d2 = d2h[j]
-                # binary add of the two planes: exactly dx*dx + dy*dy
-                np.add(diff[:, 0], diff[:, 1], out=d2)
-                np.add(d2, sm, out=coef)
-                np.sqrt(coef, out=coef)
-                np.divide(W, coef, out=coef)
-                if masked:
-                    # a d2 == 0.0 entry is a skipped coincident anchor
-                    # (or zero-weight padding with the iterate on the
-                    # origin): its coef must be exact 0.0, not
-                    # w/sqrt(smoothing).
-                    np.copyto(coef, 0.0, where=d2 == 0.0)
-                np.multiply(coef[:, None, :], A3, out=prod)
-                nsum = sums[j]
-                if fast:
-                    # one fused pass over the three planes: num_x,
-                    # num_y, den
-                    np.add.reduce(prod, axis=2, out=nsum)
-                else:
-                    nsum[:] = _sequential_sum_last(prod)
-                # den == 0.0 rows (every anchor coincides) go NaN here
-                # and are unwound at the sweep below — the scalar loop
-                # stops *before* this update.
-                np.divide(nsum, nsum[:, 2:], out=traj[j])
-                cur = traj[j, :, :2]
-            if bool((d2h > 0.0).all()):
-                # No step of any row touched a coincident anchor (the
-                # overwhelmingly common case): the unmasked trajectories
-                # are exact and the masked pass is skipped.  A d2 of 0.0
-                # — or the NaNs it cascades into — fails the > 0.0 test,
-                # triggering the one masked redo from the same start.
-                break
-
-        out: List[Tuple[object, float, float, int]] = []
-        # Chebyshev step sizes for the whole window at once (the hot
-        # loop records positions only): steps[j] = |traj[j] - traj[j-1]|
-        # elementwise — identical doubles to a per-step computation.
-        # The third channel contributes |1.0 - 1.0| = 0.0 (NaN on dead
-        # rows), which never changes a maximum of absolute values.
-        steps = np.empty((span, n, 3))
-        np.subtract(traj[0, :, :2], base, out=steps[0, :, :2])
-        steps[0, :, 2] = 0.0
-        if span > 1:
-            np.subtract(traj[1:], traj[:-1], out=steps[1:])
-        np.abs(steps, out=steps)
-        movs = np.maximum.reduce(steps, axis=2)
-        fin = movs < tl         # NaN rows compare False
-        dzero = sums[:, :, 2] == 0.0
-        has_m = fin.any(axis=0)
-        has_d = dzero.any(axis=0)
-        finished = has_m | has_d
-        used = self._used
-        if finished.any():
-            # First finish event per row; restore that row's state *at
-            # its own event* from the window history (its later
-            # in-window iterates touched nothing but its own lane).
-            rows = np.arange(n)
-            jm = fin.argmax(axis=0)
-            jd = dzero.argmax(axis=0)
-            move_fin = has_m & (~has_d | (jm < jd))
-            for r in rows[move_fin]:
-                out.append((
-                    self._keys[r], float(traj[jm[r], r, 0]),
-                    float(traj[jm[r], r, 1]), int(used[r] + jm[r] + 1),
-                ))
-            for r in rows[finished & ~move_fin]:
-                # the den == 0 iteration is counted but does not move
-                # the iterate: restore the *previous* position
-                j = jd[r]
-                px, py = (traj[j - 1, r, :2] if j > 0 else base[r])
-                out.append((self._keys[r], float(px), float(py),
-                            int(used[r] + j + 1)))
-        alive = ~finished
-        pos = traj[span - 1, :, :2]
-        used = used + span
-        exhausted = alive & (self._rem - span == 0)
-        if exhausted.any():
-            for r in np.arange(n)[exhausted]:
-                out.append((self._keys[r], float(pos[r, 0]),
-                            float(pos[r, 1]), int(used[r])))
-            alive &= ~exhausted
-        self._A3 = A3[alive]
-        self._W = W[alive]
-        self._pos = pos[alive]
-        self._tl = tl[alive]
-        self._sm = sm[alive]
-        self._rem = self._rem[alive] - span
-        self._used = used[alive]
-        self._keys = [k for k, a in zip(self._keys, alive) if a]
-        self._n = int(alive.sum())
-        if self._n == 0:
-            self._kmax = 0
-        return out
-
-
-def _alternating_weiszfeld_lockstep(
-    items: Sequence[tuple],
-) -> List[PlacementResult]:
-    """Run many alternating-Weiszfeld descents through one lockstep pump.
-
-    ``items`` are ``(problem, F, pinned_s, pinned_t)`` tuples, all on
-    the fully-linear Euclidean path.  Each problem is an independent
-    state machine (s half-step → t half-step → round convergence
-    check); whenever a half-step needs the iterate loop, its task goes
-    into a shared :class:`_LockstepPump` and the *next* half-step is
-    submitted the moment the previous one finishes.  Problems therefore
-    never wait for each other at round boundaries — the pump keeps one
-    wide batch busy instead of draining a thinning batch per round —
-    while each problem runs the exact serial sequence of half-steps on
-    the exact serial iterates: what any single problem computes never
-    changes, only which problems happen to iterate together.
-    """
-    m = len(items)
-    s: List[Point] = []
-    t: List[Point] = []
-    prev: List[float] = []
-    iters = [0] * m
-    rounds = [0] * m
-    for p, F, pinned_s, pinned_t in items:
-        s.append(pinned_s if pinned_s is not None else centroid(list(p.sources)))
-        t.append(pinned_t if pinned_t is not None else centroid(list(p.sinks)))
-        prev.append(F(s[-1], t[-1]))
-
-    pump = _LockstepPump(_WEISZFELD_MAX_ITER)
-
-    def drive(i: int, phase: str) -> None:
-        """Advance problem ``i`` until it submits a pump task or its
-        descent converges.  ``phase`` is the next thing to do: "s"/"t"
-        half-step or the end-of-round convergence "check"."""
-        p, F, pinned_s, pinned_t = items[i]
-        while True:
-            if phase == "s":
-                phase = "t"
-                if pinned_s is None:
-                    anchors = list(p.sources) + [t[i]]
-                    weights = [c.slope for c in p.feeder_costs] + [p.trunk_cost.slope]
-                    point, task = _weiszfeld_setup(anchors, weights, s[i])
-                    if point is None:
-                        pump.inject((i, "s"), task)
-                        return
-                    s[i] = point
-            elif phase == "t":
-                phase = "check"
-                if pinned_t is None:
-                    anchors = list(p.sinks) + [s[i]]
-                    weights = [c.slope for c in p.distributor_costs] + [p.trunk_cost.slope]
-                    point, task = _weiszfeld_setup(anchors, weights, t[i])
-                    if point is None:
-                        pump.inject((i, "t"), task)
-                        return
-                    t[i] = point
-            else:  # end of round: the serial convergence test
-                rounds[i] += 1
-                cur = F(s[i], t[i])
-                if prev[i] - cur < 1e-12 * max(1.0, abs(prev[i])) or rounds[i] >= 60:
-                    return
-                prev[i] = cur
-                phase = "s"
-
-    for i in range(m):
-        drive(i, "s")
-    while pump.in_flight:
-        for (i, side), x, y, it in pump.pump():
-            iters[i] += it
-            if side == "s":
-                s[i] = Point(x, y)
-                drive(i, "t")
-            else:
-                t[i] = Point(x, y)
-                drive(i, "check")
-
-    return [
-        PlacementResult(s[i], t[i], items[i][1](s[i], t[i]), iters[i], "weiszfeld")
-        for i in range(m)
-    ]
+        results.append(result)
+        iterations += used
+    current_tracer().count("placement.iterations", iterations)
+    return results
 
 
 def _nelder_mead(

@@ -15,6 +15,7 @@ inspect in a :class:`SynthesisResult`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
@@ -237,6 +238,13 @@ def build_covering_problem(graph: ConstraintGraph, candidates: CandidateSet) -> 
         for c in candidates.all
     ]
     return CoveringProblem(rows, columns)
+
+
+def _selection_cost(selected: Sequence[Candidate]) -> float:
+    """Total weight of the selected columns, as ``math.fsum``: correctly
+    rounded, so independent of the order a covering solver summed them
+    in (bnb's running sum follows string-hash order)."""
+    return math.fsum(c.cost for c in selected)
 
 
 def materialize_selection(
@@ -517,7 +525,8 @@ def _synthesize_journaled(
             with tracer.span("validate"):
                 validate(impl, graph)
 
-        root_span.set("total_cost", cover.weight)
+        total_cost = _selection_cost(selected)
+        root_span.set("total_cost", total_cost)
         elapsed = time.perf_counter() - start
         if report is not None:
             report.elapsed_s = elapsed  # account materialization + validation too
@@ -526,7 +535,7 @@ def _synthesize_journaled(
         return SynthesisResult(
             implementation=impl,
             selected=selected,
-            total_cost=cover.weight,
+            total_cost=total_cost,
             candidates=candidates,
             covering=covering,
             cover=cover,

@@ -253,6 +253,7 @@ def lid_aware_synthesize(
     from ..core.synthesis import (
         SynthesisOptions,
         SynthesisResult,
+        _selection_cost,
         build_covering_problem,
         materialize_selection,
     )
@@ -313,7 +314,7 @@ def lid_aware_synthesize(
     return SynthesisResult(
         implementation=impl,
         selected=selected,
-        total_cost=cover.weight,
+        total_cost=_selection_cost(selected),
         candidates=lid_candidates,
         covering=covering,
         cover=cover,

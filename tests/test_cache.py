@@ -226,3 +226,27 @@ def test_version_bump_orphans_old_files(tmp_path):
     with persistent_cache(PersistentCache(tmp_path)) as store:
         best_point_to_point(10.0, 10.0, library)
     assert store.stats.hits == 0  # old-format files are simply not read
+
+
+def test_merge_plans_of_the_alternating_solver_are_not_served(tmp_path):
+    """Version 1 stores hold merge plans from the alternating placement
+    solver, which could stall above the optimum; their keys (geometry,
+    bandwidths, library) would still match, so the files must be
+    orphaned rather than read."""
+    from repro.core.merging import build_merging_plan
+
+    graph = clustered_graph(n_clusters=2, ports_per_cluster=3, n_arcs=4, seed=3)
+    library = two_tier_library()
+    group = [a.name for a in graph.arcs[:2]]
+    with persistent_cache(PersistentCache(tmp_path)) as store:
+        plan = build_merging_plan(graph, group, _fresh(library))
+    assert store.stats.writes > 0
+    (merge_file,) = tmp_path.glob("merge-*.jsonl")
+    # a store written by version 1: same records, version-1 file names
+    for path in tmp_path.glob("*.jsonl"):
+        path.rename(path.with_name(path.name.replace(f"-v{CACHE_VERSION}-", "-v1-")))
+    assert (tmp_path / merge_file.name.replace(f"-v{CACHE_VERSION}-", "-v1-")).exists()
+    with persistent_cache(PersistentCache(tmp_path)) as store:
+        again = build_merging_plan(graph, group, _fresh(library))
+    assert store.stats.hits == 0
+    assert again == plan

@@ -7,6 +7,11 @@ selections and identical structures — a property downstream users
 (and CI) rely on.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import SynthesisOptions, synthesize
@@ -56,3 +61,38 @@ class TestDeterminism:
         b = generate_candidates(wan_graph, wan_lib)
         assert [c.label() for c in a.all] == [c.label() for c in b.all]
         assert [c.cost for c in a.all] == [c.cost for c in b.all]
+
+
+#: the two 24-seed sweep instances (ring graphs, random libraries) whose
+#: covering search sums its incumbent in string-hash order.
+_HASH_SENSITIVE_SWEEP = """
+from repro import SynthesisOptions, synthesize
+from repro.netgen import random_library, ring_graph
+
+for seed in (19, 23):
+    result = synthesize(
+        ring_graph(n_nodes=5 + seed % 3),
+        random_library(seed=seed),
+        SynthesisOptions(
+            max_arity=3, heterogeneous=seed % 5 == 0, polish_placement=seed % 3 != 2
+        ),
+    )
+    print(seed, result.total_cost.hex())
+"""
+
+
+def test_total_cost_independent_of_hash_seed():
+    """``total_cost`` is the correctly rounded sum of the selected
+    columns, so processes with different string-hash seeds report the
+    same double."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SENSITIVE_SWEEP],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs

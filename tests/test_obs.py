@@ -318,6 +318,27 @@ class TestPipelineIntegration:
         assert serial.trace.counters == parallel.trace.counters
         assert parallel.trace.worker_snapshots  # workers really reported
 
+    def test_placement_iterations_identical_serial_and_pooled(self):
+        """The Weiszfeld iterations placement ran are a deterministic
+        counter: a ``jobs=2`` run, whose placements run in pool workers,
+        reports the serial total."""
+        from repro.netgen import clustered_graph, two_tier_library
+
+        graph = clustered_graph(n_clusters=2, ports_per_cluster=4, n_arcs=8, seed=5)
+        options = dict(max_arity=3, validate_result=False)
+        serial = synthesize(graph, two_tier_library(), SynthesisOptions(**options), trace=True)
+        pooled = synthesize(
+            graph, two_tier_library(), SynthesisOptions(jobs=2, **options), trace=True
+        )
+        iterations = serial.trace.counters["placement.iterations"]
+        assert iterations > 0
+        assert pooled.trace.counters["placement.iterations"] == iterations
+        # the pooled run's placements really ran in the workers
+        assert sum(
+            snap.counters.get("placement.iterations", 0)
+            for snap in pooled.trace.worker_snapshots
+        ) == iterations
+
     def test_supervised_run_spans_align_with_report(self, wan_graph, wan_lib):
         from repro.runtime.budget import Budget
 

@@ -3,7 +3,9 @@ merge/split placement."""
 
 import math
 
+import numpy as np
 import pytest
+from scipy import optimize
 
 from repro import MANHATTAN, Point
 from repro.core.placement import (
@@ -239,3 +241,128 @@ class TestWeiszfeldCoincidentAnchor:
         # point, returned without a division by zero
         p, _ = weiszfeld([Point(2, 3), Point(2, 3), Point(2, 3)], [1.0, 2.0, 3.0])
         assert p == Point(2, 3)
+
+
+# ----------------------------------------------------------------------
+# the joint solver against the alternating descent's stall
+# ----------------------------------------------------------------------
+
+
+#: (feeder slope, trunk slope) of the property test's slope mixes.
+SLOPE_MIXES = {"equal": (2.0, 2.0), "feeders4-trunk2": (4.0, 2.0), "feeders2-trunk4": (2.0, 4.0)}
+
+
+def _placement_instance(k, seed):
+    """``(sources, sinks)`` of ``k`` arcs; the layout rotates with the seed."""
+    rng = np.random.default_rng([k, seed])
+    layout = seed % 3
+    if layout == 0:
+        a = rng.uniform(-1000.0, 1000.0, 2)
+        b = a + rng.uniform(-300.0, 300.0, 2)
+        ends = [(a + rng.normal(0.0, 5.0, 2), b + rng.normal(0.0, 5.0, 2)) for _ in range(k)]
+        ends = [(v, u) if rng.random() < 0.4 else (u, v) for u, v in ends]
+    elif layout == 1:
+        c = rng.uniform(-1000.0, 1000.0, 2)
+        ends = [(c + rng.normal(0.0, 3.0, 2), c + rng.normal(0.0, 3.0, 2)) for _ in range(k)]
+    else:
+        ports = rng.uniform(0.0, 100.0, (k + 1, 2))
+        ends = [(ports[i], ports[(i + 1) % (k + 1)]) for i in range(k)]
+    return [Point(*u) for u, _ in ends], [Point(*v) for _, v in ends]
+
+
+def _multistart_reference(sources, sinks, feeders, trunk):
+    """Best cost multi-start Nelder–Mead finds for the linear objective
+    (arc ``i``'s feeder and distributor at slope ``feeders[i]``), started
+    from the centroids, every (source, sink) pair and every anchor with
+    s = t, then restarted from the best few."""
+    us = [(p.x, p.y) for p in sources]
+    vs = [(p.x, p.y) for p in sinks]
+
+    def F(z):
+        sx, sy, tx, ty = z
+        total = trunk * math.hypot(sx - tx, sy - ty)
+        total += sum(a * math.hypot(x - sx, y - sy) for (x, y), a in zip(us, feeders))
+        total += sum(a * math.hypot(x - tx, y - ty) for (x, y), a in zip(vs, feeders))
+        return total
+
+    cu = np.mean(us, axis=0)
+    cv = np.mean(vs, axis=0)
+    starts = [[*cu, *cv], [*(cu + cv) / 2, *(cu + cv) / 2]]
+    starts += [[*u, *v] for u in us for v in vs]
+    starts += [[*p, *p] for p in us + vs]
+    best = min(F(z) for z in starts)
+    for z in sorted(starts, key=F)[:4]:
+        for _ in range(3):  # restarts rebuild the simplex
+            z = optimize.minimize(
+                F, z, method="Nelder-Mead",
+                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000, "maxfev": 8000},
+            ).x
+        best = min(best, F(z))
+    return best
+
+
+class TestJointPlacement:
+    def test_stall_instance_reaches_the_collapse_optimum(self):
+        """Alternating half-steps stopped this instance at s = t =
+        (1107.4639340517012, 707.321139082228), cost 29,839.379234061595:
+        there each side, given the other, is optimal, yet the pair is
+        not.  The optimum collapses onto the second sink.  Certificate:
+        the merged pull of all four anchors there is 1,525.4 <= 2,000
+        (its weight) and the sources' pull 1,364.8 <= the trunk
+        weight 2,000."""
+        stage = linear_stage(2000.0)
+        sink = Point(1110.0003083885326, 707.6829093795945)
+        res = optimize_two_points(
+            sources=[
+                Point(1110.7008085043758, 707.724270957286),
+                Point(1106.0422512929626, 703.9556650662437),
+            ],
+            sinks=[Point(1102.6848492365143, 709.9248426438928), sink],
+            feeder_costs=[stage] * 2,
+            trunk_cost=stage,
+            distributor_costs=[stage] * 2,
+        )
+        assert res.merge_point == sink and res.split_point == sink
+        assert res.cost == pytest.approx(27579.574288643642, rel=1e-12)
+
+    def test_failed_pin_does_not_trap_the_descent(self):
+        """Here the heavy sink is nearly, but not quite, optimal for t:
+        pinned on it, the re-solved s rejects the pin.  Retried at every
+        kink test, the pin kept resetting the descent before it could
+        leave the anchor, until the iteration cap (+1.9e-4 in cost)."""
+        slopes = [4.0, 1.0, 2.6]
+        sources = [Point(1.5313, 0.6456), Point(-0.4665, -0.3366), Point(0.5495, 0.401)]
+        sinks = [Point(0.0197, 1.1419), Point(0.4238, -1.8687), Point(-0.9791, 0.4587)]
+        stages = [linear_stage(a) for a in slopes]
+        res = optimize_two_points(sources, sinks, stages, linear_stage(2.0), stages)
+        assert res.cost <= _multistart_reference(sources, sinks, slopes, 2.0) * (1 + 1e-9)
+
+    def test_far_from_origin_solves_like_at_origin(self):
+        """Precision follows the anchors' spread, not their distance from
+        the origin: a cluster a few thousandths across costs the same
+        1,000 units out as at the origin."""
+        offsets = [(-1456, 1104), (225, 29), (-1162, 1297), (-6, -2415), (-8, -18), (1432, -1016)]
+        stages = [linear_stage(a) for a in (1.0, 3.0, 2.0)]
+
+        def solve(cx, cy):
+            pts = [Point(cx + dx * 1e-6, cy + dy * 1e-6) for dx, dy in offsets]
+            return optimize_two_points(pts[:3], pts[3:], stages, linear_stage(2.0), stages)
+
+        assert solve(-629.209, -887.925).cost <= solve(0.0, 0.0).cost * (1 + 1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mix", list(SLOPE_MIXES))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_never_above_multistart_reference(self, k, mix, seed):
+        """Seeded instances in three layouts — two clusters with arcs in
+        both directions (the near-flat case), one tight cluster, and
+        shared ports (a source on a sink) — for every slope mix."""
+        feeder, trunk = SLOPE_MIXES[mix]
+        sources, sinks = _placement_instance(k, seed)
+        res = optimize_two_points(
+            sources, sinks, [linear_stage(feeder)] * k, linear_stage(trunk),
+            [linear_stage(feeder)] * k,
+        )
+        best = _multistart_reference(sources, sinks, [feeder] * k, trunk)
+        assert res.cost <= best * (1 + 1e-9)
+
