@@ -79,8 +79,9 @@ from ..runtime.faults import (
     StaleClockFault,
     fault_point,
 )
+from ..runtime.records import canonical_json
 from .scheduler import SolveTask, Transport, solve_one
-from .stream import canonical_json, load_stream_records, record_crc
+from .stream import ResultStream, load_stream_records
 
 __all__ = [
     "QUEUE_VERSION",
@@ -718,8 +719,9 @@ class QueueWorker:
         heartbeat = _Heartbeat(
             self.paths, lease, self.host_id, self.ttl_s, self._clock
         ).start()
-        stream_path = self.paths.stream(shard.shard_id, lease.token)
-        stream = open(stream_path, "ab")
+        stream = ResultStream(
+            self.paths.stream(shard.shard_id, lease.token), resume=True, fsync=self.fsync
+        )
         try:
             for inst in shard.instances:
                 if heartbeat.fenced.is_set():
@@ -732,12 +734,7 @@ class QueueWorker:
                     self.options, self.deadline, inst.sha,
                 )
                 record.update(shard=shard.shard_id, token=lease.token, host=self.host_id)
-                stream.write(
-                    (canonical_json(dict(record, crc=record_crc(record))) + "\n").encode()
-                )
-                stream.flush()
-                if self.fsync:
-                    os.fsync(stream.fileno())
+                stream.emit(record)
                 covered.add(inst.sha)
                 report.instances_solved += 1
                 self._say(f"{inst.name}: {record['status']} (shard {shard.shard_id} "

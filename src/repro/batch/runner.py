@@ -31,9 +31,10 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 from ..core.cache import PersistentCache, persistent_cache
 from ..core.synthesis import SynthesisOptions
 from ..obs import current_tracer
+from ..runtime.records import canonical_json
 from .corpus import InstanceRef
-from .scheduler import PoolTransport, SerialTransport, SolveTask, Transport, solve_one
-from .stream import ResultStream, canonical_json, load_completed, record_crc
+from .scheduler import PoolTransport, SerialTransport, SolveTask, Transport
+from .stream import ResultStream, load_completed
 
 __all__ = [
     "BatchSummary",
@@ -46,18 +47,6 @@ __all__ = [
 #: byte-identical solves (wall clock, runtime audit trail, trace
 #: metrics) — stripped for cross-run result comparison.
 VOLATILE_RESULT_KEYS = ("elapsed_seconds", "degradation", "metrics")
-
-# long-standing private names, kept pointing at their new homes —
-# repro.serve and external callers reach them through this module.
-_canonical = canonical_json
-_crc = record_crc
-_solve_one = solve_one
-
-
-def _emit(stream: TextIO, record: Dict[str, Any]) -> None:
-    stream.write(canonical_json(dict(record, crc=record_crc(record))) + "\n")
-    stream.flush()
-
 
 def stable_result_dict(result) -> Dict[str, Any]:
     """The run-invariant part of a synthesis result summary.
@@ -241,9 +230,6 @@ def run_batch(
     ]
     done = load_completed(results_path, require=True) if resume else {}
 
-    def _on_pool_recovery() -> None:
-        summary.worker_recoveries += 1
-
     def _on_queue_health(health) -> None:
         summary.leases_acquired = health.leases_acquired
         summary.leases_expired = health.leases_expired
@@ -275,9 +261,7 @@ def run_batch(
         transport = SerialTransport(options, deadline_per_instance)
     else:
         parent_store = PersistentCache(cache_str) if cache_str else None
-        transport = PoolTransport(
-            options, deadline_per_instance, jobs, cache_str, on_recovery=_on_pool_recovery
-        )
+        transport = PoolTransport(options, deadline_per_instance, jobs, cache_str)
 
     try:
         with ResultStream(results_path, resume=resume, fsync=fsync_results) as stream:
@@ -297,6 +281,7 @@ def run_batch(
         transport.close()
         if parent_store is not None:
             parent_store.close()
+    summary.worker_recoveries = transport.recoveries
     summary.elapsed_s = time.perf_counter() - started
     for key, value in summary.cache.items():
         tracer.count_local(f"batch.cache.{key}", value)

@@ -7,8 +7,9 @@ record or asks a :class:`Transport` for a freshly solved one; how the
 solve actually executes is entirely the transport's business:
 
 - :class:`SerialTransport` — in-process, deterministic, debuggable;
-- :class:`PoolTransport` — the self-healing local process pool
-  (worker death ⇒ rebuild + re-dispatch ⇒ in-process rescue);
+- :class:`PoolTransport` — the self-healing local process pool of
+  :mod:`repro.runtime.pool` (worker death ⇒ rebuild + re-dispatch ⇒
+  in-process rescue);
 - :class:`~repro.batch.queue.QueueTransport` — the multi-host
   filesystem work queue with lease fencing (lives in its own module;
   registered here only by interface).
@@ -22,15 +23,13 @@ summary logic never know which one ran.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..core.cache import PersistentCache, current_persistent_cache, set_persistent_cache
+from ..core.cache import current_persistent_cache
 from ..core.synthesis import SynthesisOptions, synthesize
-from ..obs import current_tracer
 from ..runtime.budget import Budget
+from ..runtime.pool import WorkerPool
 
 __all__ = [
     "SolveTask",
@@ -62,12 +61,12 @@ def solve_one(
 ) -> Dict[str, Any]:
     """Solve one instance; always returns a record, never raises.
 
-    Runs under whatever persistent cache is ambient (the pool
-    initializer installs the worker's handle; the serial path installs
-    the parent's), reporting this solve's cache-counter delta in the
-    record.  A failure of any kind — malformed file, infeasible
-    instance, validation error — becomes a ``"failed"`` record so one
-    bad corpus member can never abort the batch.
+    Runs under whatever persistent cache is ambient (each pool worker
+    has its own handle; the serial path installs the parent's),
+    reporting this solve's cache-counter delta in the record.  A
+    failure of any kind — malformed file, infeasible instance,
+    validation error — becomes a ``"failed"`` record so one bad corpus
+    member can never abort the batch.
 
     ``trace=True`` runs the solve under a fresh :mod:`repro.obs` tracer
     and attaches its JSON metrics as ``record["metrics"]`` — outside
@@ -104,12 +103,6 @@ def solve_one(
     return record
 
 
-#: worker-side state: the pool initializer opens one cache handle per
-#: worker process (the store is multi-process safe, handles are not).
-def _pool_init(cache_dir: Optional[str]) -> None:
-    set_persistent_cache(PersistentCache(cache_dir) if cache_dir else None)
-
-
 class Transport:
     """How a batch of :class:`SolveTask` units actually executes.
 
@@ -123,6 +116,8 @@ class Transport:
 
     #: short name surfaced in the ``batch.run`` span.
     name = "abstract"
+    #: pool rebuilds after a worker death (``BatchSummary.worker_recoveries``).
+    recoveries = 0
 
     def prepare(self, tasks: List[SolveTask]) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -155,15 +150,12 @@ class SerialTransport(Transport):
 
 
 class PoolTransport(Transport):
-    """Fan tasks out over a self-healing local process pool.
+    """Fan tasks out over a :class:`~repro.runtime.pool.WorkerPool`.
 
-    Mirrors the recovery ladder of
-    :func:`repro.core.candidates._plan_arity_parallel`: a
-    ``BrokenProcessPool`` rebuilds the executor and re-dispatches the
-    lost instance plus everything still pending; a second loss of the
-    same instance solves it in-process under the parent's cache handle.
-    ``on_recovery`` is called once per rebuild so the caller can keep
-    its own books (``BatchSummary.worker_recoveries``).
+    Every dispatch consults the ``batch.dispatch`` fault site.  A dead
+    worker rebuilds the pool and re-dispatches the lost instance plus
+    everything still pending; a second loss of the same instance
+    solves it in-process under the parent's cache handle.
     """
 
     name = "pool"
@@ -174,61 +166,23 @@ class PoolTransport(Transport):
         deadline: Optional[float],
         jobs: int,
         cache_dir: Optional[str],
-        on_recovery=None,
     ) -> None:
         self._options = options
         self._deadline = deadline
-        self._jobs = jobs
-        self._cache_dir = cache_dir
-        self._on_recovery = on_recovery
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: Dict[int, Future] = {}
-        self._tasks: Dict[int, SolveTask] = {}
+        self._pool = WorkerPool(jobs, solve_one, site="batch.dispatch", cache_dir=cache_dir)
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._jobs, initializer=_pool_init, initargs=(self._cache_dir,)
-            )
-        return self._pool
-
-    def _dispatch(self, task: SolveTask) -> None:
-        self._futures[task.index] = self._ensure_pool().submit(
-            solve_one, task.name, task.path, self._options, self._deadline, task.sha
-        )
-
-    def _recover(self, after: int) -> None:
-        current_tracer().count_local("batch.worker_recoveries")
-        if self._on_recovery is not None:
-            self._on_recovery()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        for i in sorted(j for j in self._futures if j > after):
-            self._dispatch(self._tasks[i])
+    @property
+    def recoveries(self) -> int:  # type: ignore[override]
+        return self._pool.recoveries
 
     def prepare(self, tasks: List[SolveTask]) -> None:
         for task in tasks:
-            self._tasks[task.index] = task
-            self._dispatch(task)
+            self._pool.submit(
+                task.index, task.name, task.path, self._options, self._deadline, task.sha
+            )
 
     def collect(self, task: SolveTask) -> Dict[str, Any]:
-        try:
-            return self._futures[task.index].result()
-        except BrokenProcessPool:
-            self._recover(task.index)
-            self._dispatch(task)
-            try:
-                return self._futures[task.index].result()
-            except BrokenProcessPool:
-                # twice-lost instance: the one path a worker cannot
-                # kill — solve it right here.
-                self._recover(task.index)
-                return solve_one(
-                    task.name, task.path, self._options, self._deadline, task.sha
-                )
+        return self._pool.result(task.index)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self._pool.shutdown()

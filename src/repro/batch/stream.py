@@ -2,12 +2,12 @@
 
 The *persist* third of the batch engine's dispatch/collect/persist
 split: one append-only stream of per-instance records, each line a
-canonical JSON object carrying a CRC-32 over its own content.  The
-format is deliberately the same family as the persistent cache and the
-checkpoint journal — records are **independent facts**: a torn or
-corrupted line (crash mid-append, partial rsync) is skipped on load,
-never a truncation point, so every intact record before *and after* it
-still counts.
+:mod:`repro.runtime.records` record (canonical JSON plus a CRC-32 over
+its own content).  Batch runs, queue shards and the server's results
+file all write through :class:`ResultStream`.  Records are
+**independent facts**: a torn or corrupted line (crash mid-append,
+partial rsync) is skipped on load, never a truncation point, so every
+intact record before *and after* it still counts.
 
 Durability has two tiers.  The default ``flush`` after every record
 survives process death (the batch's own crash-tolerance contract).
@@ -19,13 +19,13 @@ cost, which is why it is opt-in (``repro batch --fsync-results``).
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO, Union
+from typing import Any, BinaryIO, Dict, Union
 
 from ..core.exceptions import BatchError
+from ..runtime.records import decode_line, encode_line
+from ..runtime.records import canonical_json, record_crc  # noqa: F401 - re-exported
 
 __all__ = [
     "canonical_json",
@@ -34,32 +34,6 @@ __all__ = [
     "load_stream_records",
     "load_completed",
 ]
-
-
-def canonical_json(doc: Any) -> str:
-    """The one canonical JSON form (sorted keys, no whitespace) every
-    CRC in the batch layer is computed over."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def record_crc(doc: Any) -> str:
-    return format(zlib.crc32(canonical_json(doc).encode("utf-8")), "08x")
-
-
-def validate_record_line(raw: bytes) -> Optional[Dict[str, Any]]:
-    """Parse one stream line; ``None`` for anything less than a fully
-    intact, CRC-matching record (torn tail, bit flip, interleaved
-    write).  The returned dict has the ``crc`` field already popped."""
-    try:
-        record = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(record, dict) or "crc" not in record:
-        return None
-    crc = record.pop("crc")
-    if record_crc(record) != crc:
-        return None
-    return record
 
 
 def load_stream_records(path: Union[str, Path]) -> list:
@@ -74,7 +48,7 @@ def load_stream_records(path: Union[str, Path]) -> list:
     except OSError as exc:
         raise BatchError(f"results stream {path}: unreadable: {exc}") from exc
     for raw in raw_lines:
-        record = validate_record_line(raw)
+        record = decode_line(raw)
         if record is not None:
             records.append(record)
     return records
@@ -128,16 +102,16 @@ class ResultStream:
                 if raw and not raw.endswith(b"\n"):
                     with open(self.path, "ab") as f:
                         f.write(b"\n")
-                self._stream: TextIO = open(self.path, "a")
+                self._stream: BinaryIO = open(self.path, "ab")
             else:
-                self._stream = open(self.path, "w")
+                self._stream = open(self.path, "wb")
         except OSError as exc:
             raise BatchError(f"results stream {self.path}: cannot open: {exc}") from exc
 
     def emit(self, record: Dict[str, Any]) -> None:
         """Durably append one record (CRC added here; flushed always,
         fsynced when this stream was opened with ``fsync=True``)."""
-        self._stream.write(canonical_json(dict(record, crc=record_crc(record))) + "\n")
+        self._stream.write(encode_line(record))
         self._stream.flush()
         if self.fsync:
             os.fsync(self._stream.fileno())

@@ -47,17 +47,20 @@ in-memory memo misses::
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
-import pickle
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterator, Optional, Tuple, Union
 
 from ..obs import current_tracer
+from ..runtime.records import (
+    canonical_json,
+    decode_line,
+    encode_line,
+    pack_payload,
+    unpack_payload,
+)
 from .library import CommunicationLibrary
 
 __all__ = [
@@ -77,14 +80,6 @@ __all__ = [
 CACHE_VERSION = 2
 
 
-def _canonical(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _crc(doc: Any) -> str:
-    return format(zlib.crc32(_canonical(doc).encode("utf-8")), "08x")
-
-
 def library_fingerprint(library: CommunicationLibrary) -> str:
     """SHA-256 over the library's canonical JSON form.
 
@@ -99,7 +94,7 @@ def library_fingerprint(library: CommunicationLibrary) -> str:
         return cached
     from ..io.json_io import library_to_dict  # lazy: avoids an import cycle
 
-    digest = hashlib.sha256(_canonical(library_to_dict(library)).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(canonical_json(library_to_dict(library)).encode("utf-8")).hexdigest()
     memo["sha256"] = digest
     return digest
 
@@ -145,6 +140,17 @@ class CacheStats:
         )
 
 
+def _foreign_entry(raw: bytes, fp16: str) -> Optional[Dict[str, Any]]:
+    """One intact entry line of a *foreign* cache file whose full
+    fingerprint matches the file it lives in, else ``None``.  Payloads
+    are deliberately not unpickled: import moves opaque records between
+    directories, and deserialization (with its own corruption check)
+    happens at serve time in :meth:`PersistentCache._load_record`."""
+    record = decode_line(raw)
+    fp = record.get("fp") if record is not None else None
+    return record if isinstance(fp, str) and fp.startswith(fp16) else None
+
+
 #: sentinel distinguishing "key absent" from "cached value is None"
 #: (an infeasible merging is a legitimate, expensive-to-recompute fact).
 _ABSENT = object()
@@ -179,7 +185,7 @@ class PersistentCache:
         if not meta.exists():
             from ..io.atomic import atomic_write
 
-            atomic_write(meta, _canonical({"format": "repro-cache", "version": CACHE_VERSION}))
+            atomic_write(meta, canonical_json({"format": "repro-cache", "version": CACHE_VERSION}))
 
     def _entry_path(self, space: str, fingerprint: str) -> Path:
         return self.directory / f"{space}-v{CACHE_VERSION}-{fingerprint[:16]}.jsonl"
@@ -206,16 +212,8 @@ class PersistentCache:
         with no ordering, so a bad line is *skipped* (not a truncation
         point) — later records written by other workers still load.
         """
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self.stats.corrupt_discarded += 1
-            return
-        if not isinstance(record, dict) or "crc" not in record:
-            self.stats.corrupt_discarded += 1
-            return
-        crc = record.pop("crc")
-        if _crc(record) != crc or record.get("fp") != fingerprint:
+        record = decode_line(raw)
+        if record is None or record.get("fp") != fingerprint:
             self.stats.corrupt_discarded += 1
             return
         payload = record.get("val")
@@ -223,7 +221,7 @@ class PersistentCache:
             value: Any = None
         else:
             try:
-                value = pickle.loads(base64.b64decode(payload))
+                value = unpack_payload(payload)
             except Exception:  # noqa: BLE001 - any decode failure ⇒ discard
                 self.stats.corrupt_discarded += 1
                 return
@@ -237,7 +235,7 @@ class PersistentCache:
         """``(True, value)`` on a hit — value may be ``None`` (a cached
         infeasibility) — or ``(False, None)`` on a miss."""
         fingerprint = library_fingerprint(library)
-        value = self._table(space, fingerprint).get(_canonical(key), _ABSENT)
+        value = self._table(space, fingerprint).get(canonical_json(key), _ABSENT)
         if value is _ABSENT:
             self.stats.misses += 1
             current_tracer().count_local(f"cache.persistent.{space}.miss")
@@ -251,14 +249,10 @@ class PersistentCache:
         fingerprint = library_fingerprint(library)
         record: Dict[str, Any] = {
             "fp": fingerprint,
-            "key": _canonical(key),
-            "val": None
-            if value is None
-            else base64.b64encode(
-                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            ).decode("ascii"),
+            "key": canonical_json(key),
+            "val": None if value is None else pack_payload(value),
         }
-        line = (_canonical(dict(record, crc=_crc(record))) + "\n").encode("utf-8")
+        line = encode_line(record)
         path = self._entry_path(space, fingerprint)
         handle = self._handles.get(path)
         if handle is None:
@@ -273,26 +267,6 @@ class PersistentCache:
     # ------------------------------------------------------------------
     # shareable tier: content-addressed pack import/export
     # ------------------------------------------------------------------
-    def _validate_line(self, raw: bytes, fp16: str) -> Optional[Dict[str, Any]]:
-        """Structurally validate one entry line from a *foreign* cache
-        file: parseable, CRC-intact, and its full fingerprint consistent
-        with the file it claims to live in.  Payloads are deliberately
-        **not** unpickled here — import moves opaque records between
-        directories; deserialization (and its own corruption check)
-        happens at serve time in :meth:`_load_record`."""
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(record, dict) or "crc" not in record:
-            return None
-        crc = record.pop("crc")
-        if _crc(record) != crc:
-            return None
-        if not isinstance(record.get("fp"), str) or not record["fp"].startswith(fp16):
-            return None
-        return record
-
     def import_from(self, source: Union[str, Path]) -> int:
         """Union another cache directory's entries into this one.
 
@@ -327,12 +301,12 @@ class PersistentCache:
             have = set()
             if dest_path.exists():
                 for raw in dest_path.read_bytes().splitlines():
-                    record = self._validate_line(raw, fp16)
+                    record = _foreign_entry(raw, fp16)
                     if record is not None:
                         have.add((record["fp"], str(record.get("key"))))
             fresh = []
             for raw in src_lines:
-                record = self._validate_line(raw, fp16)
+                record = _foreign_entry(raw, fp16)
                 if record is None:
                     self.stats.corrupt_discarded += 1
                     continue
@@ -340,14 +314,14 @@ class PersistentCache:
                 if ident in have:
                     continue
                 have.add(ident)
-                fresh.append(_canonical(dict(record, crc=_crc(record))) + "\n")
+                fresh.append(encode_line(record))
             if not fresh:
                 continue
             handle = self._handles.get(dest_path)
             if handle is None:
                 handle = open(dest_path, "ab")
                 self._handles[dest_path] = handle
-            handle.write("".join(fresh).encode("utf-8"))
+            handle.write(b"".join(fresh))
             handle.flush()
             imported += len(fresh)
             # drop stale in-memory tables for this file so the next

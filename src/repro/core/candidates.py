@@ -32,10 +32,9 @@ from __future__ import annotations
 import itertools
 import logging
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -43,13 +42,13 @@ import numpy as np
 from ..obs import TracerLike, Tracer, TraceSnapshot, current_tracer, tracing
 from ..runtime.budget import Budget, BudgetTracker, as_tracker
 from ..runtime.checkpoint import CheckpointJournal
-from ..runtime.faults import WorkerCrashFault, fault_point
-from .cache import PersistentCache, current_persistent_cache, set_persistent_cache
+from ..runtime.pool import WorkerPool
+from .cache import current_persistent_cache
 from .constraint_graph import ConstraintGraph
 from .exceptions import BudgetExceeded, InfeasibleError
 from .library import CommunicationLibrary
 from .matrices import ArcMatrices, IncrementalArcMatrices, compute_matrices
-from .merging import MergingPlan, build_merging_plan, build_merging_plans_batch
+from .merging import MergingPlan, build_merging_plans_batch
 from .mixed_segmentation import MixedChainPlan, best_mixed_segmentation
 from .point_to_point import PointToPointPlan, best_point_to_point
 from .pruning import (
@@ -255,11 +254,12 @@ def generate_candidates(
     ``budget`` deadline is enforced between chunks, preserving the
     ``budget_truncated`` semantics under parallelism.  A worker that
     *dies* (killed, segfault, unpicklable crash) does not surface as
-    ``BrokenProcessPool``: the pool is rebuilt and the lost chunk
-    re-dispatched (in-process on a second failure), preserving the
-    serial-identical ordering; recoveries are counted in
-    ``stats.worker_recoveries`` and the ``pool.worker_recoveries``
-    local obs counter.
+    ``BrokenProcessPool``: the :class:`~repro.runtime.pool.WorkerPool`
+    is rebuilt and the lost chunk re-dispatched (in-process on a second
+    failure), preserving the serial-identical ordering; recoveries are
+    counted in ``stats.worker_recoveries`` and the
+    ``pool.worker_recoveries`` local obs counter, in-process rescues in
+    ``pool.inprocess_rescues``.
 
     ``journal`` (a :class:`~repro.runtime.checkpoint.CheckpointJournal`)
     makes the expensive planning passes crash-tolerant: every completed
@@ -314,13 +314,16 @@ def generate_candidates(
         mergings: List[Candidate] = []
         if n >= 2:
             matrices = IncrementalArcMatrices(graph)
-            pool: Optional[_PoolManager] = None
+            pool: Optional[WorkerPool] = None
             try:
                 if jobs is not None and jobs > 1:
                     store = current_persistent_cache()
-                    pool = _PoolManager(
-                        jobs, graph, library, polish_placement, tracer.enabled,
+                    pool = WorkerPool(
+                        jobs, _pool_plan_chunk,
                         cache_dir=str(store.directory) if store is not None else None,
+                        initializer=_stash_inputs,
+                        initargs=(graph, library, polish_placement, tracer.enabled),
+                        rescue=partial(_plan_chunk_here, graph, library, polish_placement),
                     )
                 mergings = _enumerate_mergings(
                     graph, library, matrices, pruning, max_arity, stats, polish_placement,
@@ -328,6 +331,7 @@ def generate_candidates(
                 )
             finally:
                 if pool is not None:
+                    stats.worker_recoveries = pool.recoveries
                     pool.shutdown()
 
         if max_merge_hops is not None:
@@ -376,23 +380,17 @@ def generate_candidates(
 _POOL_STATE: Dict[str, object] = {}
 
 
-def _pool_init(
+def _stash_inputs(
     graph: ConstraintGraph,
     library: CommunicationLibrary,
     polish_placement: bool,
-    trace: bool = False,
-    cache_dir: Optional[str] = None,
+    trace: bool,
 ) -> None:
-    """Process-pool initializer: stash the shared synthesis inputs.
-
-    When the parent runs under a persistent cache, each worker opens its
-    own append handle on the same directory (the store is multi-process
-    safe but each handle is single-process)."""
+    """Worker initializer: stash the shared synthesis inputs."""
     _POOL_STATE["graph"] = graph
     _POOL_STATE["library"] = library
     _POOL_STATE["polish"] = polish_placement
     _POOL_STATE["trace"] = trace
-    set_persistent_cache(PersistentCache(cache_dir) if cache_dir else None)
 
 
 def _record_plan_outcome(
@@ -409,9 +407,24 @@ def _record_plan_outcome(
         tracer.count(f"candidates.survivors.k{k}")
 
 
+def _plan_chunk_here(
+    graph: ConstraintGraph,
+    library: CommunicationLibrary,
+    polish: bool,
+    groups: Sequence[Tuple[str, ...]],
+) -> Tuple[List[Optional[MergingPlan]], None]:
+    """Solve one chunk in this process, counting every outcome in the
+    ambient tracer: the body of a worker task, and the pool's
+    in-process rescue of a twice-lost chunk."""
+    plans = build_merging_plans_batch(graph, groups, library, polish_placement=polish)
+    tracer = current_tracer()
+    for group, plan in zip(groups, plans):
+        _record_plan_outcome(tracer, len(group), plan)
+    return plans, None
+
+
 def _pool_plan_chunk(
     groups: Sequence[Tuple[str, ...]],
-    crash: bool = False,
 ) -> Tuple[List[Optional[MergingPlan]], Optional[TraceSnapshot]]:
     """Worker task: solve one chunk of placement problems, in order.
 
@@ -420,76 +433,18 @@ def _pool_plan_chunk(
     bit-identical to the serial loop — plus, when the parent run is
     traced, a :class:`~repro.obs.TraceSnapshot` of this chunk's spans
     and counters for deterministic merging into the parent trace.
-
-    ``crash`` is set by the dispatcher when a ``worker_crash`` fault
-    fired for this chunk: the worker solves its first placement and
-    then dies abruptly (``os._exit``), exactly as a segfault or an OOM
-    kill would — no exception, no cleanup, a broken pool.
     """
     graph: ConstraintGraph = _POOL_STATE["graph"]  # type: ignore[assignment]
     library: CommunicationLibrary = _POOL_STATE["library"]  # type: ignore[assignment]
     polish: bool = _POOL_STATE["polish"]  # type: ignore[assignment]
-    if crash:
-        if groups:
-            build_merging_plan(graph, list(groups[0]), library, polish_placement=polish)
-        os._exit(13)  # mid-chunk, uncatchable: simulates SIGKILL/segfault
     if not _POOL_STATE.get("trace"):
-        return build_merging_plans_batch(
-            graph, groups, library, polish_placement=polish
-        ), None
-
+        return _plan_chunk_here(graph, library, polish, groups)
     tracer = Tracer(label=f"worker-{os.getpid()}")
-    with tracing(tracer):
-        with tracer.span(
-            "candidates.plan.chunk", k=len(groups[0]) if groups else 0, size=len(groups)
-        ):
-            plans = build_merging_plans_batch(
-                graph, groups, library, polish_placement=polish
-            )
-            for group, plan in zip(groups, plans):
-                _record_plan_outcome(tracer, len(group), plan)
+    with tracing(tracer), tracer.span(
+        "candidates.plan.chunk", k=len(groups[0]) if groups else 0, size=len(groups)
+    ):
+        plans, _ = _plan_chunk_here(graph, library, polish, groups)
     return plans, tracer.snapshot()
-
-
-class _PoolManager:
-    """A self-healing :class:`ProcessPoolExecutor` for planning chunks.
-
-    ``ProcessPoolExecutor`` is fail-stop: one abruptly-dead worker
-    breaks the whole pool and every pending future raises
-    :class:`BrokenProcessPool`.  The manager owns the executor plus the
-    arguments needed to recreate it, so the planning loop can
-    :meth:`rebuild` after a crash and re-dispatch lost chunks instead
-    of surfacing the break to the caller.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        graph: ConstraintGraph,
-        library: CommunicationLibrary,
-        polish_placement: bool,
-        trace: bool,
-        cache_dir: Optional[str] = None,
-    ) -> None:
-        self.jobs = jobs
-        self._initargs = (graph, library, polish_placement, trace, cache_dir)
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def submit(self, fn, *args) -> Future:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=_pool_init, initargs=self._initargs
-            )
-        return self._pool.submit(fn, *args)
-
-    def rebuild(self) -> None:
-        """Discard the broken executor; the next submit starts a fresh one."""
-        self.shutdown()
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
 
 
 def _prune_arity(
@@ -651,16 +606,13 @@ def _plan_arity_serial(
 
 
 def _plan_arity_parallel(
-    pool: _PoolManager,
-    graph: ConstraintGraph,
-    library: CommunicationLibrary,
+    pool: WorkerPool,
     names: Sequence[str],
     survivors_k: Sequence[Tuple[int, ...]],
     k: int,
     stats: GenerationStats,
     candidates: List[Candidate],
     tracker: BudgetTracker,
-    polish_placement: bool,
     journal: Optional[CheckpointJournal] = None,
 ) -> bool:
     """Fan one arity's placement problems out over the worker pool.
@@ -671,15 +623,13 @@ def _plan_arity_parallel(
     is consumed, and on truncation the pending chunks are cancelled.
 
     Chunks already present in ``journal`` are replayed without ever
-    reaching the pool.  A chunk whose worker dies (killed, segfault —
-    surfacing as :class:`BrokenProcessPool`) is recovered: the pool is
-    rebuilt, the lost chunk and every still-pending chunk are
-    re-dispatched, and on a second death of the same chunk it is solved
-    in-process — so worker loss degrades throughput, never the result.
+    reaching the pool.  Every dispatch consults the
+    ``pool.dispatch.k{k}`` fault site; a chunk whose worker dies is
+    recovered by the pool's ladder, so worker loss degrades
+    throughput, never the result.
     """
     tracer = current_tracer()
-    groups = [tuple(names[i] for i in subset) for subset in survivors_k]
-    chunks = _chunked(groups)
+    chunks = _chunked([tuple(names[i] for i in subset) for subset in survivors_k])
 
     cached: Dict[int, List[Optional[MergingPlan]]] = {}
     if journal is not None:
@@ -688,37 +638,16 @@ def _plan_arity_parallel(
             if plans is not None:
                 cached[index] = plans
 
-    futures: Dict[int, Future] = {}
-
-    def _dispatch(index: int, allow_fault: bool) -> None:
-        crash = False
-        if allow_fault:
-            try:
-                fault_point(f"pool.dispatch.k{k}")
-            except WorkerCrashFault:
-                crash = True  # poison this chunk: its worker will die mid-chunk
-        futures[index] = pool.submit(_pool_plan_chunk, chunks[index], crash)
-
-    def _redispatch_pending(after: int) -> None:
-        for index in sorted(i for i in futures if i > after):
-            futures[index] = pool.submit(_pool_plan_chunk, chunks[index], False)
-
-    def _recover() -> None:
-        stats.worker_recoveries += 1
-        tracer.count_local("pool.worker_recoveries")
-        pool.rebuild()
-
-    for index in range(len(chunks)):
+    pool.site = f"pool.dispatch.k{k}"
+    for index, chunk in enumerate(chunks):
         if index not in cached:
-            _dispatch(index, allow_fault=True)
+            pool.submit(index, chunk)
 
     for pos in range(len(chunks)):
         try:
             tracker.checkpoint("candidates.plan", force=True)
         except BudgetExceeded:
-            for index, pending in futures.items():
-                if index >= pos:
-                    pending.cancel()
+            pool.cancel()
             stats.budget_truncated = True
             return False
         if pos in cached:
@@ -727,26 +656,7 @@ def _plan_arity_parallel(
             for plan in plans:
                 _record_plan_outcome(tracer, k, plan)
         else:
-            try:
-                plans, snapshot = futures[pos].result()
-            except BrokenProcessPool:
-                _recover()
-                futures[pos] = pool.submit(_pool_plan_chunk, chunks[pos], False)
-                _redispatch_pending(pos)
-                try:
-                    plans, snapshot = futures[pos].result()
-                except BrokenProcessPool:
-                    # twice-lost chunk: solve it here, serially — the
-                    # one path that cannot be killed by a worker.
-                    _recover()
-                    _redispatch_pending(pos)
-                    snapshot = None
-                    plans = build_merging_plans_batch(
-                        graph, chunks[pos], library,
-                        polish_placement=polish_placement,
-                    )
-                    for plan in plans:
-                        _record_plan_outcome(tracer, k, plan)
+            plans, snapshot = pool.result(pos)
             if snapshot is not None:
                 # Plan-outcome counters were accumulated in the worker;
                 # the absorbed snapshots sum to exactly the serial totals.
@@ -766,7 +676,7 @@ def _enumerate_mergings(
     stats: GenerationStats,
     polish_placement: bool = True,
     tracker: Optional[BudgetTracker] = None,
-    pool: Optional[_PoolManager] = None,
+    pool: Optional[WorkerPool] = None,
     journal: Optional[CheckpointJournal] = None,
 ) -> List[Candidate]:
     """The main loop of Figure 2: increasing K, shrinking active set.
@@ -814,8 +724,8 @@ def _enumerate_mergings(
             with tracer.span("candidates.plan", k=k, survivors=len(survivors_k)):
                 if pool is not None:
                     completed = _plan_arity_parallel(
-                        pool, graph, library, names, survivors_k, k, stats,
-                        candidates, tracker, polish_placement, journal=journal,
+                        pool, names, survivors_k, k, stats, candidates, tracker,
+                        journal=journal,
                     )
                 else:
                     completed = _plan_arity_serial(

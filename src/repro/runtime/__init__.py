@@ -11,7 +11,14 @@
   ``bnb -> ilp -> greedy`` with per-stage timeouts and retry;
 - :mod:`repro.runtime.checkpoint` — the crash-tolerant
   :class:`CheckpointJournal` (append-only, CRC-checked) that lets a
-  killed run resume with an identical result.
+  killed run resume with an identical result;
+- :mod:`repro.runtime.records` — the one CRC-tagged JSON-lines record
+  codec, shared by the journal, the persistent cache and the result
+  streams;
+- :mod:`repro.runtime.pool` — :class:`~repro.runtime.pool.WorkerPool`,
+  the one self-healing process pool, shared by candidate generation,
+  batch mode and the server (imported from its module: it builds on
+  :mod:`repro.core.cache`, which this package must not load eagerly).
 
 ``Supervisor``/``RetryPolicy`` are loaded lazily: the covering solvers
 import this package for checkpoints, and the supervisor imports the

@@ -17,11 +17,12 @@ makes completed work survive the process:
 - **solution records** — the final cover, so a resume after the
   covering step completed replays it outright.
 
-File format: one JSON line per record, ``{"crc": ..., "kind": ...,
-"seq": ..., "payload": ...}`` where ``crc`` is the CRC-32 of the
-canonical JSON of the other three fields.  The header (first record) is
-written via atomic write-temp-fsync-rename; every append is flushed and
-fsynced before the journal reports the work unit as durable.  On load,
+File format: one :mod:`repro.runtime.records` line per record,
+``{"crc": ..., "kind": ..., "seq": ..., "payload": ...}`` where ``crc``
+is the CRC-32 of the canonical JSON of the other three fields.  The
+header (first record) is written via atomic write-temp-fsync-rename;
+every append is flushed and fsynced before the journal reports the
+work unit as durable.  On load,
 the first record whose line is incomplete, whose CRC mismatches, or
 whose sequence number breaks monotonicity marks the start of a
 **corrupted tail**: everything from there is reported (:attr:`~
@@ -35,26 +36,31 @@ objective.  Resuming against a different instance raises
 :class:`~repro.core.exceptions.CheckpointIncompatibleError` (CLI exit
 code 6).
 
-Plans inside chunk records are pickled (they are arbitrary plan
-objects; the same representation already crosses the worker-pool
-boundary).  The CRC guards against corruption; the journal is a local,
-same-trust-boundary file — do not resume journals from untrusted
-sources.
+Plans inside chunk records are the codec's pickle+base64 payloads
+(they are arbitrary plan objects; the same representation already
+crosses the worker-pool boundary).  The CRC guards against corruption;
+the journal is a local, same-trust-boundary file — do not resume
+journals from untrusted sources.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import io
 import json
 import os
-import pickle
-import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.exceptions import CheckpointError, CheckpointIncompatibleError
+from .records import (
+    CorruptRecord,
+    canonical_json,
+    encode_line,
+    pack_payload,
+    parse_line,
+    unpack_payload,
+)
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -65,14 +71,6 @@ __all__ = [
 
 #: bump on any incompatible change to the record schema.
 JOURNAL_VERSION = 1
-
-
-def _canonical(record: Dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def _crc(record: Dict[str, Any]) -> str:
-    return format(zlib.crc32(_canonical(record).encode("utf-8")), "08x")
 
 
 def instance_fingerprint(graph, library, options=None) -> str:
@@ -92,7 +90,7 @@ def instance_fingerprint(graph, library, options=None) -> str:
     }
     if options is not None:
         doc["options"] = options.result_shaping()
-    digest = hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
     return digest
 
 
@@ -186,8 +184,7 @@ class CheckpointJournal:
             "seq": 0,
             "payload": {"version": JOURNAL_VERSION, "fingerprint": self.fingerprint},
         }
-        line = _canonical(dict(header, crc=_crc(header))) + "\n"
-        atomic_write(self.path, line)
+        atomic_write(self.path, encode_line(header))
         self._seq = 1
         self._handle = open(self.path, "ab")
 
@@ -216,18 +213,10 @@ class CheckpointJournal:
             if newline < 0:
                 self._set_tail_report(index, "truncated mid-record (no final newline)")
                 break
-            line = raw[offset : newline + 1]
             try:
-                record = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self._set_tail_report(index, "unparseable record")
-                break
-            if not isinstance(record, dict) or "crc" not in record:
-                self._set_tail_report(index, "record is not an object with a crc")
-                break
-            crc = record.pop("crc")
-            if _crc(record) != crc:
-                self._set_tail_report(index, "checksum mismatch")
+                record = parse_line(raw[offset:newline])
+            except CorruptRecord as exc:
+                self._set_tail_report(index, str(exc))
                 break
             if record.get("seq") != expected_seq:
                 self._set_tail_report(
@@ -308,10 +297,10 @@ class CheckpointJournal:
             raise CheckpointError(f"{self.path}: journal is closed")
         record = {"kind": kind, "seq": self._seq, "payload": payload}
         try:
-            line = _canonical(dict(record, crc=_crc(record))) + "\n"
+            line = encode_line(record)
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"cannot serialize {kind!r} record: {exc}") from exc
-        self._handle.write(line.encode("utf-8"))
+        self._handle.write(line)
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._seq += 1
@@ -332,7 +321,7 @@ class CheckpointJournal:
         if payload is None:
             return None
         try:
-            plans = pickle.loads(base64.b64decode(payload))
+            plans = unpack_payload(payload)
         except Exception:  # noqa: BLE001 - any unpickling failure ⇒ recompute
             return None
         if not isinstance(plans, list) or len(plans) != len(groups):
@@ -348,9 +337,7 @@ class CheckpointJournal:
             "k": k,
             "index": index,
             "groups": _groups_digest(groups),
-            "plans": base64.b64encode(
-                pickle.dumps(list(plans), protocol=pickle.HIGHEST_PROTOCOL)
-            ).decode("ascii"),
+            "plans": pack_payload(list(plans)),
         }
         self._append("chunk", payload)
         self._chunks[(k, index, payload["groups"])] = payload["plans"]

@@ -13,8 +13,8 @@ robustness envelope is the product:
   :class:`~repro.runtime.budget.Budget` deadline through the
   Supervisor's anytime bnb → ilp → greedy chain; the response reports
   the :class:`~repro.runtime.report.DegradationReport` quality;
-- **fault containment** — solves run in a self-healing process pool
-  (the ladder of :mod:`repro.batch.runner`): a dead worker rebuilds the
+- **fault containment** — solves run in the self-healing
+  :class:`~repro.runtime.pool.WorkerPool`: a dead worker rebuilds the
   pool and re-dispatches, a twice-lost request is solved in-process;
   a watchdog kills workers stuck past their request's deadline; an
   accepted request always terminates in an ok/degraded/failed record;
@@ -41,23 +41,25 @@ import asyncio
 import contextlib
 import itertools
 import json
-import os
 import shutil
 import signal
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
-from ..batch.runner import _emit, _instance_sha, _solve_one
+from ..batch.runner import _instance_sha
+from ..batch.scheduler import solve_one
+from ..batch.stream import ResultStream
 from ..core.cache import PersistentCache, persistent_cache
 from ..core.synthesis import SynthesisOptions
-from ..runtime.faults import FaultInjector, FaultSpec, WorkerCrashFault, fault_point
+from ..runtime.faults import FaultInjector, FaultSpec
+from ..runtime.pool import WorkerLost, WorkerPool
+from ..runtime.records import decode_line
 from ..runtime.supervisor import RetryPolicy
 from .admission import AdmissionController, AdmissionPolicy
 from .protocol import (
@@ -218,49 +220,10 @@ class _Request:
         return self.submit.name or self.id
 
 
-# ----------------------------------------------------------------------
-# pool-worker side (module level: must pickle)
-# ----------------------------------------------------------------------
-
-
-def _serve_worker_init(
-    cache_dir: Optional[str], fault_specs: Tuple[FaultSpec, ...], fault_seed: int
-) -> None:
-    """Per-worker setup: a cache handle on the shared directory, plus —
-    for chaos tests — a fault injector active for the worker's life."""
-    from ..core.cache import set_persistent_cache
-
-    set_persistent_cache(PersistentCache(cache_dir) if cache_dir else None)
-    if fault_specs:
-        FaultInjector(list(fault_specs), seed=fault_seed).__enter__()
-
-
-def _serve_solve(
-    name: str,
-    path_str: str,
-    options: SynthesisOptions,
-    deadline: Optional[float],
-    sha: str,
-    trace: bool,
-    poison: bool,
-) -> Dict[str, Any]:
-    """The unit of pool work: :func:`repro.batch.runner._solve_one`.
-
-    ``poison=True`` (a parent-side ``worker_crash`` fault at the
-    ``serve.dispatch`` site) kills this worker abruptly mid-request —
-    the honest stand-in for a segfault or OOM kill — exercising the
-    rebuild → re-dispatch → in-process recovery ladder end to end.
-    """
-    if poison:
-        os._exit(13)
-    return _solve_one(name, path_str, options, deadline, sha, trace=trace)
-
-
-def _warmup() -> int:
-    """No-op pool task: forces worker processes to spawn eagerly, so
-    the first real request pays no fork latency and the watchdog/drain
-    paths have live pids to act on from the start."""
-    return os.getpid()
+def _install_faults(fault_specs: Tuple[FaultSpec, ...], fault_seed: int) -> None:
+    """Pool-worker initializer for chaos runs: a fault injector active
+    for the worker's whole life."""
+    FaultInjector(list(fault_specs), seed=fault_seed).__enter__()
 
 
 # ----------------------------------------------------------------------
@@ -285,12 +248,15 @@ class SynthesisServer:
         self.port: Optional[int] = None
         self._ids = itertools.count(1)
         self._running: Dict[str, _Request] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_gen = 0
-        self._pool_lock: Optional[asyncio.Lock] = None
+        cfg = self.config
+        self._pool = WorkerPool(
+            cfg.workers, solve_one, site="serve.dispatch", cache_dir=cfg.cache_dir,
+            initializer=_install_faults if cfg.fault_plan else None,
+            initargs=(tuple(cfg.fault_plan), cfg.fault_seed),
+        )
         self._inproc: Optional[ThreadPoolExecutor] = None
         self._parent_store: Optional[PersistentCache] = None
-        self._results_stream: Optional[TextIO] = None
+        self._results_stream: Optional[ResultStream] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._tasks: List[asyncio.Task] = []
         self._conn_tasks: "set[asyncio.Task]" = set()
@@ -316,13 +282,11 @@ class SynthesisServer:
         if cfg.cache_dir:
             self._parent_store = PersistentCache(cfg.cache_dir)
         if cfg.results_path:
-            results = Path(cfg.results_path)
-            results.parent.mkdir(parents=True, exist_ok=True)
-            self._results_stream = open(results, "a")
+            # resume=True heals a torn tail, so the next record starts clean
+            self._results_stream = ResultStream(cfg.results_path, resume=True)
         self._dispatch_wakeup = asyncio.Event()
         self._drained = asyncio.Event()
-        self._pool_lock = asyncio.Lock()
-        self._ensure_pool()  # warm the workers before the first request
+        self._pool.warm()  # spawn the workers before the first request
         self._server = await asyncio.start_server(self._on_connection, cfg.host, cfg.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._tasks = [
@@ -371,7 +335,7 @@ class SynthesisServer:
         for _client, request in self.scheduler.drain():
             self.admission.release(request.submit.client)
             self._finish(request, self._abandon_record(request, "queued"))
-        self._kill_pool_workers()
+        self._pool.kill_workers()
         self._maybe_finish_drain()
 
     def _maybe_finish_drain(self) -> None:
@@ -397,15 +361,12 @@ class SynthesisServer:
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
-        if self._pool is not None:
-            # wait=True joins every worker: no orphan processes survive
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        # wait=True joins every worker: no orphan processes survive
+        self._pool.shutdown(wait=True)
         if self._inproc is not None:
             self._inproc.shutdown(wait=True)
             self._inproc = None
         if self._results_stream is not None:
-            self._results_stream.flush()
             self._results_stream.close()
             self._results_stream = None
         if self._parent_store is not None:
@@ -415,46 +376,8 @@ class SynthesisServer:
             shutil.rmtree(self._spool, ignore_errors=True)
 
     # ------------------------------------------------------------------
-    # pool management
+    # in-process lane
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                initializer=_serve_worker_init,
-                initargs=(self.config.cache_dir, tuple(self.config.fault_plan),
-                          self.config.fault_seed),
-            )
-            # each submit spawns one more process until max_workers exist
-            for _ in range(self.config.workers):
-                self._pool.submit(_warmup)
-        return self._pool
-
-    async def _note_pool_broken(self, seen_gen: int) -> None:
-        """First caller per generation rebuilds; the rest just re-dispatch."""
-        assert self._pool_lock is not None
-        async with self._pool_lock:
-            if self._pool_gen != seen_gen:
-                return
-            self._pool_gen += 1
-            self.stats.worker_recoveries += 1
-            broken, self._pool = self._pool, None
-            if broken is not None:
-                broken.shutdown(wait=False, cancel_futures=True)
-
-    def _kill_pool_workers(self) -> None:
-        """Forcibly kill every worker (watchdog / drain-grace path).
-
-        The killed processes break the pool; every pending solve raises
-        :class:`BrokenProcessPool` and re-enters the recovery ladder.
-        """
-        pool = self._pool
-        if pool is None:
-            return
-        for process in list(getattr(pool, "_processes", {}).values()):
-            with contextlib.suppress(Exception):
-                process.kill()
-
     def _ensure_inproc(self) -> ThreadPoolExecutor:
         # one thread: in-process solves share the parent cache handle,
         # which is not thread-safe — serialization is the safety proof
@@ -464,9 +387,9 @@ class SynthesisServer:
 
     def _inproc_solve(self, request: _Request, trace: bool) -> Dict[str, Any]:
         with persistent_cache(self._parent_store):
-            return _solve_one(
+            return solve_one(
                 request.name, str(request.path), request.options,
-                request.deadline_s, request.sha, trace=trace,
+                request.deadline_s, request.sha, trace,
             )
 
     # ------------------------------------------------------------------
@@ -489,14 +412,6 @@ class SynthesisServer:
                 self._running[request.id] = request
                 asyncio.create_task(self._run_request(request), name=f"serve-{request.id}")
 
-    def _poisoned(self, request: _Request) -> bool:
-        """Consult the parent-side fault plan at the dispatch site."""
-        try:
-            fault_point("serve.dispatch")
-            return False
-        except WorkerCrashFault:
-            return True
-
     async def _run_request(self, request: _Request) -> None:
         loop = asyncio.get_running_loop()
         request.phase = "running"
@@ -504,28 +419,8 @@ class SynthesisServer:
         trace = request.submit.trace or request.submit.stream
         record: Optional[Dict[str, Any]] = None
         try:
-            for attempt in (1, 2):
-                if self._abandoning:
-                    break
-                request.attempts = attempt
-                request.attempt_started_at = time.monotonic()
-                gen = self._pool_gen
-                # consulted per dispatch: a chaos plan can poison the
-                # re-dispatch too (repeated-crash recovery is a tested path)
-                poison = self._poisoned(request)
-                try:
-                    record = await loop.run_in_executor(
-                        self._ensure_pool(),
-                        partial(
-                            _serve_solve, request.name, str(request.path),
-                            request.options, request.deadline_s, request.sha,
-                            trace, poison,
-                        ),
-                    )
-                    break
-                except BrokenProcessPool:
-                    request.recoveries += 1
-                    await self._note_pool_broken(gen)
+            if not self._abandoning:
+                record = await self._pool_solve(request, trace)
             if record is None and not self._abandoning:
                 # twice-lost request: the one lane a worker cannot kill
                 self.stats.inprocess_solves += 1
@@ -543,6 +438,34 @@ class SynthesisServer:
         if record is None:
             record = self._abandon_record(request, "running")
         self._finish(request, record)
+
+    async def _pool_solve(self, request: _Request, trace: bool) -> Optional[Dict[str, Any]]:
+        """Await the request's pool solve; ``None`` when it was lost
+        twice (the pool hands it back) or the drain grace ran out."""
+        pool = self._pool
+        request.attempts = 1
+        request.attempt_started_at = time.monotonic()
+        pool.submit(
+            request.id, request.name, str(request.path), request.options,
+            request.deadline_s, request.sha, trace,
+        )
+        try:
+            while True:
+                future = pool.future(request.id)
+                try:
+                    return await asyncio.wrap_future(future)
+                except WorkerLost:
+                    request.recoveries += 1
+                    if self._abandoning:
+                        return None
+                    rescue = pool.lost(request.id, future)
+                    self.stats.worker_recoveries = pool.recoveries
+                    if rescue:
+                        return None
+                    request.attempts += 1
+                    request.attempt_started_at = time.monotonic()
+        finally:
+            pool.discard(request.id)
 
     def _abandon_record(self, request: _Request, where: str) -> Dict[str, Any]:
         return {
@@ -570,7 +493,7 @@ class SynthesisServer:
         self.admission.observe_service(float(record.get("elapsed_s") or 0.0))
         self.stats.absorb_record(record)
         if self._results_stream is not None:
-            _emit(self._results_stream, record)
+            self._results_stream.emit(record)
         if not request.done.done():
             request.done.set_result(record)
         for path in (request.path, request.journal_path):
@@ -609,12 +532,9 @@ class SynthesisServer:
         """
         while True:
             await asyncio.sleep(self.config.watchdog_interval_s)
-            if self._pool is None:
-                continue
-            stuck = self._stuck_requests(time.monotonic())
-            if stuck:
+            if self._stuck_requests(time.monotonic()):
                 self.stats.watchdog_kills += 1
-                self._kill_pool_workers()
+                self._pool.kill_workers()
 
     # ------------------------------------------------------------------
     # HTTP surface
@@ -832,9 +752,8 @@ def _journal_events(
     """New incumbent events from a request's (possibly torn) journal tail.
 
     Reads complete lines past ``offset`` only; a torn final line stays
-    unconsumed until the worker finishes writing it.  Unparseable lines
-    are skipped — the journal's own CRC machinery governs correctness,
-    the stream is a best-effort live feed.
+    unconsumed until the worker finishes writing it.  Lines that are not
+    intact records are skipped — the stream is a best-effort live feed.
     """
     if path is None:
         return [], offset, best_weight
@@ -850,11 +769,8 @@ def _journal_events(
         if not line.endswith(b"\n"):
             break
         consumed += len(line)
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            continue
-        if not isinstance(record, dict) or record.get("kind") != "incumbent":
+        record = decode_line(line)
+        if record is None or record.get("kind") != "incumbent":
             continue
         payload = record.get("payload") or {}
         weight = payload.get("weight")

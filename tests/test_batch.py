@@ -16,13 +16,15 @@ from pathlib import Path
 import pytest
 
 from repro.batch import discover_corpus, run_batch, stable_result_dict
-from repro.batch.runner import _crc
 from repro.cli import main as cli_main
 from repro.core import SynthesisOptions, synthesize
 from repro.core.exceptions import InstanceFormatError
 from repro.domains import wan_example
 from repro.io import load_instance, save_instance
 from repro.netgen import clustered_graph, two_tier_library
+from repro.obs import Tracer, tracing
+from repro.runtime import FaultInjector, FaultSpec
+from repro.runtime.records import record_crc
 
 
 def _make_corpus(directory: Path, count: int = 4, start_seed: int = 0) -> Path:
@@ -117,6 +119,33 @@ def test_batch_results_identical_to_solo_synthesis(tmp_path, jobs):
         assert record["cost"] == pytest.approx(solo.total_cost)
 
 
+# ----------------------------------------------------------------------
+# pool worker death: the batch.dispatch fault site
+# ----------------------------------------------------------------------
+
+
+def test_pool_worker_crash_recovers_with_identical_records(tmp_path):
+    corpus = discover_corpus(_make_corpus(tmp_path / "c", count=3))
+    clean = run_batch(corpus, jobs=2, results_path=tmp_path / "clean.jsonl")
+    spec = FaultSpec(site="batch.dispatch", kind="worker_crash", times=1)
+    with FaultInjector([spec]):
+        crashed = run_batch(corpus, jobs=2, results_path=tmp_path / "crashed.jsonl")
+    assert crashed.ok and crashed.worker_recoveries == 1
+    assert [r["result"] for r in crashed.records] == [r["result"] for r in clean.records]
+
+
+def test_twice_lost_instances_are_solved_in_process(tmp_path):
+    corpus = discover_corpus(_make_corpus(tmp_path / "c", count=3))
+    clean = run_batch(corpus, jobs=2, results_path=tmp_path / "clean.jsonl")
+    spec = FaultSpec(site="batch.dispatch", kind="worker_crash")  # every dispatch
+    tracer = Tracer(label="rescue")
+    with tracing(tracer), FaultInjector([spec]):
+        crashed = run_batch(corpus, jobs=2, results_path=tmp_path / "crashed.jsonl")
+    assert crashed.ok and crashed.worker_recoveries >= len(corpus)
+    assert tracer.local_counters.get("pool.inprocess_rescues", 0) == len(corpus)
+    assert [r["result"] for r in crashed.records] == [r["result"] for r in clean.records]
+
+
 def test_result_stream_records_are_crc_tagged(tmp_path):
     corpus = discover_corpus(_make_corpus(tmp_path / "c", count=2))
     results = tmp_path / "r.jsonl"
@@ -126,7 +155,7 @@ def test_result_stream_records_are_crc_tagged(tmp_path):
     for line in lines:
         record = json.loads(line)
         crc = record.pop("crc")
-        assert _crc(record) == crc
+        assert record_crc(record) == crc
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +210,7 @@ def test_resume_survives_a_torn_results_tail(tmp_path):
         except json.JSONDecodeError:
             continue
         crc = record.pop("crc", None)
-        if crc is not None and _crc(record) == crc:
+        if crc is not None and record_crc(record) == crc:
             valid.append(record["name"])
     assert valid == ["inst00", "inst01"]
 

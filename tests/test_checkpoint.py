@@ -115,9 +115,9 @@ def test_version_mismatch_raises(tmp_path):
     record = json.loads(path.read_text().splitlines()[0])
     record["payload"]["version"] = JOURNAL_VERSION + 1
     record.pop("crc")
-    from repro.runtime.checkpoint import _canonical, _crc
+    from repro.runtime.records import encode_line
 
-    path.write_text(_canonical(dict(record, crc=_crc(record))) + "\n")
+    path.write_bytes(encode_line(record))
     with pytest.raises(CheckpointIncompatibleError):
         CheckpointJournal.open(path, "fp", resume=True)
 

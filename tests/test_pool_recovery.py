@@ -11,6 +11,8 @@ degradation report.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import (
@@ -26,6 +28,7 @@ from repro.runtime import fault_point
 from repro.domains import mpeg4_example
 from repro.domains.mpeg4 import MPEG4_MAX_ARITY
 from repro.obs import Tracer, tracing
+from repro.runtime.pool import WorkerLost, WorkerPool
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +66,12 @@ def test_repeated_crashes_fall_back_to_serial_solve(mpeg4):
     graph, library = mpeg4
     clean = generate_candidates(graph, library, max_arity=MPEG4_MAX_ARITY, jobs=2)
     spec = FaultSpec(site="pool.dispatch.*", kind="worker_crash")  # every dispatch
-    with FaultInjector([spec], seed=0):
+    tracer = Tracer(label="rescue")
+    with tracing(tracer), FaultInjector([spec], seed=0):
         crashed = generate_candidates(graph, library, max_arity=MPEG4_MAX_ARITY, jobs=2)
     assert _candidate_key(clean) == _candidate_key(crashed)
     assert crashed.stats.worker_recoveries >= 1
+    assert tracer.local_counters.get("pool.inprocess_rescues", 0) >= 1
 
 
 def test_recoveries_reach_the_degradation_report(mpeg4, tmp_path):
@@ -123,3 +128,48 @@ def test_worker_crash_fault_is_not_a_synthesis_error():
     from repro import SynthesisError
 
     assert not issubclass(WorkerCrashFault, SynthesisError)
+
+
+# ----------------------------------------------------------------------
+# the pool itself
+# ----------------------------------------------------------------------
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def test_one_rebuild_per_broken_pool():
+    """Two tasks lost to the same dead worker: the first report rebuilds
+    and re-dispatches both, the second finds its task already moved."""
+    pool = WorkerPool(2, _nap, site="test.dispatch")
+    try:
+        with FaultInjector([FaultSpec(site="test.dispatch", kind="worker_crash", times=1)]):
+            pool.submit("a", 0)  # poisoned: its worker exits at once
+            pool.submit("b", 60)
+        lost = {key: pool.future(key) for key in ("a", "b")}
+        for future in lost.values():
+            with pytest.raises(WorkerLost):
+                future.result(timeout=60)
+        assert pool.lost("a", lost["a"]) is False
+        assert pool.lost("b", lost["b"]) is False
+        assert pool.recoveries == 1
+        assert pool.result("a") == 0
+    finally:
+        pool.kill_workers()
+        pool.shutdown(wait=True)
+
+
+def test_submission_to_a_pool_that_just_broke_is_recovered():
+    pool = WorkerPool(1, _nap, site="test.dispatch")
+    try:
+        with FaultInjector([FaultSpec(site="test.dispatch", kind="worker_crash", times=1)]):
+            pool.submit(0, 0)  # poisoned
+            with pytest.raises(WorkerLost):
+                pool.future(0).result(timeout=60)
+            pool.submit(1, 0)  # the executor is already broken
+        assert pool.result(0) == 0 and pool.result(1) == 0
+        assert pool.recoveries == 1
+    finally:
+        pool.shutdown(wait=True)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.batch import stable_result_dict
+from repro.batch import ResultStream, load_stream_records, stable_result_dict
 from repro.core import SynthesisOptions, synthesize
 from repro.io import load_instance, save_instance
 from repro.netgen import clustered_graph, two_tier_library
@@ -486,3 +486,17 @@ class TestDrain:
         assert json.dumps(warm["result"], sort_keys=True) == json.dumps(
             cold["result"], sort_keys=True
         )
+
+    def test_first_record_after_a_torn_results_tail_survives(self, instance_doc, tmp_path):
+        # a crash mid-append left a torn fragment after one intact record;
+        # the restarted server's first record must not be glued onto it
+        results = tmp_path / "served.jsonl"
+        with ResultStream(results) as stream:
+            stream.emit({"name": "a", "status": "ok"})
+        with open(results, "ab") as handle:
+            handle.write(b'{"crc":"1234","name":"b","sta')
+        cfg = ServeConfig(port=0, workers=1, results_path=str(results))
+        with ServerThread(cfg) as handle:
+            status, record, _ = _submit(handle.port, {"instance": instance_doc, "name": "c"})
+            assert status == 200 and record["status"] == "ok"
+        assert [r["name"] for r in load_stream_records(results)] == ["a", "c"]

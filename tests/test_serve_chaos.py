@@ -69,8 +69,8 @@ def _wait_admitted(port, count, timeout=10.0):
 
 
 def _pool_pids(handle):
-    pool = handle.server._pool
-    return [] if pool is None else [p.pid for p in pool._processes.values()]
+    executor = handle.server._pool._executor
+    return [] if executor is None else [p.pid for p in executor._processes.values()]
 
 
 def _assert_all_dead(pids):
