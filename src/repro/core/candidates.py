@@ -35,16 +35,16 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..obs import TracerLike, Tracer, TraceSnapshot, current_tracer, tracing
+from ..obs import Span, TracerLike, Tracer, TraceSnapshot, current_tracer, tracing
 from ..runtime.budget import Budget, BudgetTracker, as_tracker
 from ..runtime.checkpoint import CheckpointJournal
 from ..runtime.pool import WorkerPool
 from .cache import current_persistent_cache
-from .constraint_graph import ConstraintGraph
+from .constraint_graph import Arc, ConstraintGraph
 from .exceptions import BudgetExceeded, InfeasibleError
 from .library import CommunicationLibrary
 from .matrices import ArcMatrices, IncrementalArcMatrices, compute_matrices
@@ -201,6 +201,50 @@ class CandidateSet:
         return [c for c in self.mergings if c.k == k]
 
 
+def _singleton(
+    arc: Arc, library: CommunicationLibrary, heterogeneous: bool, hop_penalty: float
+) -> Candidate:
+    """``arc``'s singleton column: its optimum point-to-point plan (or,
+    with ``heterogeneous``, a cheaper mixed-link-type chain), weighted
+    with ``hop_penalty`` per hop like every merging."""
+    plan: Union[PointToPointPlan, MixedChainPlan]
+    plan = best_point_to_point(arc.distance, arc.bandwidth, library)
+    if heterogeneous:
+        try:
+            mixed = best_mixed_segmentation(arc.distance, arc.bandwidth, library)
+            if mixed.cost < plan.cost - 1e-12:
+                plan = mixed
+        except InfeasibleError:
+            pass  # e.g. bandwidth needs duplication — keep the homogeneous plan
+    return Candidate(
+        arc_names=(arc.name,), cost=plan.cost + hop_penalty * plan.max_hops, plan=plan
+    )
+
+
+def _admit_merging(
+    plan: MergingPlan,
+    singles: Mapping[str, float],
+    max_merge_hops: Optional[int],
+    hop_penalty: float,
+    drop_dominated: bool,
+    stats: Optional[GenerationStats] = None,
+) -> Optional[Candidate]:
+    """Whether a planned merging becomes a covering column, and at what
+    weight: ``None`` when its worst path exceeds ``max_merge_hops``
+    (counted in ``stats.pruned_hops``) or, with ``drop_dominated``, its
+    penalized cost is no lower than its members' singleton weights in
+    ``singles``; else the candidate weighted ``cost + hop_penalty x
+    max_hops``."""
+    if max_merge_hops is not None and plan.max_hops > max_merge_hops:
+        if stats is not None:
+            stats.pruned_hops += 1
+        return None
+    cost = plan.cost + hop_penalty * plan.max_hops
+    if drop_dominated and cost >= sum(singles[a] for a in plan.arc_names) - 1e-12:
+        return None
+    return Candidate(arc_names=plan.arc_names, cost=cost, plan=plan)
+
+
 def generate_candidates(
     graph: ConstraintGraph,
     library: CommunicationLibrary,
@@ -271,6 +315,8 @@ def generate_candidates(
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be a positive worker count, got {jobs}")
+    if hop_penalty < 0:
+        raise ValueError(f"hop_penalty must be nonnegative, got {hop_penalty}")
     if jobs is not None and jobs > 1:
         cores = _cpu_count()
         if jobs > cores:
@@ -292,26 +338,14 @@ def generate_candidates(
     ) as gen_span:
         tracer.gauge("candidates.effective_jobs", float(jobs or 1))
         p2p_candidates: List[Candidate] = []
-        p2p_cost: Dict[str, float] = {}
         with tracer.span("candidates.p2p", arcs=n):
             for arc in arcs:
                 tracker.checkpoint("candidates.p2p")
                 tracer.count("candidates.p2p.plans")
-                plan: Union[PointToPointPlan, MixedChainPlan]
-                plan = best_point_to_point(arc.distance, arc.bandwidth, library)
-                if heterogeneous:
-                    try:
-                        mixed = best_mixed_segmentation(arc.distance, arc.bandwidth, library)
-                        if mixed.cost < plan.cost - 1e-12:
-                            plan = mixed
-                    except InfeasibleError:
-                        pass  # e.g. bandwidth needs duplication — keep the homogeneous plan
-                p2p_cost[arc.name] = plan.cost
-                p2p_candidates.append(
-                    Candidate(arc_names=(arc.name,), cost=plan.cost, plan=plan)
-                )
+                p2p_candidates.append(_singleton(arc, library, heterogeneous, hop_penalty))
+        p2p_cost = {c.arc_names[0]: c.cost for c in p2p_candidates}
 
-        mergings: List[Candidate] = []
+        plans: List[MergingPlan] = []
         if n >= 2:
             matrices = IncrementalArcMatrices(graph)
             pool: Optional[WorkerPool] = None
@@ -325,7 +359,7 @@ def generate_candidates(
                         initargs=(graph, library, polish_placement, tracer.enabled),
                         rescue=partial(_plan_chunk_here, graph, library, polish_placement),
                     )
-                mergings = _enumerate_mergings(
+                plans = _enumerate_mergings(
                     graph, library, matrices, pruning, max_arity, stats, polish_placement,
                     tracker=tracker, pool=pool, journal=journal,
                 )
@@ -334,39 +368,15 @@ def generate_candidates(
                     stats.worker_recoveries = pool.recoveries
                     pool.shutdown()
 
+        mergings: List[Candidate] = []
+        for merge_plan in plans:
+            candidate = _admit_merging(
+                merge_plan, p2p_cost, max_merge_hops, hop_penalty, drop_dominated, stats
+            )
+            if candidate is not None:
+                mergings.append(candidate)
         if max_merge_hops is not None:
-            before = len(mergings)
-            mergings = [c for c in mergings if c.plan.max_hops <= max_merge_hops]
-            stats.pruned_hops = before - len(mergings)
             tracer.count("candidates.pruned.hops", stats.pruned_hops)
-
-        if hop_penalty:
-            if hop_penalty < 0:
-                raise ValueError(f"hop_penalty must be nonnegative, got {hop_penalty}")
-            p2p_candidates = [
-                Candidate(
-                    arc_names=c.arc_names,
-                    cost=c.cost + hop_penalty * getattr(c.plan, "max_hops", 0),
-                    plan=c.plan,
-                )
-                for c in p2p_candidates
-            ]
-            mergings = [
-                Candidate(
-                    arc_names=c.arc_names,
-                    cost=c.cost + hop_penalty * c.plan.max_hops,
-                    plan=c.plan,
-                )
-                for c in mergings
-            ]
-            p2p_cost = {c.arc_names[0]: c.cost for c in p2p_candidates}
-
-        if drop_dominated:
-            mergings = [
-                c
-                for c in mergings
-                if c.cost < sum(p2p_cost[a] for a in c.arc_names) - 1e-12
-            ]
 
         gen_span.set("point_to_point", len(p2p_candidates))
         gen_span.set("mergings", len(mergings))
@@ -524,15 +534,15 @@ def _absorb_plans(
     plans: Sequence[Optional[MergingPlan]],
     k: int,
     stats: GenerationStats,
-    candidates: List[Candidate],
+    feasible: List[MergingPlan],
 ) -> None:
-    """Fold one chunk's plans into the stats and candidate list."""
+    """Fold one chunk's plans into the stats and the feasible-plan list."""
     for plan in plans:
         if plan is None:
             stats.infeasible_plans += 1
             continue
         stats.survivors_by_k[k] += 1
-        candidates.append(Candidate(arc_names=plan.arc_names, cost=plan.cost, plan=plan))
+        feasible.append(plan)
 
 
 def _chunked(groups: Sequence[Tuple[str, ...]]) -> List[List[Tuple[str, ...]]]:
@@ -548,7 +558,7 @@ def _plan_arity_serial(
     survivors_k: Sequence[Tuple[int, ...]],
     k: int,
     stats: GenerationStats,
-    candidates: List[Candidate],
+    feasible: List[MergingPlan],
     tracker: BudgetTracker,
     polish_placement: bool,
     journal: Optional[CheckpointJournal] = None,
@@ -597,11 +607,11 @@ def _plan_arity_serial(
                 # but never journal it: only *completed* chunks are
                 # durable, so a resume re-solves this one whole.
                 stats.budget_truncated = True
-                _absorb_plans(plans, k, stats, candidates)
+                _absorb_plans(plans, k, stats, feasible)
                 return False
             if journal is not None:
                 journal.record_chunk(k, index, chunk, plans)
-        _absorb_plans(plans, k, stats, candidates)
+        _absorb_plans(plans, k, stats, feasible)
     return True
 
 
@@ -611,7 +621,7 @@ def _plan_arity_parallel(
     survivors_k: Sequence[Tuple[int, ...]],
     k: int,
     stats: GenerationStats,
-    candidates: List[Candidate],
+    feasible: List[MergingPlan],
     tracker: BudgetTracker,
     journal: Optional[CheckpointJournal] = None,
 ) -> bool:
@@ -663,7 +673,7 @@ def _plan_arity_parallel(
                 tracer.absorb(snapshot)
             if journal is not None:
                 journal.record_chunk(k, pos, chunks[pos], plans)
-        _absorb_plans(plans, k, stats, candidates)
+        _absorb_plans(plans, k, stats, feasible)
     return True
 
 
@@ -678,32 +688,74 @@ def _enumerate_mergings(
     tracker: Optional[BudgetTracker] = None,
     pool: Optional[WorkerPool] = None,
     journal: Optional[CheckpointJournal] = None,
-) -> List[Candidate]:
-    """The main loop of Figure 2: increasing K, shrinking active set.
-
-    Each arity runs a vectorized pruning pass (:func:`_prune_arity`)
-    followed by the per-survivor placement solves — in-process, or
-    fanned out over ``pool`` when one is given.  Theorem 3.1 retirement
-    physically removes an arc's Γ/Δ row and column
-    (:meth:`~repro.core.matrices.IncrementalArcMatrices.remove_arcs` —
-    exact entry copies, no recomputation), so later arities gather from
-    ever-smaller matrices.  On :class:`BudgetExceeded` from a
-    checkpoint the enumeration stops and the candidates built so far
-    are returned (anytime behavior); ``stats.budget_truncated`` records
-    the cut.
+) -> List[MergingPlan]:
+    """Figure 2's merging enumeration: every pruning survivor's
+    placement solve, in-process or fanned out over ``pool`` when one is
+    given.  Returns the feasible plans, unweighted and unfiltered (the
+    journal records them raw; admission runs on the result).  On
+    :class:`BudgetExceeded` from a checkpoint the enumeration stops and
+    the plans built so far are returned (anytime behavior);
+    ``stats.budget_truncated`` records the cut.
     """
     tracker = tracker if tracker is not None else as_tracker(None)
+    tracer = current_tracer()
+    feasible: List[MergingPlan] = []
+
+    def plan(
+        k: int, names: Sequence[str], survivors_k: List[Tuple[int, ...]], arity_span: Span
+    ) -> bool:
+        stats.survivors_by_k[k] = 0
+        if not survivors_k:
+            return True
+        with tracer.span("candidates.plan", k=k, survivors=len(survivors_k)):
+            if pool is not None:
+                completed = _plan_arity_parallel(
+                    pool, names, survivors_k, k, stats, feasible, tracker, journal=journal,
+                )
+            else:
+                completed = _plan_arity_serial(
+                    graph, library, names, survivors_k, k, stats, feasible,
+                    tracker, polish_placement, journal=journal,
+                )
+        arity_span.set("generated", stats.survivors_by_k[k])
+        return completed
+
+    _figure2_arities(matrices, library, pruning, max_arity, stats, tracker, plan)
+    return feasible
+
+
+def _figure2_arities(
+    matrices: IncrementalArcMatrices,
+    library: CommunicationLibrary,
+    pruning: PruningLevel,
+    max_arity: Optional[int],
+    stats: GenerationStats,
+    tracker: BudgetTracker,
+    take: Callable[[int, Sequence[str], List[Tuple[int, ...]], Span], bool],
+) -> None:
+    """The main loop of Figure 2: increasing K, shrinking active set.
+
+    Each arity runs a vectorized pruning pass (:func:`_prune_arity`) and
+    hands its survivors — index tuples into the arity's active arc
+    names — to ``take(k, names, survivors, arity_span)``, which plans or
+    collects them and returns False to stop (budget truncation).  The
+    loop ends after the first arity without survivors.  Theorem 3.1
+    retirement then physically removes every arc in no surviving subset
+    (:meth:`~repro.core.matrices.IncrementalArcMatrices.remove_arcs` —
+    exact entry copies, no recomputation), so later arities gather from
+    ever-smaller matrices.  A budget cut inside a pruning pass ends the
+    loop with ``stats.budget_truncated`` set; the
+    :data:`MAX_ENUMERATED_SUBSETS` valve raises :class:`InfeasibleError`.
+    """
     tracer = current_tracer()
     n = matrices.size
     top = n if max_arity is None else min(max_arity, n)
     max_bw = library.max_link_bandwidth()
-
-    candidates: List[Candidate] = []
     prev_survivors: Set[FrozenSet[str]] = set()
 
     for k in range(2, top + 1):
         if matrices.size < k:
-            break
+            return
         view = matrices.view()
         names = view.arc_names
         with tracer.span("candidates.arity", k=k, active=view.size) as arity_span:
@@ -713,29 +765,15 @@ def _enumerate_mergings(
                 )
             if survivors_k is None:
                 arity_span.set("budget_truncated", True)
-                return candidates
+                return
 
             stats.pruning_survivors_by_k[k] = len(survivors_k)
-            stats.survivors_by_k[k] = 0
             arity_span.set("pruning_survivors", len(survivors_k))
-            if not survivors_k:
-                break
-
-            with tracer.span("candidates.plan", k=k, survivors=len(survivors_k)):
-                if pool is not None:
-                    completed = _plan_arity_parallel(
-                        pool, names, survivors_k, k, stats, candidates, tracker,
-                        journal=journal,
-                    )
-                else:
-                    completed = _plan_arity_serial(
-                        graph, library, names, survivors_k, k, stats, candidates,
-                        tracker, polish_placement, journal=journal,
-                    )
-            arity_span.set("generated", stats.survivors_by_k[k])
-            if not completed:
+            if not take(k, names, survivors_k, arity_span):
                 arity_span.set("budget_truncated", True)
-                return candidates
+                return
+            if not survivors_k:
+                return
 
             # Theorem 3.1: arcs in no K-way merging leave the Γ matrix
             # (row/column deletion — an incremental update, not a
@@ -749,5 +787,3 @@ def _enumerate_mergings(
             prev_survivors = {
                 frozenset(names[i] for i in s) for s in survivors_k
             }
-
-    return candidates

@@ -65,15 +65,21 @@ bandwidth):
     cover; when every survivor has been planned or dominated away the
     result is exact and ``gap_bound`` is a certified ``0.0``.
 
-Both strategies return a normal :class:`~repro.core.synthesis.
-SynthesisResult` with the extra ``decomposition`` report attached.
+Each strategy owns only how it builds its candidate universe, which
+covering engine it runs (:func:`_solve_exact`, with the
+:data:`ILP_CUTOVER_COLUMNS` cutover) and its budget policy.  The steps
+it shares with the exact pipeline run as one implementation each:
+``SynthesisOptions.candidate_args`` for generation, the Figure 2 arity
+loop and merge admission of :mod:`repro.core.candidates`, and the
+cover-and-assemble tail of :mod:`repro.core.synthesis`, which returns
+a normal :class:`~repro.core.synthesis.SynthesisResult` with the extra
+``decomposition`` report attached.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,7 +87,7 @@ from ..covering.bnb import greedy_cover, solve_cover
 from ..covering.colgen import solve_master_lp
 from ..covering.ilp import solve_ilp
 from ..covering.matrix import Column, CoverSolution, CoveringProblem
-from ..obs import current_tracer
+from ..obs import Span, current_tracer
 from ..runtime.budget import BudgetTracker, as_tracker
 from ..runtime.checkpoint import CheckpointJournal
 from ..runtime.report import DegradationReport, ResultQuality, StageAttempt
@@ -89,7 +95,8 @@ from .candidates import (
     Candidate,
     CandidateSet,
     GenerationStats,
-    _prune_arity,
+    _admit_merging,
+    _figure2_arities,
     generate_candidates,
 )
 from .constraint_graph import ConstraintGraph
@@ -98,15 +105,10 @@ from .library import CommunicationLibrary, NodeKind
 from .matrices import ArcMatrices, IncrementalArcMatrices, compute_matrices
 from .merging import build_merging_plan, stage_cost
 from .pruning import PRUNE_TOL
-from .synthesis import (
-    SynthesisResult,
-    SynthesisOptions,
-    build_covering_problem,
-    materialize_selection,
-    _replay_solution,
-    _selection_cost,
-)
-from .validation import validate
+from .synthesis import SynthesisResult, SynthesisOptions, _cover_and_assemble
+# perfbench traces these names in this module; the calls run in synthesis
+from .synthesis import build_covering_problem, materialize_selection  # noqa: F401
+from .validation import validate  # noqa: F401  (perfbench, as above)
 
 __all__ = [
     "DecompositionReport",
@@ -402,56 +404,6 @@ def _solve_exact(
         return greedy_cover(problem), True
 
 
-def _finish(
-    graph: ConstraintGraph,
-    library: CommunicationLibrary,
-    options: SynthesisOptions,
-    candidates: CandidateSet,
-    covering: CoveringProblem,
-    cover: CoverSolution,
-    report: Optional[DegradationReport],
-    decomposition: DecompositionReport,
-    journal: Optional[CheckpointJournal],
-    replayed: bool,
-    start: float,
-) -> SynthesisResult:
-    """Materialize/validate/assemble — the shared tail of both strategies."""
-    tracer = current_tracer()
-    if journal is not None and not replayed:
-        journal.record_solution(
-            stage=decomposition.strategy,
-            column_names=cover.column_names,
-            weight=cover.weight,
-            optimal=cover.optimal,
-            quality=report.quality.value if report is not None else None,
-        )
-    by_label = {c.label(): c for c in candidates.all}
-    selected = [by_label[name] for name in cover.column_names]
-    tracer.count("synthesis.selected", len(selected))
-    with tracer.span("materialize", selected=len(selected)):
-        impl = materialize_selection(graph, library, selected, name=f"{graph.name}-impl")
-    if options.validate_result:
-        with tracer.span("validate"):
-            validate(impl, graph)
-    elapsed = time.perf_counter() - start
-    if report is not None:
-        report.elapsed_s = elapsed
-        report.worker_recoveries = candidates.stats.worker_recoveries
-        report.chunks_replayed = candidates.stats.chunks_replayed
-    return SynthesisResult(
-        implementation=impl,
-        selected=selected,
-        total_cost=_selection_cost(selected),
-        candidates=candidates,
-        covering=covering,
-        cover=cover,
-        point_to_point_cost=sum(c.cost for c in candidates.point_to_point),
-        elapsed_seconds=elapsed,
-        degradation=report,
-        decomposition=decomposition,
-    )
-
-
 def _degradation_report(
     tracker: Optional[BudgetTracker],
     stage: str,
@@ -544,18 +496,8 @@ def synthesize_decomposed(
             with tracer.span("decompose.cluster", index=ci, arcs=len(names)):
                 try:
                     cs = generate_candidates(
-                        sub,
-                        library,
-                        pruning=options.pruning,
-                        max_arity=options.max_arity,
-                        drop_dominated=options.drop_dominated,
-                        heterogeneous=options.heterogeneous,
-                        max_merge_hops=options.max_merge_hops,
-                        polish_placement=options.polish_placement,
-                        hop_penalty=options.hop_penalty,
-                        budget=tracker,
-                        jobs=cluster_jobs,
-                        journal=journal,
+                        sub, library, **options.candidate_args(),
+                        budget=tracker, jobs=cluster_jobs, journal=journal,
                     )
                 except BudgetExceeded:
                     # The budget died inside this cluster's (mandatory)
@@ -575,13 +517,7 @@ def synthesize_decomposed(
                         )
                     )
                     cs = generate_candidates(
-                        sub,
-                        library,
-                        pruning=options.pruning,
-                        max_arity=1,
-                        heterogeneous=options.heterogeneous,
-                        polish_placement=options.polish_placement,
-                        hop_penalty=options.hop_penalty,
+                        sub, library, **options.candidate_args(max_arity=1)
                     )
             _merge_stats(master, cs.stats)
             for c in cs.point_to_point:
@@ -614,38 +550,34 @@ def synthesize_decomposed(
         candidates = CandidateSet(
             point_to_point=point_to_point, mergings=mergings, stats=master
         )
-        with tracer.span("covering.build"):
-            covering = build_covering_problem(graph, candidates)
-        tracer.gauge("covering.rows", covering.n_rows)
-        tracer.gauge("covering.columns", covering.n_columns)
 
-        replayed = _replay_solution(journal, covering)
-        degraded = False
-        if replayed is not None:
-            cover = replayed
-            tracer.count("checkpoint.solution_replayed")
-        else:
-            with tracer.span("covering.solve", components=0):
-                cover, degraded = _solve_components(
-                    graph, natural_labels, matrices, candidates, covering,
-                    options, tracker, attempts,
-                )
-        if degraded:
-            decomposition.certified = False
-            decomposition.gap_bound = None
-            decomposition.notes.append("covering solve degraded under budget")
-        elif forced:
-            with tracer.span("decompose.gap_bound"):
-                decomposition.gap_bound = _forced_gap_bound(
-                    graph, library, options, candidates, cover
-                )
-            if decomposition.gap_bound is None:
-                decomposition.notes.append("master LP failed; no dual bound")
+        def solve(
+            covering: CoveringProblem, replayed: Optional[CoverSolution]
+        ) -> Tuple[CoverSolution, Optional[DegradationReport]]:
+            degraded = False
+            if replayed is not None:
+                cover = replayed
+            else:
+                with tracer.span("covering.solve", components=0):
+                    cover, degraded = _solve_components(
+                        graph, natural_labels, matrices, candidates, covering,
+                        options, tracker, attempts,
+                    )
+            if degraded:
+                decomposition.certified = False
+                decomposition.gap_bound = None
+                decomposition.notes.append("covering solve degraded under budget")
+            elif forced:
+                with tracer.span("decompose.gap_bound"):
+                    decomposition.gap_bound = _forced_gap_bound(
+                        graph, library, options, candidates, cover
+                    )
+                if decomposition.gap_bound is None:
+                    decomposition.notes.append("master LP failed; no dual bound")
+            return cover, _degradation_report(tracker, "decompose", attempts, degraded, master)
 
-        report = _degradation_report(tracker, "decompose", attempts, degraded, master)
-        return _finish(
-            graph, library, options, candidates, covering, cover, report,
-            decomposition, journal, replayed is not None, start,
+        return _cover_and_assemble(
+            graph, library, options, candidates, solve, start, journal, decomposition
         )
 
 
@@ -716,6 +648,7 @@ def _stitch_pass(
     singletons) are dropped on the spot.
     """
     tracer = current_tracer()
+    singles = {name: c.cost for name, c in p2p_by_arc.items()}
     margin, bw_pruned = _pair_matrices(matrices, library)
     geo_pair_pruned = margin >= -PRUNE_TOL * np.maximum(
         1.0, np.maximum(np.abs(matrices.gamma), np.abs(matrices.delta))
@@ -733,13 +666,13 @@ def _stitch_pass(
         tracer.count("decompose.stitch.planned")
         if plan is None:
             continue
-        if options.max_merge_hops is not None and plan.max_hops > options.max_merge_hops:
-            continue
-        cost = plan.cost + options.hop_penalty * plan.max_hops
-        if cost >= sum(p2p_by_arc[a].cost for a in names) - 1e-12:
+        candidate = _admit_merging(
+            plan, singles, options.max_merge_hops, options.hop_penalty, drop_dominated=True
+        )
+        if candidate is None:
             continue
         decomposition.boundary_pairs_stitched += 1
-        candidates.append(Candidate(arc_names=plan.arc_names, cost=cost, plan=plan))
+        candidates.append(candidate)
     return candidates
 
 
@@ -848,22 +781,40 @@ def synthesize_colgen(
     ck = as_tracker(tracker)
     with tracer.span("colgen", arcs=n):
         base = generate_candidates(
-            graph,
-            library,
-            pruning=options.pruning,
-            max_arity=1,
-            heterogeneous=options.heterogeneous,
-            polish_placement=options.polish_placement,
-            hop_penalty=options.hop_penalty,
-            budget=tracker,
+            graph, library, **options.candidate_args(max_arity=1), budget=tracker
         )
         stats = base.stats
         decomposition = DecompositionReport(strategy="colgen")
 
+        # The pruning survivors over all arities, *without* planning:
+        # the exact pipeline's own Figure 2 loop, so the survivor
+        # universe equals its.  Survivor tuples index each arity's
+        # compacted matrices; translate them back to positions in the
+        # graph's arc order (p2p weights and cost bounds index by it).
+        matrices = IncrementalArcMatrices(graph)
+        graph_index = {name: i for i, name in enumerate(matrices.arc_names)}
+        survivors: List[Tuple[int, ...]] = []
+
+        def collect(
+            k: int, names: Sequence[str], survivors_k: List[Tuple[int, ...]], arity_span: Span
+        ) -> bool:
+            survivors.extend(tuple(graph_index[names[i]] for i in s) for s in survivors_k)
+            return True
+
+        arity_cap: Optional[int] = None
         with tracer.span("colgen.enumerate"):
-            survivors, arity_cap = _pruned_survivors(
-                graph, library, options, stats, ck
-            )
+            try:
+                _figure2_arities(
+                    matrices, library, options.pruning, options.max_arity, stats, ck, collect
+                )
+            except InfeasibleError:
+                # Where the exact pipeline *refuses* an instance whose
+                # subset count blows the enumeration valve, colgen caps
+                # the universe below the arity the valve tripped at (its
+                # partial survivors never arrive) and keeps going; a
+                # capped universe voids every gap certificate downstream.
+                tracer.count("colgen.arity_capped")
+                arity_cap = max(stats.pruning_survivors_by_k, default=1) + 1
         decomposition.survivors_total = len(survivors)
         if arity_cap is not None:
             decomposition.notes.append(
@@ -974,53 +925,49 @@ def synthesize_colgen(
         candidates = CandidateSet(
             point_to_point=base.point_to_point, mergings=planned, stats=stats
         )
-        with tracer.span("covering.build"):
-            covering = build_covering_problem(graph, candidates)
-        tracer.gauge("covering.rows", covering.n_rows)
-        tracer.gauge("covering.columns", covering.n_columns)
 
-        attempts: List[StageAttempt] = []
-        replayed = _replay_solution(journal, covering)
-        degraded = False
-        if replayed is not None:
-            cover = replayed
-            tracer.count("checkpoint.solution_replayed")
-        else:
-            with tracer.span("covering.solve"):
-                cover, degraded = _solve_exact(
-                    covering, options, tracker, attempts, "colgen.solve"
-                )
+        def solve(
+            covering: CoveringProblem, replayed: Optional[CoverSolution]
+        ) -> Tuple[CoverSolution, Optional[DegradationReport]]:
+            attempts: List[StageAttempt] = []
+            degraded = False
+            if replayed is not None:
+                cover = replayed
+            else:
+                with tracer.span("covering.solve"):
+                    cover, degraded = _solve_exact(
+                        covering, options, tracker, attempts, "colgen.solve"
+                    )
 
-        if arity_cap is not None:
-            # the universe itself is incomplete: neither exhaustion nor
-            # the LP duals say anything about the unexplored arities
-            decomposition.certified = False
-            decomposition.gap_bound = None
-        elif exhausted_universe and not degraded:
-            # every survivor was planned or provably dominated — the
-            # candidate universe matches the exact pipeline's, so the
-            # integral optimum is the true optimum
-            decomposition.certified = True
-            decomposition.gap_bound = 0.0
-        elif decomposition.lp_bound is not None and not lp_failed:
-            # pricing converged: the duals are feasible for the full-
-            # universe covering LP, so Σ y lower-bounds the optimum
-            decomposition.certified = True
-            decomposition.gap_bound = max(0.0, cover.weight - decomposition.lp_bound)
-        else:
-            decomposition.certified = False
-            decomposition.gap_bound = None
-            if lp_failed:
-                decomposition.notes.append("master LP failed; no dual bound")
-            if truncated:
-                decomposition.notes.append("budget truncated pricing")
+            if arity_cap is not None:
+                # the universe itself is incomplete: neither exhaustion nor
+                # the LP duals say anything about the unexplored arities
+                decomposition.certified = False
+                decomposition.gap_bound = None
+            elif exhausted_universe and not degraded:
+                # every survivor was planned or provably dominated — the
+                # candidate universe matches the exact pipeline's, so the
+                # integral optimum is the true optimum
+                decomposition.certified = True
+                decomposition.gap_bound = 0.0
+            elif decomposition.lp_bound is not None and not lp_failed:
+                # pricing converged: the duals are feasible for the full-
+                # universe covering LP, so Σ y lower-bounds the optimum
+                decomposition.certified = True
+                decomposition.gap_bound = max(0.0, cover.weight - decomposition.lp_bound)
+            else:
+                decomposition.certified = False
+                decomposition.gap_bound = None
+                if lp_failed:
+                    decomposition.notes.append("master LP failed; no dual bound")
+                if truncated:
+                    decomposition.notes.append("budget truncated pricing")
+            return cover, _degradation_report(
+                tracker, "colgen", attempts, degraded or truncated, stats
+            )
 
-        report = _degradation_report(
-            tracker, "colgen", attempts, degraded or truncated, stats
-        )
-        return _finish(
-            graph, library, options, candidates, covering, cover, report,
-            decomposition, journal, replayed is not None, start,
+        return _cover_and_assemble(
+            graph, library, options, candidates, solve, start, journal, decomposition
         )
 
 
@@ -1054,88 +1001,15 @@ def _plan_survivor(
     )
     decomposition.columns_planned += 1
     tracer.count("colgen.planned")
-    k = len(subset)
     if plan is None:
         stats.infeasible_plans += 1
         return
-    if options.max_merge_hops is not None and plan.max_hops > options.max_merge_hops:
-        stats.pruned_hops += 1
+    candidate = _admit_merging(
+        plan, p2p_w, options.max_merge_hops, options.hop_penalty, options.drop_dominated,
+        stats,
+    )
+    if candidate is None:
         return
-    cost = plan.cost + options.hop_penalty * plan.max_hops
-    if options.drop_dominated and cost >= sum(p2p_w[a] for a in group) - 1e-12:
-        return
+    k = len(subset)
     stats.survivors_by_k[k] = stats.survivors_by_k.get(k, 0) + 1
-    planned.append(Candidate(arc_names=plan.arc_names, cost=cost, plan=plan))
-
-
-def _pruned_survivors(
-    graph: ConstraintGraph,
-    library: CommunicationLibrary,
-    options: SynthesisOptions,
-    stats: GenerationStats,
-    tracker: BudgetTracker,
-) -> Tuple[List[Tuple[int, ...]], Optional[int]]:
-    """The pruning-pass survivors over all arities, *without* planning.
-
-    Mirrors the exact enumeration loop exactly — same
-    :func:`_prune_arity` batches, same Theorem 3.1 retirement (which
-    the exact loop also derives from *pruning* survivors, so the
-    survivor universe here equals the exact pipeline's).
-
-    Where the exact pipeline *refuses* an unbounded-arity instance
-    whose subset count blows the enumeration valve
-    (:data:`~repro.core.candidates.MAX_ENUMERATED_SUBSETS`), colgen
-    caps the universe at the last fully enumerated arity and keeps
-    going: the second return value is the arity the valve tripped at
-    (``None`` when the universe is complete).  A capped universe voids
-    every gap certificate downstream — the LP duals were never checked
-    against the unexplored higher-arity columns.
-    """
-    tracer = current_tracer()
-    matrices = IncrementalArcMatrices(graph)
-    n = matrices.size
-    top = n if options.max_arity is None else min(options.max_arity, n)
-    max_bw = library.max_link_bandwidth()
-    global_index = {name: i for i, name in enumerate(matrices.arc_names)}
-
-    out: List[Tuple[int, ...]] = []
-    prev_survivors: Set[FrozenSet[str]] = set()
-    for k in range(2, top + 1):
-        if matrices.size < k:
-            break
-        view = matrices.view()
-        names = view.arc_names
-        try:
-            with tracer.span("candidates.prune", k=k):
-                survivors_k = _prune_arity(
-                    view, k, options.pruning, prev_survivors, max_bw,
-                    stats, tracker,
-                )
-        except InfeasibleError:
-            # the valve trips mid-arity, so arity k is incomplete —
-            # drop its partial survivors and cap the universe below it
-            tracer.count("colgen.arity_capped")
-            return out, k
-        if survivors_k is None:
-            stats.budget_truncated = True
-            return out, None
-        stats.pruning_survivors_by_k[k] = len(survivors_k)
-        if not survivors_k:
-            break
-        # survivor tuples index the *compacted* matrices; translate
-        # back to positions in the original arc order for downstream
-        # (p2p weights, third-point cost bounds index by graph order)
-        out.extend(
-            tuple(global_index[names[i]] for i in subset)
-            for subset in survivors_k
-        )
-        in_some = {i for subset in survivors_k for i in subset}
-        retired = [names[i] for i in range(view.size) if i not in in_some]
-        for nm in retired:
-            stats.retired_at_k[nm] = k
-            tracer.count("candidates.retired.theorem_3_1")
-        matrices.remove_arcs(retired)
-        prev_survivors = {
-            frozenset(names[i] for i in s) for s in survivors_k
-        }
-    return out, None
+    planned.append(candidate)

@@ -20,6 +20,12 @@ at these scales, and exactness is preserved trivially because the final
 candidate set equals what full generation would produce (asserted by
 the tests on every mutation).
 
+Candidates are generated, admitted (hop cap, hop penalty, dominance)
+and covered by the same steps :func:`~repro.core.synthesis.synthesize`
+runs on its exact path, so every result-shaping option means the same
+here.  ``demand_margin`` is rejected: an ECO session re-budgets arcs
+one by one instead of scaling every demand.
+
 Limitations: moving a *port* changes geometry and falls back to full
 regeneration (`refresh`).
 """
@@ -27,21 +33,19 @@ regeneration (`refresh`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import time
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .candidates import Candidate, CandidateSet, GenerationStats, PruningLevel, generate_candidates
+from .candidates import (
+    Candidate, CandidateSet, GenerationStats, _admit_merging, _singleton, generate_candidates,
+)
 from .constraint_graph import Arc, ConstraintGraph
+from .exceptions import SynthesisError
 from .library import CommunicationLibrary
 from .matrices import IncrementalArcMatrices
 from .merging import build_merging_plan
-from .point_to_point import best_point_to_point
 from .pruning import PruningMemo, subset_pruned
-from .synthesis import (
-    SynthesisOptions, SynthesisResult, _selection_cost, build_covering_problem,
-    materialize_selection,
-)
-from ..covering.bnb import solve_cover
+from .synthesis import SynthesisOptions, SynthesisResult, _cover_and_assemble, _exact_engine
 
 __all__ = ["IncrementalSynthesizer"]
 
@@ -71,6 +75,11 @@ class IncrementalSynthesizer:
     ) -> None:
         self.library = library
         self.options = options or SynthesisOptions()
+        if self.options.demand_margin:
+            raise SynthesisError(
+                "IncrementalSynthesizer does not apply demand_margin; scale the "
+                "bandwidths yourself or use synthesize()"
+            )
         self._graph = graph
         self._candidates: Optional[CandidateSet] = None
         #: incrementally maintained Γ/Δ/bandwidth matrices — arc
@@ -103,12 +112,7 @@ class IncrementalSynthesizer:
     def _ensure_candidates(self) -> CandidateSet:
         if self._candidates is None:
             self._candidates = generate_candidates(
-                self._graph,
-                self.library,
-                pruning=self.options.pruning,
-                max_arity=self.options.max_arity,
-                heterogeneous=self.options.heterogeneous,
-                max_merge_hops=self.options.max_merge_hops,
+                self._graph, self.library, **self.options.candidate_args()
             )
             self.rebuilt += len(self._candidates.all)
         return self._candidates
@@ -153,11 +157,12 @@ class IncrementalSynthesizer:
         old = self._ensure_candidates()
         self._graph.add_channel(name, source, target, bandwidth=bandwidth)
 
+        options = self.options
         new_arc = self._graph.arc(name)
-        plan = best_point_to_point(new_arc.distance, new_arc.bandwidth, self.library)
         p2p = list(old.point_to_point) + [
-            Candidate(arc_names=(name,), cost=plan.cost, plan=plan)
+            _singleton(new_arc, self.library, options.heterogeneous, options.hop_penalty)
         ]
+        singles = {c.arc_names[0]: c.cost for c in p2p}
 
         # a name can return with different attributes than it left
         # with — stale memo verdicts for its old incarnation must die
@@ -180,28 +185,31 @@ class IncrementalSynthesizer:
         matrices = self._matrices.view()
         index = {nm: i for i, nm in enumerate(matrices.arc_names)}
         others = [nm for nm in matrices.arc_names if nm != name]
-        top = self.options.max_arity or len(self._graph)
+        top = options.max_arity or len(self._graph)
 
         new_mergings: List[Candidate] = []
         for k in range(2, top + 1):
             if k - 1 > len(others):
                 break
             for combo in itertools.combinations(others, k - 1):
-                subset_names = tuple(sorted(combo + (name,)))
+                # graph order (the new arc is last), so labels match a
+                # from-scratch generation's
+                subset_names = combo + (name,)
                 subset_idx = [index[n] for n in subset_names]
                 if subset_pruned(matrices, subset_idx, self.library, memo=self._memo):
                     continue
-                merge_plan = build_merging_plan(self._graph, subset_names, self.library)
+                merge_plan = build_merging_plan(
+                    self._graph, subset_names, self.library,
+                    polish_placement=options.polish_placement,
+                )
                 if merge_plan is None:
                     continue
-                if (
-                    self.options.max_merge_hops is not None
-                    and merge_plan.max_hops > self.options.max_merge_hops
-                ):
-                    continue
-                new_mergings.append(
-                    Candidate(arc_names=merge_plan.arc_names, cost=merge_plan.cost, plan=merge_plan)
+                candidate = _admit_merging(
+                    merge_plan, singles, options.max_merge_hops, options.hop_penalty,
+                    options.drop_dominated,
                 )
+                if candidate is not None:
+                    new_mergings.append(candidate)
 
         self.reused += len(old.point_to_point) + len(old.mergings)
         self.rebuilt += 1 + len(new_mergings)
@@ -228,33 +236,9 @@ class IncrementalSynthesizer:
     # ------------------------------------------------------------------
     def solve(self) -> SynthesisResult:
         """Solve the covering problem over the current candidate set."""
-        import time
-
         start = time.perf_counter()
-        candidates = self._ensure_candidates()
-        covering = build_covering_problem(self._graph, candidates)
-        if self.options.ucp_solver == "ilp":
-            from ..covering.ilp import solve_ilp
-
-            cover = solve_ilp(covering)
-        else:
-            cover = solve_cover(covering, self.options.solver_options)
-        by_label = {c.label(): c for c in candidates.all}
-        selected = [by_label[n] for n in cover.column_names]
-        impl = materialize_selection(
-            self._graph, self.library, selected, name=f"{self._graph.name}-impl"
-        )
-        if self.options.validate_result:
-            from .validation import validate
-
-            validate(impl, self._graph)
-        return SynthesisResult(
-            implementation=impl,
-            selected=selected,
-            total_cost=_selection_cost(selected),
-            candidates=candidates,
-            covering=covering,
-            cover=cover,
-            point_to_point_cost=sum(c.cost for c in candidates.point_to_point),
-            elapsed_seconds=time.perf_counter() - start,
+        options = self.options
+        return _cover_and_assemble(
+            self._graph, self.library, options, self._ensure_candidates(),
+            lambda covering, _replayed: (_exact_engine(covering, options), None), start,
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # circular at runtime: decompose builds on this module
     from .decompose import DecompositionReport
@@ -184,6 +184,22 @@ class SynthesisOptions:
             "demand_margin": self.demand_margin,
         }
 
+    def candidate_args(self, **overrides: Any) -> Dict[str, Any]:
+        """The :func:`~repro.core.candidates.generate_candidates`
+        arguments these options ask for — the one mapping every driver
+        generates through; ``overrides`` replace single entries."""
+        args: Dict[str, Any] = {
+            "pruning": self.pruning,
+            "max_arity": self.max_arity,
+            "drop_dominated": self.drop_dominated,
+            "heterogeneous": self.heterogeneous,
+            "max_merge_hops": self.max_merge_hops,
+            "polish_placement": self.polish_placement,
+            "hop_penalty": self.hop_penalty,
+        }
+        args.update(overrides)
+        return args
+
 
 @dataclass
 class SynthesisResult:
@@ -238,13 +254,6 @@ def build_covering_problem(graph: ConstraintGraph, candidates: CandidateSet) -> 
         for c in candidates.all
     ]
     return CoveringProblem(rows, columns)
-
-
-def _selection_cost(selected: Sequence[Candidate]) -> float:
-    """Total weight of the selected columns, as ``math.fsum``: correctly
-    rounded, so independent of the order a covering solver summed them
-    in (bnb's running sum follows string-hash order)."""
-    return math.fsum(c.cost for c in selected)
 
 
 def materialize_selection(
@@ -452,7 +461,9 @@ def _synthesize_journaled(
         strategy=strategy,
     ) as root_span:
         tracker = as_tracker(budget) if budget is not None else None
-        if strategy != "exact":
+        if strategy == "exact":
+            result = _synthesize_exact(graph, library, options, tracker, journal, start)
+        else:
             # imported lazily: decompose builds on this module's types
             from .decompose import synthesize_colgen, synthesize_decomposed
 
@@ -460,86 +471,138 @@ def _synthesize_journaled(
                 synthesize_decomposed if strategy == "decompose" else synthesize_colgen
             )
             result = dispatch(graph, library, options, tracker, journal, start)
-            root_span.set("total_cost", result.total_cost)
-            return result
-        candidates = generate_candidates(
-            graph,
-            library,
-            pruning=options.pruning,
-            max_arity=options.max_arity,
-            drop_dominated=options.drop_dominated,
-            heterogeneous=options.heterogeneous,
-            max_merge_hops=options.max_merge_hops,
-            polish_placement=options.polish_placement,
-            hop_penalty=options.hop_penalty,
-            budget=tracker,
-            jobs=options.jobs,
-            journal=journal,
-        )
-        with tracer.span("covering.build"):
-            covering = build_covering_problem(graph, candidates)
-        tracer.gauge("covering.rows", covering.n_rows)
-        tracer.gauge("covering.columns", len(covering.columns))
+        root_span.set("total_cost", result.total_cost)
+        return result
 
-        report: Optional[DegradationReport] = None
-        replayed = _replay_solution(journal, covering)
+
+def _synthesize_exact(
+    graph: ConstraintGraph,
+    library: CommunicationLibrary,
+    options: SynthesisOptions,
+    tracker: Optional[BudgetTracker],
+    journal: Optional[CheckpointJournal],
+    start: float,
+) -> SynthesisResult:
+    """The paper's pipeline: every pruning survivor planned, then one
+    covering solve — supervised through the fallback chain under a
+    budget, by the configured engine without one."""
+    tracer = current_tracer()
+    candidates = generate_candidates(
+        graph, library, **options.candidate_args(),
+        budget=tracker, jobs=options.jobs, journal=journal,
+    )
+
+    def solve(
+        covering: CoveringProblem, replayed: Optional[CoverSolution]
+    ) -> Tuple[CoverSolution, Optional[DegradationReport]]:
         with tracer.span("covering.solve", supervised=tracker is not None):
             if replayed is not None:
-                cover = replayed
-                tracer.count("checkpoint.solution_replayed")
-                if tracker is not None:
-                    assert journal is not None
-                    report = _replayed_report(journal, tracker)
-            elif tracker is not None:
-                supervisor = Supervisor(
-                    budget=tracker,
-                    stages=_fallback_stages(options.ucp_solver),
-                    solver_options=options.solver_options,
-                    retry=options.retry,
-                    on_budget_exhausted=options.on_budget_exhausted,
-                    journal=journal,
-                )
-                cover, report = supervisor.solve(
-                    covering, candidate_set_complete=not candidates.stats.budget_truncated
-                )
-            elif options.ucp_solver == "bnb":
-                cover = solve_cover(covering, options.solver_options, journal=journal)
-            else:
-                cover = solve_ilp(covering, journal=journal)
-        if journal is not None and replayed is None:
-            journal.record_solution(
-                stage=report.source_stage if report is not None else options.ucp_solver,
-                column_names=cover.column_names,
-                weight=cover.weight,
-                optimal=cover.optimal,
-                quality=report.quality.value if report is not None else None,
+                if tracker is None:
+                    return replayed, None
+                assert journal is not None
+                return replayed, _replayed_report(journal, tracker)
+            if tracker is None:
+                return _exact_engine(covering, options, journal), None
+            supervisor = Supervisor(
+                budget=tracker,
+                stages=_fallback_stages(options.ucp_solver),
+                solver_options=options.solver_options,
+                retry=options.retry,
+                on_budget_exhausted=options.on_budget_exhausted,
+                journal=journal,
+            )
+            return supervisor.solve(
+                covering, candidate_set_complete=not candidates.stats.budget_truncated
             )
 
-        by_label = {c.label(): c for c in candidates.all}
-        selected = [by_label[name] for name in cover.column_names]
-        tracer.count("synthesis.selected", len(selected))
+    return _cover_and_assemble(graph, library, options, candidates, solve, start, journal)
 
-        with tracer.span("materialize", selected=len(selected)):
-            impl = materialize_selection(graph, library, selected, name=f"{graph.name}-impl")
-        if options.validate_result:
-            with tracer.span("validate"):
-                validate(impl, graph)
 
-        total_cost = _selection_cost(selected)
-        root_span.set("total_cost", total_cost)
-        elapsed = time.perf_counter() - start
+def _exact_engine(
+    covering: CoveringProblem,
+    options: SynthesisOptions,
+    journal: Optional[CheckpointJournal] = None,
+) -> CoverSolution:
+    """The exact path's unbudgeted covering engine: ``options.ucp_solver``,
+    whatever the instance's width."""
+    if options.ucp_solver == "bnb":
+        return solve_cover(covering, options.solver_options, journal=journal)
+    return solve_ilp(covering, journal=journal)
+
+
+def _cover_and_assemble(
+    graph: ConstraintGraph,
+    library: CommunicationLibrary,
+    options: SynthesisOptions,
+    candidates: CandidateSet,
+    solve: Callable[
+        [CoveringProblem, Optional[CoverSolution]],
+        Tuple[CoverSolution, Optional[DegradationReport]],
+    ],
+    start: float,
+    journal: Optional[CheckpointJournal] = None,
+    decomposition: Optional["DecompositionReport"] = None,
+) -> SynthesisResult:
+    """The tail every synthesis driver returns through.
+
+    Builds the covering instance over ``candidates``, hands it to the
+    driver's ``solve(covering, replayed)`` — its engine and budget
+    policy, which returns ``(cover, report)`` and serves ``replayed``,
+    the journal's still-valid final cover, instead of solving when there
+    is one — journals the final cover, then selects by label,
+    materializes, validates and assembles the :class:`SynthesisResult`.
+    ``total_cost`` is the ``math.fsum`` of the selected weights:
+    correctly rounded, so independent of the order a covering solver
+    summed them in (bnb's running sum follows string-hash order).
+    """
+    tracer = current_tracer()
+    with tracer.span("covering.build"):
+        covering = build_covering_problem(graph, candidates)
+    tracer.gauge("covering.rows", covering.n_rows)
+    tracer.gauge("covering.columns", covering.n_columns)
+
+    replayed = _replay_solution(journal, covering)
+    if replayed is not None:
+        tracer.count("checkpoint.solution_replayed")
+    cover, report = solve(covering, replayed)
+    if journal is not None and replayed is None:
         if report is not None:
-            report.elapsed_s = elapsed  # account materialization + validation too
-            report.worker_recoveries = candidates.stats.worker_recoveries
-            report.chunks_replayed = candidates.stats.chunks_replayed
-        return SynthesisResult(
-            implementation=impl,
-            selected=selected,
-            total_cost=total_cost,
-            candidates=candidates,
-            covering=covering,
-            cover=cover,
-            point_to_point_cost=sum(c.cost for c in candidates.point_to_point),
-            elapsed_seconds=elapsed,
-            degradation=report,
+            stage = report.source_stage
+        elif decomposition is not None:
+            stage = decomposition.strategy
+        else:
+            stage = options.ucp_solver
+        journal.record_solution(
+            stage=stage,
+            column_names=cover.column_names,
+            weight=cover.weight,
+            optimal=cover.optimal,
+            quality=report.quality.value if report is not None else None,
         )
+
+    by_label = {c.label(): c for c in candidates.all}
+    selected = [by_label[name] for name in cover.column_names]
+    tracer.count("synthesis.selected", len(selected))
+    with tracer.span("materialize", selected=len(selected)):
+        impl = materialize_selection(graph, library, selected, name=f"{graph.name}-impl")
+    if options.validate_result:
+        with tracer.span("validate"):
+            validate(impl, graph)
+
+    elapsed = time.perf_counter() - start
+    if report is not None:
+        report.elapsed_s = elapsed  # account materialization + validation too
+        report.worker_recoveries = candidates.stats.worker_recoveries
+        report.chunks_replayed = candidates.stats.chunks_replayed
+    return SynthesisResult(
+        implementation=impl,
+        selected=selected,
+        total_cost=math.fsum(c.cost for c in selected),
+        candidates=candidates,
+        covering=covering,
+        cover=cover,
+        point_to_point_cost=sum(c.cost for c in candidates.point_to_point),
+        elapsed_seconds=elapsed,
+        degradation=report,
+        decomposition=decomposition,
+    )

@@ -249,26 +249,20 @@ def lid_aware_synthesize(
     not excluding, since denser segmentation is not in the library's
     vocabulary to fix.
     """
-    from ..core.candidates import Candidate, generate_candidates
+    from ..core.candidates import Candidate, CandidateSet, generate_candidates
     from ..core.synthesis import (
         SynthesisOptions,
-        SynthesisResult,
-        _selection_cost,
-        build_covering_problem,
+        _cover_and_assemble,
+        _exact_engine,
         materialize_selection,
     )
-    from ..covering.bnb import solve_cover
 
     opts = options or SynthesisOptions()
     start = time.perf_counter()
+    # generated unfiltered and unpenalized: a merging dominated on
+    # monetary cost need not be dominated on LID weight
     candidates = generate_candidates(
-        graph,
-        library,
-        pruning=opts.pruning,
-        max_arity=opts.max_arity,
-        heterogeneous=opts.heterogeneous,
-        max_merge_hops=opts.max_merge_hops,
-        polish_placement=opts.polish_placement,
+        graph, library, **opts.candidate_args(drop_dominated=False, hop_penalty=0.0)
     )
 
     def lid_weight(candidate: Candidate) -> float:
@@ -296,28 +290,12 @@ def lid_aware_synthesize(
         Candidate(arc_names=c.arc_names, cost=lid_weight(c), plan=c.plan)
         for c in candidates.mergings
     ]
-    from ..core.candidates import CandidateSet
-
     lid_candidates = CandidateSet(
         point_to_point=reweighted_p2p, mergings=reweighted_merge, stats=candidates.stats
     )
-
-    covering = build_covering_problem(graph, lid_candidates)
-    cover = solve_cover(covering, opts.solver_options)
-    by_label = {c.label(): c for c in lid_candidates.all}
-    selected = [by_label[n] for n in cover.column_names]
-    impl = materialize_selection(graph, library, selected, name=f"{graph.name}-lid-impl")
-    if opts.validate_result:
-        from ..core.validation import validate
-
-        validate(impl, graph)
-    return SynthesisResult(
-        implementation=impl,
-        selected=selected,
-        total_cost=_selection_cost(selected),
-        candidates=lid_candidates,
-        covering=covering,
-        cover=cover,
-        point_to_point_cost=sum(c.cost for c in reweighted_p2p),
-        elapsed_seconds=time.perf_counter() - start,
+    result = _cover_and_assemble(
+        graph, library, opts, lid_candidates,
+        lambda covering, _replayed: (_exact_engine(covering, opts), None), start,
     )
+    result.implementation.name = f"{graph.name}-lid-impl"
+    return result

@@ -16,16 +16,20 @@ generation, the batch ``PoolTransport`` and ``repro serve``:
 
 Every submission, re-dispatches included, consults the caller's fault
 site: a ``worker_crash`` fault there poisons the task, and its worker
-exits at once, as a segfault would.  Each worker opens one
-:class:`~repro.core.cache.PersistentCache` handle on the caller's cache
-directory (the store is multi-process safe, a handle is not), then runs
-the caller's initializer.
+exits at once, as a segfault would.  A worker exits when its parent
+process dies, so a SIGKILLed parent leaves no orphans.  Each worker
+opens one :class:`~repro.core.cache.PersistentCache` handle on the
+caller's cache directory (the store is multi-process safe, a handle is
+not), then runs the caller's initializer.
 """
 
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
+import multiprocessing.connection
 import os
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -44,9 +48,21 @@ WorkerLost = BrokenProcessPool
 def _init_worker(
     cache_dir: Optional[str], initializer: Optional[Callable[..., None]], initargs: Tuple
 ) -> None:
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        # A parent killed without a shutdown never tells its workers: an
+        # idle one would block on the call queue forever.  Exit with it.
+        threading.Thread(
+            target=_exit_with_parent, args=(parent.sentinel,), daemon=True
+        ).start()
     set_persistent_cache(PersistentCache(cache_dir) if cache_dir else None)
     if initializer is not None:
         initializer(*initargs)
+
+
+def _exit_with_parent(sentinel: int) -> None:
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
 
 
 def _die() -> None:

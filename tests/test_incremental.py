@@ -133,3 +133,85 @@ class TestMutationSequences:
         inc.refresh()
         fresh = inc.solve().total_cost
         assert incremental == pytest.approx(fresh, rel=1e-9)
+
+
+def _stub_instance():
+    """tests/test_synthesis_heterogeneous.py's short/stub library, where a
+    mixed chain beats both homogeneous chains, plus a spare port ``x``."""
+    from repro import CommunicationLibrary, ConstraintGraph, Link, NodeKind, NodeSpec, Point
+
+    g = ConstraintGraph(name="stub-chain")
+    g.add_port("u", Point(0, 0))
+    g.add_port("v", Point(11, 0))
+    g.add_port("x", Point(0, 1))
+    g.add_channel("w", "u", "v", bandwidth=5.0)
+    lib = CommunicationLibrary("stub")
+    lib.add_link(Link("short", bandwidth=10, max_length=10, cost_fixed=10.0))
+    lib.add_link(Link("stub", bandwidth=10, max_length=2, cost_fixed=3.0))
+    lib.add_node(NodeSpec("rep", NodeKind.REPEATER, cost=0.5))
+    lib.add_node(NodeSpec("mux", NodeKind.MUX, cost=1.0))
+    lib.add_node(NodeSpec("demux", NodeKind.DEMUX, cost=1.0))
+    return g, lib
+
+
+def _wan_eco(inc):
+    inc.remove_arc("a8")
+    inc.add_arc("x1", "A", "E", bandwidth=5e6)
+    inc.change_bandwidth("a4", 8e6)
+
+
+def _soc_eco(inc):
+    inc.remove_arc("c5")
+    inc.add_arc("c6", "io", "cpu", bandwidth=4e9)
+    inc.change_bandwidth("c3", 8e9)
+
+
+def _stub_eco(inc):
+    inc.add_arc("w2", "x", "v", 5.0)
+    inc.add_arc("w3", "u", "v", 3.0)
+    inc.change_bandwidth("w", 4.0)
+    inc.remove_arc("w3")
+
+
+def _wan():
+    return wan_constraint_graph(), wan_library()
+
+
+def _soc():
+    from repro.domains import soc_example
+
+    return soc_example()
+
+
+class TestOptionsMatchSynthesize:
+    """Every result-shaping option means what it means to synthesize():
+    the initial solve and the solve after an ECO sequence both equal a
+    from-scratch synthesis of the same graph."""
+
+    @pytest.mark.parametrize(
+        "instance, options, eco",
+        [
+            (_wan, SynthesisOptions(hop_penalty=5.0), _wan_eco),
+            (_soc, SynthesisOptions(max_arity=3, polish_placement=False), _soc_eco),
+            (_stub_instance, SynthesisOptions(heterogeneous=True), _stub_eco),
+        ],
+        ids=["hop_penalty", "polish_placement", "heterogeneous"],
+    )
+    def test_initial_and_eco_solves_match(self, instance, options, eco):
+        graph, library = instance()
+        inc = IncrementalSynthesizer(graph, library, options)
+        for step in ("initial", "eco"):
+            if step == "eco":
+                eco(inc)
+            live = inc.solve()
+            scratch = synthesize(inc.graph, library, options)
+            assert live.total_cost == pytest.approx(scratch.total_cost, rel=1e-9), step
+            assert {c.label() for c in live.selected} == {
+                c.label() for c in scratch.selected
+            }, step
+
+    def test_demand_margin_rejected(self):
+        from repro import SynthesisError
+
+        with pytest.raises(SynthesisError, match="demand_margin"):
+            IncrementalSynthesizer(*_wan(), SynthesisOptions(demand_margin=0.3))

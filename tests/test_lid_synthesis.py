@@ -89,3 +89,28 @@ class TestLidAwareSynthesis:
             for cr in (1.0, 8.0, 40.0)
         ]
         assert costs == sorted(costs)
+
+    def test_honours_ucp_solver(self, monkeypatch):
+        """``ucp_solver="ilp"`` selects the ILP engine, as it does for
+        synthesize(), and reaches the bnb optimum."""
+        import dataclasses
+
+        import repro.core.synthesis as synthesis_mod
+
+        engines = []
+        real_ilp = synthesis_mod.solve_ilp
+
+        def spy(*args, **kwargs):
+            engines.append("ilp")
+            return real_ilp(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis_mod, "solve_ilp", spy)
+        g = _two_parallel()
+        lib = soc_library()
+        bnb = lid_aware_synthesize(g, lib, l_clock=2.0, options=OPTS)
+        assert engines == []
+        ilp = lid_aware_synthesize(
+            g, lib, l_clock=2.0, options=dataclasses.replace(OPTS, ucp_solver="ilp")
+        )
+        assert engines == ["ilp"]
+        assert ilp.total_cost == pytest.approx(bnb.total_cost, rel=1e-9)

@@ -11,7 +11,14 @@ degradation report.
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +180,55 @@ def test_submission_to_a_pool_that_just_broke_is_recovered():
         assert pool.recoveries == 1
     finally:
         pool.shutdown(wait=True)
+
+
+_ORPHAN_PARENT = """
+import json, sys, time
+from repro.runtime.pool import WorkerPool
+
+pool = WorkerPool(2, time.sleep)
+pool.warm()
+pool.submit(0, 30)
+print(json.dumps(sorted(pool._executor._processes)), flush=True)
+time.sleep(120)
+"""
+
+
+def _alive(pid):
+    """True while ``pid`` runs; a zombie nobody reaps yet counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    with contextlib.suppress(OSError):
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    return True
+
+
+def test_workers_exit_when_their_parent_is_sigkilled():
+    """A parent killed without a shutdown leaves no workers behind: the
+    busy one and the idle one blocked on the call queue both exit."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_PARENT], stdout=subprocess.PIPE, text=True, env=env
+    )
+    workers = []
+    try:
+        workers = json.loads(parent.stdout.readline())
+        assert len(workers) == 2
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=60)
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        parent.kill()
+        parent.wait(timeout=60)
+        parent.stdout.close()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
