@@ -137,9 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=STRATEGIES,
         default="auto",
         help="scaling strategy: 'exact' enumerates all K-way subsets, "
-        "'decompose' partitions into certified clusters, 'colgen' prices "
-        "merging candidates lazily; 'auto' (default) picks by instance "
-        "size and stays exact at paper scale",
+        "'decompose' partitions into certified clusters; 'auto' (default) "
+        "picks by instance size and stays exact at paper scale",
     )
     syn.add_argument(
         "--exact",

@@ -84,7 +84,6 @@ from .synthesis import (
 from .decompose import (
     DecompositionReport,
     certified_partition,
-    synthesize_colgen,
     synthesize_decomposed,
 )
 from .validation import validate, validate_bandwidth, validate_capacity, validate_structure

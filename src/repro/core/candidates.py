@@ -35,17 +35,17 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..obs import Span, TracerLike, Tracer, TraceSnapshot, current_tracer, tracing
+from ..obs import TracerLike, Tracer, TraceSnapshot, current_tracer, tracing
 from ..runtime.budget import Budget, BudgetTracker, as_tracker
 from ..runtime.checkpoint import CheckpointJournal
 from ..runtime.pool import WorkerPool
 from .cache import current_persistent_cache
 from .constraint_graph import Arc, ConstraintGraph
-from .exceptions import BudgetExceeded, InfeasibleError
+from .exceptions import BudgetExceeded, EnumerationLimitError, InfeasibleError
 from .library import CommunicationLibrary
 from .matrices import ArcMatrices, IncrementalArcMatrices, compute_matrices
 from .merging import MergingPlan, build_merging_plans_batch
@@ -494,11 +494,12 @@ def _prune_arity(
         stats.subsets_enumerated += len(chunk)
         tracer.count("candidates.subsets.enumerated", len(chunk))
         if stats.subsets_enumerated > MAX_ENUMERATED_SUBSETS:
-            raise InfeasibleError(
+            raise EnumerationLimitError(
                 f"candidate enumeration exceeded {MAX_ENUMERATED_SUBSETS} subsets "
                 f"at arity {k} with {matrices.size} mergeable arcs — set "
                 f"max_arity to bound the search (the result stays exact "
-                f"within that arity)"
+                f"within that arity)",
+                arity=k,
             )
         if pruning is PruningLevel.APRIORI and k > 2:
             kept = []
@@ -689,65 +690,26 @@ def _enumerate_mergings(
     pool: Optional[WorkerPool] = None,
     journal: Optional[CheckpointJournal] = None,
 ) -> List[MergingPlan]:
-    """Figure 2's merging enumeration: every pruning survivor's
-    placement solve, in-process or fanned out over ``pool`` when one is
-    given.  Returns the feasible plans, unweighted and unfiltered (the
-    journal records them raw; admission runs on the result).  On
-    :class:`BudgetExceeded` from a checkpoint the enumeration stops and
-    the plans built so far are returned (anytime behavior);
-    ``stats.budget_truncated`` records the cut.
+    """The main loop of Figure 2: increasing K, shrinking active set.
+
+    Each arity runs a vectorized pruning pass (:func:`_prune_arity`) and
+    solves every survivor's placement, in-process or fanned out over
+    ``pool`` when one is given.  The loop ends after the first arity
+    without survivors.  Theorem 3.1 retirement then physically removes
+    every arc in no surviving subset
+    (:meth:`~repro.core.matrices.IncrementalArcMatrices.remove_arcs` —
+    exact entry copies, no recomputation), so later arities gather from
+    ever-smaller matrices.  Returns the feasible plans, unweighted and
+    unfiltered (the journal records them raw; admission runs on the
+    result).  On :class:`BudgetExceeded` from a checkpoint the
+    enumeration stops and the plans built so far are returned (anytime
+    behavior); ``stats.budget_truncated`` records the cut.  The
+    :data:`MAX_ENUMERATED_SUBSETS` valve raises
+    :class:`~repro.core.exceptions.EnumerationLimitError`.
     """
     tracker = tracker if tracker is not None else as_tracker(None)
     tracer = current_tracer()
     feasible: List[MergingPlan] = []
-
-    def plan(
-        k: int, names: Sequence[str], survivors_k: List[Tuple[int, ...]], arity_span: Span
-    ) -> bool:
-        stats.survivors_by_k[k] = 0
-        if not survivors_k:
-            return True
-        with tracer.span("candidates.plan", k=k, survivors=len(survivors_k)):
-            if pool is not None:
-                completed = _plan_arity_parallel(
-                    pool, names, survivors_k, k, stats, feasible, tracker, journal=journal,
-                )
-            else:
-                completed = _plan_arity_serial(
-                    graph, library, names, survivors_k, k, stats, feasible,
-                    tracker, polish_placement, journal=journal,
-                )
-        arity_span.set("generated", stats.survivors_by_k[k])
-        return completed
-
-    _figure2_arities(matrices, library, pruning, max_arity, stats, tracker, plan)
-    return feasible
-
-
-def _figure2_arities(
-    matrices: IncrementalArcMatrices,
-    library: CommunicationLibrary,
-    pruning: PruningLevel,
-    max_arity: Optional[int],
-    stats: GenerationStats,
-    tracker: BudgetTracker,
-    take: Callable[[int, Sequence[str], List[Tuple[int, ...]], Span], bool],
-) -> None:
-    """The main loop of Figure 2: increasing K, shrinking active set.
-
-    Each arity runs a vectorized pruning pass (:func:`_prune_arity`) and
-    hands its survivors — index tuples into the arity's active arc
-    names — to ``take(k, names, survivors, arity_span)``, which plans or
-    collects them and returns False to stop (budget truncation).  The
-    loop ends after the first arity without survivors.  Theorem 3.1
-    retirement then physically removes every arc in no surviving subset
-    (:meth:`~repro.core.matrices.IncrementalArcMatrices.remove_arcs` —
-    exact entry copies, no recomputation), so later arities gather from
-    ever-smaller matrices.  A budget cut inside a pruning pass ends the
-    loop with ``stats.budget_truncated`` set; the
-    :data:`MAX_ENUMERATED_SUBSETS` valve raises :class:`InfeasibleError`.
-    """
-    tracer = current_tracer()
     n = matrices.size
     top = n if max_arity is None else min(max_arity, n)
     max_bw = library.max_link_bandwidth()
@@ -755,7 +717,7 @@ def _figure2_arities(
 
     for k in range(2, top + 1):
         if matrices.size < k:
-            return
+            break
         view = matrices.view()
         names = view.arc_names
         with tracer.span("candidates.arity", k=k, active=view.size) as arity_span:
@@ -765,15 +727,28 @@ def _figure2_arities(
                 )
             if survivors_k is None:
                 arity_span.set("budget_truncated", True)
-                return
+                break
 
             stats.pruning_survivors_by_k[k] = len(survivors_k)
             arity_span.set("pruning_survivors", len(survivors_k))
-            if not take(k, names, survivors_k, arity_span):
-                arity_span.set("budget_truncated", True)
-                return
+            stats.survivors_by_k[k] = 0
             if not survivors_k:
-                return
+                break
+            with tracer.span("candidates.plan", k=k, survivors=len(survivors_k)):
+                if pool is not None:
+                    completed = _plan_arity_parallel(
+                        pool, names, survivors_k, k, stats, feasible, tracker,
+                        journal=journal,
+                    )
+                else:
+                    completed = _plan_arity_serial(
+                        graph, library, names, survivors_k, k, stats, feasible,
+                        tracker, polish_placement, journal=journal,
+                    )
+            arity_span.set("generated", stats.survivors_by_k[k])
+            if not completed:
+                arity_span.set("budget_truncated", True)
+                break
 
             # Theorem 3.1: arcs in no K-way merging leave the Γ matrix
             # (row/column deletion — an incremental update, not a
@@ -787,3 +762,4 @@ def _figure2_arities(
             prev_survivors = {
                 frozenset(names[i] for i in s) for s in survivors_k
             }
+    return feasible

@@ -1,13 +1,12 @@
-"""Scalable synthesis strategies: cluster decomposition and lazy
-column generation (``repro.core.decompose``).
+"""Scalable synthesis: certified cluster decomposition
+(``repro.core.decompose``).
 
 The exact pipeline enumerates every K-way merging subset and plans a
 placement for every pruning survivor before solving the covering step —
-which caps it at tens of arcs.  This module provides the two standard
-escapes, both built on the *same* Section 3 predicates the exact
-pipeline uses, so their optimality claims inherit the lemmas'
-soundness (Assumption 2.1: stage costs monotone in length and
-bandwidth):
+which caps it at tens of arcs.  This module provides the standard
+escape, built on the *same* Section 3 predicates the exact pipeline
+uses, so its optimality claim inherits the lemmas' soundness
+(Assumption 2.1: stage costs monotone in length and bandwidth):
 
 **Cluster decomposition** (``strategy="decompose"``)
     Partition the arcs into clusters such that every cluster-spanning
@@ -50,22 +49,14 @@ bandwidth):
     master LP's dual correction (:func:`_forced_gap_bound`) — honest,
     not silently suboptimal.
 
-**Lazy column generation** (``strategy="colgen"``)
-    Enumerate the pruning survivors (vectorized, cheap) but plan
-    placements — the expensive part — on demand: seed the restricted
-    master LP with the point-to-point columns, read row duals ``y``
-    off :func:`scipy.optimize.linprog`, and plan only survivors whose
-    dual payoff ``Σ_{a∈S} y_a`` exceeds a *sound lower bound* on their
-    plan cost (cheapest mux + demux, plus the best stage cost of the
-    longest member arc over a third of its length — any merged route
-    for that arc splits into feeder/trunk/distributor whose lengths
-    sum to at least ``d(a)``).  When pricing converges the duals are
-    feasible for the covering LP over the *full* candidate universe,
-    so ``Σ_r y_r`` certifies the optimality gap of the final integral
-    cover; when every survivor has been planned or dominated away the
-    result is exact and ``gap_bound`` is a certified ``0.0``.
+    At unbounded arity a cluster whose enumeration trips the subset
+    valve (:data:`~repro.core.candidates.MAX_ENUMERATED_SUBSETS`) is
+    regenerated below the arity that tripped, where the exact pipeline
+    refuses; the capped universe voids the certificate
+    (``certified=False``, ``gap_bound=None``, and a note names the
+    arity).
 
-Each strategy owns only how it builds its candidate universe, which
+The strategy owns only how it builds its candidate universe, which
 covering engine it runs (:func:`_solve_exact`, with the
 :data:`ILP_CUTOVER_COLUMNS` cutover) and its budget policy.  The steps
 it shares with the exact pipeline run as one implementation each:
@@ -79,16 +70,16 @@ a normal :class:`~repro.core.synthesis.SynthesisResult` with the extra
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..covering.bnb import greedy_cover, solve_cover
-from ..covering.colgen import solve_master_lp
+from ..covering.bounds import solve_master_lp
 from ..covering.ilp import solve_ilp
 from ..covering.matrix import Column, CoverSolution, CoveringProblem
-from ..obs import Span, current_tracer
-from ..runtime.budget import BudgetTracker, as_tracker
+from ..obs import current_tracer
+from ..runtime.budget import BudgetTracker
 from ..runtime.checkpoint import CheckpointJournal
 from ..runtime.report import DegradationReport, ResultQuality, StageAttempt
 from .candidates import (
@@ -96,14 +87,13 @@ from .candidates import (
     CandidateSet,
     GenerationStats,
     _admit_merging,
-    _figure2_arities,
     generate_candidates,
 )
 from .constraint_graph import ConstraintGraph
-from .exceptions import BudgetExceeded, InfeasibleError
+from .exceptions import BudgetExceeded, EnumerationLimitError
 from .library import CommunicationLibrary, NodeKind
-from .matrices import ArcMatrices, IncrementalArcMatrices, compute_matrices
-from .merging import build_merging_plan, stage_cost
+from .matrices import ArcMatrices, compute_matrices
+from .merging import build_merging_plan
 from .pruning import PRUNE_TOL
 from .synthesis import SynthesisResult, SynthesisOptions, _cover_and_assemble
 # perfbench traces these names in this module; the calls run in synthesis
@@ -113,27 +103,12 @@ from .validation import validate  # noqa: F401  (perfbench, as above)
 __all__ = [
     "DecompositionReport",
     "certified_partition",
-    "merging_cost_lower_bound",
     "synthesize_decomposed",
-    "synthesize_colgen",
 ]
 
 #: per-cluster worker pools only pay off past this many arcs; smaller
 #: clusters plan in-process even when ``options.jobs`` asks for a pool.
 MIN_CLUSTER_ARCS_FOR_POOL = 12
-
-#: colgen plans at most this many priced-out columns per master round,
-#: so the duals are re-read often enough to steer the search.
-COLGEN_ROUND_CAP = 256
-
-#: when at most this many survivors exist overall, colgen finishes with
-#: a completion sweep (plan everything not dominated) — the universe is
-#: then provably complete and the result exact with a certified 0 gap.
-COLGEN_EXHAUSTIVE_SURVIVORS = 512
-
-#: relative pricing tolerance: a survivor is only planned when its dual
-#: payoff beats its cost lower bound by more than this slack.
-_PRICE_RTOL = 1e-7
 
 #: covers with at least this many columns go to the HiGHS ILP engine,
 #: narrower ones to the native B&B.  Speed alone would cut over near 24
@@ -142,9 +117,9 @@ _PRICE_RTOL = 1e-7
 #: 9.5 ms at 24-31, and 0.14-5.4 s to 6-18 ms at 68-204.  But HiGHS
 #: breaks equal-weight ties its own way (on WAN's 62-column cover it
 #: picks another selection, 6e-11 apart), and no bundled domain's cover
-#: is wider than 170 columns, so below this cutover decompose and
-#: colgen serve the exact pipeline's selection.  Engine choice only;
-#: the optimum is the same either way.
+#: is wider than 170 columns, so below this cutover decompose serves
+#: the exact pipeline's selection.  Engine choice only; the optimum is
+#: the same either way.
 ILP_CUTOVER_COLUMNS = 192
 
 
@@ -155,16 +130,15 @@ ILP_CUTOVER_COLUMNS = 192
 
 @dataclass
 class DecompositionReport:
-    """What the decompose/colgen strategy did, and what it certifies.
+    """What the decompose strategy did, and what it certifies.
 
     ``gap_bound`` is an upper bound on ``total_cost − OPT``:
     ``0.0`` with ``certified=True`` means provably optimal (the
-    decomposition certificate held, or colgen exhausted its survivor
-    universe); a positive certified value comes from colgen's LP dual
-    bound; a positive *uncertified* value on forced splits is the
-    restricted-master dual correction of :func:`_forced_gap_bound`;
-    ``None`` means no sound bound is available (LP failure, budget
-    truncation) — never a silent claim.
+    decomposition certificate held); a positive *uncertified* value on
+    forced splits is the restricted-master dual correction of
+    :func:`_forced_gap_bound`; ``None`` means no sound bound is
+    available (LP failure, budget truncation, a capped enumeration) —
+    never a silent claim.
     """
 
     strategy: str
@@ -178,14 +152,6 @@ class DecompositionReport:
     boundary_pairs_stitched: int = 0
     gap_bound: Optional[float] = None
     certified: bool = False
-    # --- colgen bookkeeping ---
-    pricing_rounds: int = 0
-    survivors_total: int = 0
-    columns_planned: int = 0
-    columns_skipped_dominated: int = 0
-    #: Σ_r y_r of the last converged master LP — a lower bound on the
-    #: optimum over the full candidate universe (colgen only).
-    lp_bound: Optional[float] = None
     notes: List[str] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -200,11 +166,6 @@ class DecompositionReport:
             "boundary_pairs_stitched": self.boundary_pairs_stitched,
             "gap_bound": self.gap_bound,
             "certified": self.certified,
-            "pricing_rounds": self.pricing_rounds,
-            "survivors_total": self.survivors_total,
-            "columns_planned": self.columns_planned,
-            "columns_skipped_dominated": self.columns_skipped_dominated,
-            "lp_bound": self.lp_bound,
             "notes": list(self.notes),
         }
 
@@ -348,7 +309,7 @@ def _clusters_from_labels(labels: np.ndarray) -> List[List[int]]:
 
 
 # ----------------------------------------------------------------------
-# shared result assembly
+# cluster bookkeeping + covering engine
 # ----------------------------------------------------------------------
 
 
@@ -485,6 +446,7 @@ def synthesize_decomposed(
         p2p_by_arc: Dict[str, Candidate] = {}
         mergings: List[Candidate] = []
         attempts: List[StageAttempt] = []
+        capped = False
         for ci, idxs in enumerate(clusters):
             names = [matrices.arc_names[i] for i in idxs]
             sub = graph.subgraph(names)
@@ -495,8 +457,8 @@ def synthesize_decomposed(
             )
             with tracer.span("decompose.cluster", index=ci, arcs=len(names)):
                 try:
-                    cs = generate_candidates(
-                        sub, library, **options.candidate_args(),
+                    cs, cap = _generate_cluster(
+                        sub, library, options,
                         budget=tracker, jobs=cluster_jobs, journal=journal,
                     )
                 except BudgetExceeded:
@@ -519,6 +481,14 @@ def synthesize_decomposed(
                     cs = generate_candidates(
                         sub, library, **options.candidate_args(max_arity=1)
                     )
+                    cap = None
+            if cap is not None:
+                capped = True
+                decomposition.notes.append(
+                    f"cluster {ci} enumeration capped below arity {cap} "
+                    f"(subset valve) — unexplored higher-arity columns void "
+                    f"the gap certificate; set max_arity for a bounded-exact run"
+                )
             _merge_stats(master, cs.stats)
             for c in cs.point_to_point:
                 p2p_by_arc[c.arc_names[0]] = c
@@ -539,7 +509,7 @@ def synthesize_decomposed(
                 f"bound, not an optimality certificate"
             )
         else:
-            decomposition.certified = not master.budget_truncated
+            decomposition.certified = not (master.budget_truncated or capped)
             decomposition.gap_bound = 0.0 if decomposition.certified else None
             if master.budget_truncated:
                 decomposition.notes.append(
@@ -579,6 +549,30 @@ def synthesize_decomposed(
         return _cover_and_assemble(
             graph, library, options, candidates, solve, start, journal, decomposition
         )
+
+
+def _generate_cluster(
+    sub: ConstraintGraph,
+    library: CommunicationLibrary,
+    options: SynthesisOptions,
+    **execution: Any,
+) -> Tuple[CandidateSet, Optional[int]]:
+    """One cluster's candidates, plus the arity its enumeration was
+    capped below (``None`` when it ran to completion).
+
+    At unbounded arity a cluster that trips the subset valve is
+    regenerated below the arity that tripped — every lower arity
+    finished under the ceiling, so the rerun cannot trip it again.  The
+    exact pipeline refuses such an instance, and so does decompose
+    under an explicit ``max_arity``.
+    """
+    try:
+        return generate_candidates(sub, library, **options.candidate_args(), **execution), None
+    except EnumerationLimitError as exc:
+        if options.max_arity is not None:
+            raise
+        below = options.candidate_args(max_arity=exc.arity - 1)
+        return generate_candidates(sub, library, **below, **execution), exc.arity
 
 
 def _forced_gap_bound(
@@ -731,285 +725,3 @@ def _solve_components(
     )
     covering.check_solution(assembled)
     return assembled, degraded_any
-
-
-# ----------------------------------------------------------------------
-# strategy: colgen
-# ----------------------------------------------------------------------
-
-
-def merging_cost_lower_bound(
-    subset: Sequence[int],
-    third_costs: np.ndarray,
-    node_floor: float,
-) -> float:
-    """A sound lower bound on any merging plan's cost for ``subset``.
-
-    The plan pays at least one mux and one demux, and for each member
-    arc its feeder + trunk + distributor lengths sum to ≥ ``d(a)``
-    (the norm is a metric), with each stage costing at least the
-    single-arc stage cost at that bandwidth (stage costs are monotone
-    in bandwidth and length under Assumption 2.1) — so some stage of
-    the longest member costs at least ``stage_cost(b_a)(d(a)/3)``.
-    """
-    best = 0.0
-    for i in subset:
-        if third_costs[i] > best:
-            best = third_costs[i]
-    return node_floor + best
-
-
-def synthesize_colgen(
-    graph: ConstraintGraph,
-    library: CommunicationLibrary,
-    options: SynthesisOptions,
-    tracker: Optional[BudgetTracker],
-    journal: Optional[CheckpointJournal],
-    start: float,
-) -> SynthesisResult:
-    """The ``strategy="colgen"`` pipeline (see the module docstring).
-
-    Placement planning — the expensive half of candidate generation —
-    runs only for survivors the master LP's duals price out as
-    potentially profitable, plus a completion sweep on small universes
-    that restores full exactness.  ``options.jobs`` is ignored here
-    (priced-out batches are small by construction).
-    """
-    tracer = current_tracer()
-    arcs = graph.arcs
-    n = len(arcs)
-    ck = as_tracker(tracker)
-    with tracer.span("colgen", arcs=n):
-        base = generate_candidates(
-            graph, library, **options.candidate_args(max_arity=1), budget=tracker
-        )
-        stats = base.stats
-        decomposition = DecompositionReport(strategy="colgen")
-
-        # The pruning survivors over all arities, *without* planning:
-        # the exact pipeline's own Figure 2 loop, so the survivor
-        # universe equals its.  Survivor tuples index each arity's
-        # compacted matrices; translate them back to positions in the
-        # graph's arc order (p2p weights and cost bounds index by it).
-        matrices = IncrementalArcMatrices(graph)
-        graph_index = {name: i for i, name in enumerate(matrices.arc_names)}
-        survivors: List[Tuple[int, ...]] = []
-
-        def collect(
-            k: int, names: Sequence[str], survivors_k: List[Tuple[int, ...]], arity_span: Span
-        ) -> bool:
-            survivors.extend(tuple(graph_index[names[i]] for i in s) for s in survivors_k)
-            return True
-
-        arity_cap: Optional[int] = None
-        with tracer.span("colgen.enumerate"):
-            try:
-                _figure2_arities(
-                    matrices, library, options.pruning, options.max_arity, stats, ck, collect
-                )
-            except InfeasibleError:
-                # Where the exact pipeline *refuses* an instance whose
-                # subset count blows the enumeration valve, colgen caps
-                # the universe below the arity the valve tripped at (its
-                # partial survivors never arrive) and keeps going; a
-                # capped universe voids every gap certificate downstream.
-                tracer.count("colgen.arity_capped")
-                arity_cap = max(stats.pruning_survivors_by_k, default=1) + 1
-        decomposition.survivors_total = len(survivors)
-        if arity_cap is not None:
-            decomposition.notes.append(
-                f"survivor enumeration capped below arity {arity_cap} "
-                f"(subset valve) — unexplored higher-arity columns void "
-                f"the gap certificate; set max_arity for a bounded-exact run"
-            )
-        tracer.gauge("colgen.survivors", float(len(survivors)))
-
-        p2p_w = {a.name: c.cost for a, c in zip(arcs, base.point_to_point)}
-        mux = library.cheapest_node(NodeKind.MUX)
-        demux = library.cheapest_node(NodeKind.DEMUX)
-        mergeable_at_all = mux is not None and demux is not None
-        node_floor = (mux.cost if mux else 0.0) + (demux.cost if demux else 0.0)
-        third_costs = np.array(
-            [stage_cost(a.bandwidth, library)(a.distance / 3.0) for a in arcs]
-        )
-
-        names = tuple(a.name for a in arcs)
-        remaining: List[Tuple[Tuple[int, ...], float]] = []
-        for subset in survivors:
-            lb = merging_cost_lower_bound(subset, third_costs, node_floor)
-            if not mergeable_at_all:
-                stats.infeasible_plans += 1
-                continue
-            if lb >= sum(p2p_w[names[i]] for i in subset) - 1e-12:
-                # no plan can beat the member singletons: excluding the
-                # column provably preserves the optimal cover weight
-                decomposition.columns_skipped_dominated += 1
-                tracer.count("colgen.skipped.dominated")
-                continue
-            remaining.append((subset, lb))
-
-        planned: List[Candidate] = []
-        duals: Optional[np.ndarray] = None
-        lp_failed = False
-        truncated = stats.budget_truncated
-        while remaining and not truncated:
-            try:
-                ck.checkpoint("colgen.round", force=True)
-            except BudgetExceeded:
-                if options.on_budget_exhausted == "fail":
-                    raise
-                truncated = True
-                break
-            decomposition.pricing_rounds += 1
-            with tracer.span("colgen.master", columns=n + len(planned)):
-                master = solve_master_lp(
-                    rows=names,
-                    columns=_colgen_columns(names, base, planned),
-                )
-            if master is None:
-                lp_failed = True
-                break
-            duals = master.duals
-            priced = []
-            for subset, lb in remaining:
-                payoff = float(sum(duals[i] for i in subset))
-                slack = payoff - lb
-                if slack > _PRICE_RTOL * max(1.0, abs(lb)):
-                    priced.append((-slack, subset, lb))
-            if not priced:
-                decomposition.lp_bound = master.objective
-                break
-            priced.sort(key=lambda t: (t[0], t[1]))
-            batch = priced[:COLGEN_ROUND_CAP]
-            tracer.count("colgen.priced", len(batch))
-            batch_sets = {subset for _, subset, _ in batch}
-            try:
-                for _, subset, _ in batch:
-                    ck.checkpoint("candidates.plan")
-                    _plan_survivor(
-                        graph, library, options, names, subset, p2p_w, planned, stats,
-                        decomposition,
-                    )
-            except BudgetExceeded:
-                if options.on_budget_exhausted == "fail":
-                    raise
-                truncated = True
-            remaining = [(s, lb) for s, lb in remaining if s not in batch_sets]
-
-        exhausted_universe = False
-        if (
-            remaining
-            and not truncated
-            and decomposition.survivors_total <= COLGEN_EXHAUSTIVE_SURVIVORS
-        ):
-            # completion sweep: the universe is small — plan everything
-            # left so the final cover is exact, not just dual-bounded
-            with tracer.span("colgen.sweep", survivors=len(remaining)):
-                try:
-                    for subset, _ in remaining:
-                        ck.checkpoint("candidates.plan")
-                        _plan_survivor(
-                            graph, library, options, names, subset, p2p_w, planned,
-                            stats, decomposition,
-                        )
-                    remaining = []
-                except BudgetExceeded:
-                    if options.on_budget_exhausted == "fail":
-                        raise
-                    truncated = True
-        if not remaining and not truncated:
-            exhausted_universe = True
-
-        planned.sort(key=lambda c: (len(c.arc_names), c.arc_names))
-        stats.budget_truncated = stats.budget_truncated or truncated
-        candidates = CandidateSet(
-            point_to_point=base.point_to_point, mergings=planned, stats=stats
-        )
-
-        def solve(
-            covering: CoveringProblem, replayed: Optional[CoverSolution]
-        ) -> Tuple[CoverSolution, Optional[DegradationReport]]:
-            attempts: List[StageAttempt] = []
-            degraded = False
-            if replayed is not None:
-                cover = replayed
-            else:
-                with tracer.span("covering.solve"):
-                    cover, degraded = _solve_exact(
-                        covering, options, tracker, attempts, "colgen.solve"
-                    )
-
-            if arity_cap is not None:
-                # the universe itself is incomplete: neither exhaustion nor
-                # the LP duals say anything about the unexplored arities
-                decomposition.certified = False
-                decomposition.gap_bound = None
-            elif exhausted_universe and not degraded:
-                # every survivor was planned or provably dominated — the
-                # candidate universe matches the exact pipeline's, so the
-                # integral optimum is the true optimum
-                decomposition.certified = True
-                decomposition.gap_bound = 0.0
-            elif decomposition.lp_bound is not None and not lp_failed:
-                # pricing converged: the duals are feasible for the full-
-                # universe covering LP, so Σ y lower-bounds the optimum
-                decomposition.certified = True
-                decomposition.gap_bound = max(0.0, cover.weight - decomposition.lp_bound)
-            else:
-                decomposition.certified = False
-                decomposition.gap_bound = None
-                if lp_failed:
-                    decomposition.notes.append("master LP failed; no dual bound")
-                if truncated:
-                    decomposition.notes.append("budget truncated pricing")
-            return cover, _degradation_report(
-                tracker, "colgen", attempts, degraded or truncated, stats
-            )
-
-        return _cover_and_assemble(
-            graph, library, options, candidates, solve, start, journal, decomposition
-        )
-
-
-def _colgen_columns(
-    names: Tuple[str, ...], base: CandidateSet, planned: Sequence[Candidate]
-) -> List[Tuple[FrozenSet[str], float]]:
-    """The restricted master's columns as ``(rows, weight)`` pairs."""
-    cols = [
-        (frozenset(c.arc_names), c.cost) for c in base.point_to_point
-    ]
-    cols.extend((frozenset(c.arc_names), c.cost) for c in planned)
-    return cols
-
-
-def _plan_survivor(
-    graph: ConstraintGraph,
-    library: CommunicationLibrary,
-    options: SynthesisOptions,
-    names: Tuple[str, ...],
-    subset: Tuple[int, ...],
-    p2p_w: Dict[str, float],
-    planned: List[Candidate],
-    stats: GenerationStats,
-    decomposition: DecompositionReport,
-) -> None:
-    """Plan one priced-out survivor and absorb it into the column pool."""
-    tracer = current_tracer()
-    group = [names[i] for i in subset]
-    plan = build_merging_plan(
-        graph, group, library, polish_placement=options.polish_placement
-    )
-    decomposition.columns_planned += 1
-    tracer.count("colgen.planned")
-    if plan is None:
-        stats.infeasible_plans += 1
-        return
-    candidate = _admit_merging(
-        plan, p2p_w, options.max_merge_hops, options.hop_penalty, options.drop_dominated,
-        stats,
-    )
-    if candidate is None:
-        return
-    k = len(subset)
-    stats.survivors_by_k[k] = stats.survivors_by_k.get(k, 0) + 1
-    planned.append(candidate)

@@ -14,6 +14,7 @@ __all__ = [
     "LibraryError",
     "AssumptionViolation",
     "InfeasibleError",
+    "EnumerationLimitError",
     "ValidationError",
     "CoveringError",
     "BudgetExceeded",
@@ -64,6 +65,20 @@ class InfeasibleError(SynthesisError):
     """No implementation exists — the library cannot realize some arc
     (e.g. every link's bandwidth is below the constraint and duplication
     is disabled)."""
+
+
+class EnumerationLimitError(InfeasibleError):
+    """Candidate enumeration passed its subset ceiling
+    (``repro.core.candidates.MAX_ENUMERATED_SUBSETS``) — a loud refusal
+    instead of an open-ended hang.  ``arity`` is the merge size K whose
+    pruning pass tripped it; every lower arity finished."""
+
+    def __init__(self, message: str, arity: int) -> None:
+        super().__init__(message)
+        self.arity = arity
+
+    def __reduce__(self):  # pickles across pool workers with its arity
+        return type(self), (str(self), self.arity)
 
 
 class ValidationError(SynthesisError):

@@ -42,7 +42,6 @@ from .point_to_point import materialize_plan
 from .validation import validate
 
 __all__ = [
-    "AUTO_COLGEN_MAX_ARCS",
     "AUTO_EXACT_MAX_ARCS",
     "STRATEGIES",
     "SynthesisOptions",
@@ -54,29 +53,20 @@ __all__ = [
 ]
 
 #: the recognised values of ``SynthesisOptions.strategy``.
-STRATEGIES = ("auto", "exact", "decompose", "colgen")
+STRATEGIES = ("auto", "exact", "decompose")
 
 #: ``strategy="auto"`` keeps exhaustive enumeration up to this many
 #: arcs — the paper-scale regime, where exactness is cheap and every
-#: historical result stays byte-identical.
+#: historical result stays byte-identical — and certified cluster
+#: decomposition above it.
 AUTO_EXACT_MAX_ARCS = 16
-
-#: between the exact threshold and this, auto picks lazy column
-#: generation (single covering instance, planning on demand); above it,
-#: cluster decomposition (the instance is big enough that even the
-#: covering step wants splitting).
-AUTO_COLGEN_MAX_ARCS = 48
 
 
 def resolve_strategy(strategy: str, n_arcs: int) -> str:
     """The concrete strategy a run will use (resolves ``"auto"``)."""
     if strategy != "auto":
         return strategy
-    if n_arcs <= AUTO_EXACT_MAX_ARCS:
-        return "exact"
-    if n_arcs <= AUTO_COLGEN_MAX_ARCS:
-        return "colgen"
-    return "decompose"
+    return "exact" if n_arcs <= AUTO_EXACT_MAX_ARCS else "decompose"
 
 
 @dataclass(frozen=True)
@@ -140,11 +130,10 @@ class SynthesisOptions:
     retry: Optional["RetryPolicy"] = None
     #: how to scale: ``"exact"`` enumerates every K-way subset (the
     #: paper's algorithm), ``"decompose"`` partitions the arcs into
-    #: certified clusters and synthesizes them independently,
-    #: ``"colgen"`` plans merging placements lazily via LP pricing, and
+    #: certified clusters and synthesizes them independently, and
     #: ``"auto"`` (default) picks by instance size — exact at paper
     #: scale, so small-instance results never change.  See
-    #: :mod:`repro.core.decompose` for the strategies' guarantees
+    #: :mod:`repro.core.decompose` for decompose's guarantees
     #: (``result.decomposition`` reports a certified optimality-gap
     #: bound).
     strategy: str = "auto"
@@ -223,8 +212,8 @@ class SynthesisResult:
     #: requested): spans, counters and gauges, exportable via
     #: :mod:`repro.obs` (text summary, JSON metrics, Chrome trace).
     trace: Optional[Tracer] = None
-    #: what the scalable strategy did (None for exact runs): cluster
-    #: sizes, pricing rounds, and the certified optimality-gap bound.
+    #: what the decompose strategy did (None for exact runs): cluster
+    #: sizes and the certified optimality-gap bound.
     #: See :class:`~repro.core.decompose.DecompositionReport`.
     decomposition: Optional["DecompositionReport"] = None
 
@@ -465,12 +454,9 @@ def _synthesize_journaled(
             result = _synthesize_exact(graph, library, options, tracker, journal, start)
         else:
             # imported lazily: decompose builds on this module's types
-            from .decompose import synthesize_colgen, synthesize_decomposed
+            from .decompose import synthesize_decomposed
 
-            dispatch = (
-                synthesize_decomposed if strategy == "decompose" else synthesize_colgen
-            )
-            result = dispatch(graph, library, options, tracker, journal, start)
+            result = synthesize_decomposed(graph, library, options, tracker, journal, start)
         root_span.set("total_cost", result.total_cost)
         return result
 

@@ -17,8 +17,8 @@ models the two-tier reality of accelerator machines:
 
 Distances in meters (Euclidean), bandwidths in bit/s.  The bundled
 instances are small enough for the exact strategy yet show genuine
-cross-node lane sharing, so they pin decompose/colgen certificates in
-the conformance pack.
+cross-node lane sharing, so they pin decompose's certificate in the
+conformance pack.
 """
 
 from __future__ import annotations

@@ -269,8 +269,8 @@ def _tune_traced(
         graph.arc(name)  # raises ModelError on a stranger
     tightened = _tightened(graph, margins)
 
-    # the ECO path only pays off for the exact strategy (decompose and
-    # colgen replan from scratch anyway, and run their own pipelines)
+    # the ECO path only pays off for the exact strategy (decompose
+    # replans from scratch anyway, and runs its own pipeline)
     use_incremental = (
         resolve_strategy(options.strategy, len(graph)) == "exact"
         and options.checkpoint_path is None

@@ -7,7 +7,7 @@ sustained rates, and the question "which channels share a physical
 lane" is exactly the paper's K-way merging.  These generators emit the
 channel sets of the four textbook collectives on a parametric
 machine — ``nodes`` servers, ``accels_per_node`` accelerators each —
-so merging-heavy instances can stress decompose/colgen at scale.
+so merging-heavy instances can stress decompose at scale.
 
 Geometry: nodes sit on a circle whose chord between neighbours is
 ``node_separation``; each node's accelerators sit on a small circle of

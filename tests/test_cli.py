@@ -240,6 +240,15 @@ class TestArgumentValidation:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["synthesize", "x.json"], ["batch", "corpus"], ["tune", "x.json"],
+    ], ids=["synthesize", "batch", "tune"])
+    def test_removed_colgen_strategy_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + ["--strategy", "colgen"])
+        assert exc.value.code == 2
+        assert "--strategy" in capsys.readouterr().err
+
     def test_removed_kernels_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["synthesize", "x.json", "--kernels", "numpy"])

@@ -19,11 +19,7 @@ from repro.core.decompose import (
     _force_split,
 )
 from repro.core.matrices import compute_matrices
-from repro.core.synthesis import (
-    AUTO_COLGEN_MAX_ARCS,
-    AUTO_EXACT_MAX_ARCS,
-    resolve_strategy,
-)
+from repro.core.synthesis import AUTO_EXACT_MAX_ARCS, resolve_strategy
 from repro.io.json_io import synthesis_result_to_dict
 from repro.netgen import clustered_graph
 from repro.domains import wan_library
@@ -213,17 +209,18 @@ class TestDecomposeStrategy:
 class TestStrategyDispatch:
     def test_auto_thresholds(self):
         assert resolve_strategy("auto", AUTO_EXACT_MAX_ARCS) == "exact"
-        assert resolve_strategy("auto", AUTO_EXACT_MAX_ARCS + 1) == "colgen"
-        assert resolve_strategy("auto", AUTO_COLGEN_MAX_ARCS) == "colgen"
-        assert resolve_strategy("auto", AUTO_COLGEN_MAX_ARCS + 1) == "decompose"
+        assert resolve_strategy("auto", AUTO_EXACT_MAX_ARCS + 1) == "decompose"
+        assert resolve_strategy("auto", 10_000) == "decompose"
 
     def test_explicit_strategy_wins(self):
         assert resolve_strategy("exact", 10_000) == "exact"
         assert resolve_strategy("decompose", 2) == "decompose"
 
     def test_unknown_strategy_rejected(self, wan_graph, wan_lib):
-        with pytest.raises(SynthesisError, match="strategy"):
-            synthesize(wan_graph, wan_lib, SynthesisOptions(strategy="magic"))
+        # "colgen" was a strategy once; it is refused like any stranger
+        for strategy in ("magic", "colgen"):
+            with pytest.raises(SynthesisError, match="strategy"):
+                synthesize(wan_graph, wan_lib, SynthesisOptions(strategy=strategy))
 
     def test_bad_max_cluster_arcs_rejected(self, wan_graph, wan_lib):
         with pytest.raises(SynthesisError, match="max_cluster_arcs"):
@@ -249,3 +246,36 @@ class TestFingerprint:
             wan_graph, wan_lib, SynthesisOptions(strategy="decompose")
         )
         assert exact != dec
+
+
+class TestEnumerationValveCap:
+    def test_valve_trip_caps_universe_instead_of_refusing(
+        self, wan_graph, wan_lib, monkeypatch
+    ):
+        # where the exact pipeline refuses an instance whose subset
+        # count blows the enumeration valve, decompose regenerates the
+        # cluster below the arity that tripped and serves a feasible
+        # result with an honestly voided certificate
+        from repro.core import candidates as cand_mod
+        from repro.core.exceptions import InfeasibleError
+
+        # WAN's 8 arcs: the 28 pairs finish, the triples trip the valve
+        monkeypatch.setattr(cand_mod, "MAX_ENUMERATED_SUBSETS", 30)
+        with pytest.raises(InfeasibleError, match="set\\s+max_arity"):
+            synthesize(wan_graph, wan_lib, SynthesisOptions(strategy="exact"))
+
+        r = synthesize(wan_graph, wan_lib, SynthesisOptions(strategy="decompose"))
+        d = r.decomposition
+        assert not d.certified and d.gap_bound is None
+        assert any("capped below arity 3" in note for note in d.notes)
+        assert max(len(c.arc_names) for c in r.candidates.mergings) == 2
+        p2p = sum(c.cost for c in r.candidates.point_to_point)
+        assert r.total_cost <= p2p + 1e-9  # never worse than no merging
+
+    def test_valve_never_trips_with_bounded_arity(self, wan_graph, wan_lib):
+        # an explicit max_arity keeps the universe complete: full
+        # certificate, exact cost
+        r = synthesize(wan_graph, wan_lib, SynthesisOptions(strategy="decompose", max_arity=3))
+        assert r.decomposition.certified and r.decomposition.gap_bound == 0.0
+        exact = synthesize(wan_graph, wan_lib, SynthesisOptions(max_arity=3))
+        assert r.total_cost == pytest.approx(exact.total_cost, rel=1e-9)

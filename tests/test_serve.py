@@ -126,6 +126,11 @@ class TestParseSubmit:
         with pytest.raises(ProtocolError, match="options.pruning"):
             parse_submit(self._doc(instance_doc, options={"pruning": "psychic"}))
 
+    def test_removed_colgen_strategy_is_400(self, instance_doc):
+        with pytest.raises(ProtocolError, match="options.strategy") as exc:
+            parse_submit(self._doc(instance_doc, options={"strategy": "colgen"}))
+        assert exc.value.status == 400
+
     def test_options_parsed_and_budget_policy_forced(self, instance_doc):
         submit = parse_submit(self._doc(
             instance_doc,

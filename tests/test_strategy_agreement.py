@@ -1,12 +1,12 @@
-"""Strategy agreement: exact, decompose and colgen give one answer.
+"""Strategy agreement: exact and decompose give one answer.
 
-The three strategies differ only in which candidate universe they
-enumerate and which covering engine they run; candidate options, merge
-admission and result assembly are shared.  So under every
-result-shaping option, on instances small enough for both scalable
-strategies to certify a zero gap, all three must return the same
-optimum and the same selection.  Selections compare as label sets:
-decompose lists a multi-cluster cover in cluster order.
+The strategies differ only in which candidate universe they enumerate
+and which covering engine they run; candidate options, merge admission
+and result assembly are shared.  So under every result-shaping option,
+on instances small enough for decompose to certify a zero gap, both
+must return the same optimum and the same selection.  Selections
+compare as label sets: decompose lists a multi-cluster cover in
+cluster order.
 """
 
 from __future__ import annotations
@@ -62,10 +62,8 @@ def test_strategies_agree(instance, variant):
     graph, library, max_arity = instance
     base = SynthesisOptions(max_arity=max_arity, **VARIANTS[variant])
     exact = synthesize(graph, library, dataclasses.replace(base, strategy="exact"))
-    labels = {c.label() for c in exact.selected}
-    for strategy in ("decompose", "colgen"):
-        result = synthesize(graph, library, dataclasses.replace(base, strategy=strategy))
-        assert result.total_cost == pytest.approx(exact.total_cost, rel=1e-9), strategy
-        assert {c.label() for c in result.selected} == labels, strategy
-        assert result.decomposition.certified, strategy
-        assert result.decomposition.gap_bound == 0.0, strategy
+    result = synthesize(graph, library, dataclasses.replace(base, strategy="decompose"))
+    assert result.total_cost == pytest.approx(exact.total_cost, rel=1e-9)
+    assert {c.label() for c in result.selected} == {c.label() for c in exact.selected}
+    assert result.decomposition.certified
+    assert result.decomposition.gap_bound == 0.0
