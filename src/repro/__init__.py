@@ -30,7 +30,6 @@ from .core import (  # noqa: F401
     CheckpointError,
     CheckpointIncompatibleError,
     InstanceFormatError,
-    TransientSolverError,
     AuditReport,
     audit_result,
     Candidate,
@@ -120,9 +119,7 @@ from .runtime import (  # noqa: F401
     FaultInjector,
     FaultSpec,
     ResultQuality,
-    RetryPolicy,
     StageAttempt,
-    Supervisor,
     WorkerCrashFault,
     instance_fingerprint,
 )

@@ -26,7 +26,6 @@ from .exceptions import (
     LibraryError,
     ModelError,
     SynthesisError,
-    TransientSolverError,
     ValidationError,
 )
 from .geometry import (

@@ -56,14 +56,16 @@ uses, so its optimality claim inherits the lemmas' soundness
     (``certified=False``, ``gap_bound=None``, and a note names the
     arity).
 
-The strategy owns only how it builds its candidate universe, which
-covering engine it runs (:func:`_solve_exact`, with the
-:data:`ILP_CUTOVER_COLUMNS` cutover) and its budget policy.  The steps
-it shares with the exact pipeline run as one implementation each:
+The strategy owns only how it builds its candidate universe and which
+exact engine each block's cover starts from (:func:`_cluster_engine`,
+with the :data:`ILP_CUTOVER_COLUMNS` cutover).  The steps it shares
+with the exact pipeline run as one implementation each:
 ``SynthesisOptions.candidate_args`` for generation, the Figure 2 arity
 loop and merge admission of :mod:`repro.core.candidates`, and the
-cover-and-assemble tail of :mod:`repro.core.synthesis`, which returns
-a normal :class:`~repro.core.synthesis.SynthesisResult` with the extra
+budgeted covering chain and cover-and-assemble tail of
+:mod:`repro.core.synthesis` — so a block degrades under a budget
+exactly as a whole exact-path instance does.  The tail returns a
+normal :class:`~repro.core.synthesis.SynthesisResult` with the extra
 ``decomposition`` report attached.
 """
 
@@ -74,9 +76,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..covering.bnb import greedy_cover, solve_cover
 from ..covering.bounds import solve_master_lp
-from ..covering.ilp import solve_ilp
 from ..covering.matrix import Column, CoverSolution, CoveringProblem
 from ..obs import current_tracer
 from ..runtime.budget import BudgetTracker
@@ -95,9 +95,10 @@ from .library import CommunicationLibrary, NodeKind
 from .matrices import ArcMatrices, compute_matrices
 from .merging import build_merging_plan
 from .pruning import PRUNE_TOL
-from .synthesis import SynthesisResult, SynthesisOptions, _cover_and_assemble
+from .synthesis import SynthesisResult, SynthesisOptions, _budgeted_cover, _cover_and_assemble
 # perfbench traces these names in this module; the calls run in synthesis
 from .synthesis import build_covering_problem, materialize_selection  # noqa: F401
+from .synthesis import solve_cover, solve_ilp  # noqa: F401  (perfbench, as above)
 from .validation import validate  # noqa: F401  (perfbench, as above)
 
 __all__ = [
@@ -309,7 +310,7 @@ def _clusters_from_labels(labels: np.ndarray) -> List[List[int]]:
 
 
 # ----------------------------------------------------------------------
-# cluster bookkeeping + covering engine
+# cluster bookkeeping + covering engine choice
 # ----------------------------------------------------------------------
 
 
@@ -332,66 +333,12 @@ def _merge_stats(master: GenerationStats, part: GenerationStats) -> None:
     master.effective_jobs = max(master.effective_jobs, part.effective_jobs)
 
 
-def _solve_exact(
-    problem: CoveringProblem,
-    options: SynthesisOptions,
-    tracker: Optional[BudgetTracker],
-    degraded: List[StageAttempt],
-    stage: str,
-) -> Tuple[CoverSolution, bool]:
-    """One exact covering solve with honest budget degradation.
-
-    Returns ``(solution, degraded_flag)``.  On :class:`BudgetExceeded`
-    with ``on_budget_exhausted="degrade"`` the best incumbent (or a
-    greedy cover) is served and recorded in ``degraded``; with
-    ``"fail"`` the exception propagates.
-    """
-    use_ilp = (
-        options.ucp_solver == "ilp" or problem.n_columns >= ILP_CUTOVER_COLUMNS
-    )
-    try:
-        if use_ilp:
-            return solve_ilp(problem, budget=tracker), False
-        return solve_cover(problem, options.solver_options, budget=tracker), False
-    except BudgetExceeded as exc:
-        if options.on_budget_exhausted == "fail":
-            raise
-        if exc.partial is not None:
-            degraded.append(
-                StageAttempt(stage, 1, "budget-incumbent", detail=str(exc))
-            )
-            return exc.partial, True
-        degraded.append(StageAttempt(stage, 1, "budget-greedy", detail=str(exc)))
-        return greedy_cover(problem), True
-
-
-def _degradation_report(
-    tracker: Optional[BudgetTracker],
-    stage: str,
-    attempts: List[StageAttempt],
-    degraded: bool,
-    stats: GenerationStats,
-) -> Optional[DegradationReport]:
-    """The audit trail of a supervised (budgeted) strategy run."""
-    if tracker is None:
-        return None
-    if degraded:
-        quality = ResultQuality.FEASIBLE_SUBOPTIMAL
-    elif stats.budget_truncated:
-        quality = ResultQuality.FEASIBLE_SUBOPTIMAL
-    else:
-        quality = ResultQuality.OPTIMAL
-    if not attempts:
-        attempts = [StageAttempt(stage, 1, "ok")]
-    return DegradationReport(
-        quality=quality,
-        source_stage=stage,
-        attempts=attempts,
-        budget_exhausted=degraded or stats.budget_truncated,
-        candidate_generation_truncated=stats.budget_truncated,
-        deadline_s=tracker.budget.deadline_s,
-        nodes_used=tracker.nodes_used,
-    )
+def _cluster_engine(problem: CoveringProblem, options: SynthesisOptions) -> str:
+    """The exact engine a block's cover starts from: ``options.ucp_solver``,
+    or HiGHS from :data:`ILP_CUTOVER_COLUMNS` columns on."""
+    if options.ucp_solver == "ilp" or problem.n_columns >= ILP_CUTOVER_COLUMNS:
+        return "ilp"
+    return "bnb"
 
 
 # ----------------------------------------------------------------------
@@ -414,9 +361,9 @@ def synthesize_decomposed(
     least :data:`MIN_CLUSTER_ARCS_FOR_POOL` arcs when ``options.jobs``
     asks for one), budget checkpoints, and journal chunk replay (chunk
     keys carry a group digest, so per-cluster records never collide).
-    The per-component covering solves run under the same budget; on
-    exhaustion each remaining component degrades to its best incumbent
-    or a greedy cover instead of failing (``on_budget_exhausted``).
+    Each per-component covering solve runs the budgeted chain of
+    :func:`~repro.core.synthesis._budgeted_cover` under the same
+    budget; the report carries the worst block tag.
     """
     tracer = current_tracer()
     arcs = graph.arcs
@@ -474,7 +421,7 @@ def synthesize_decomposed(
                     master.budget_truncated = True
                     attempts.append(
                         StageAttempt(
-                            "decompose.generate", 1, "budget-p2p-only",
+                            "decompose.generate", "budget-p2p-only",
                             detail=f"cluster {ci} of {len(clusters)}",
                         )
                     )
@@ -524,16 +471,16 @@ def synthesize_decomposed(
         def solve(
             covering: CoveringProblem, replayed: Optional[CoverSolution]
         ) -> Tuple[CoverSolution, Optional[DegradationReport]]:
-            degraded = False
+            reports: List[DegradationReport] = []
             if replayed is not None:
                 cover = replayed
             else:
                 with tracer.span("covering.solve", components=0):
-                    cover, degraded = _solve_components(
+                    cover, reports = _solve_components(
                         graph, natural_labels, matrices, candidates, covering,
-                        options, tracker, attempts,
+                        options, tracker,
                     )
-            if degraded:
+            if replayed is None and not cover.optimal:
                 decomposition.certified = False
                 decomposition.gap_bound = None
                 decomposition.notes.append("covering solve degraded under budget")
@@ -544,7 +491,26 @@ def synthesize_decomposed(
                     )
                 if decomposition.gap_bound is None:
                     decomposition.notes.append("master LP failed; no dual bound")
-            return cover, _degradation_report(tracker, "decompose", attempts, degraded, master)
+            if tracker is None:
+                return cover, None
+            truncated = master.budget_truncated
+            # the worst block tag, and every attempt in block order
+            quality = max(
+                (r.quality for r in reports),
+                key=list(ResultQuality).index,
+                default=(
+                    ResultQuality.FEASIBLE_SUBOPTIMAL if truncated else ResultQuality.OPTIMAL
+                ),
+            )
+            return cover, DegradationReport(
+                quality=quality,
+                source_stage="decompose",
+                attempts=attempts + [a for r in reports for a in r.attempts],
+                budget_exhausted=truncated or tracker.expired(),
+                candidate_generation_truncated=truncated,
+                deadline_s=tracker.budget.deadline_s,
+                nodes_used=tracker.nodes_used,
+            )
 
         return _cover_and_assemble(
             graph, library, options, candidates, solve, start, journal, decomposition
@@ -678,14 +644,15 @@ def _solve_components(
     covering: CoveringProblem,
     options: SynthesisOptions,
     tracker: Optional[BudgetTracker],
-    attempts: List[StageAttempt],
-) -> Tuple[CoverSolution, bool]:
+) -> Tuple[CoverSolution, List[DegradationReport]]:
     """Solve one covering instance per natural component and reassemble.
 
     The certificate guarantees no candidate spans natural components,
     so the global UCP is block-diagonal and the per-block optima
     compose into the global optimum (a fact checked at assembly:
-    ``check_solution`` re-verifies feasibility and weight).
+    ``check_solution`` re-verifies feasibility and weight).  Each block
+    runs the budgeted covering chain; its reports (budgeted runs only)
+    come back in block order.
     """
     tracer = current_tracer()
     arc_component = {
@@ -704,24 +671,26 @@ def _solve_components(
     selected: List[str] = []
     total = 0.0
     optimal = True
-    degraded_any = False
+    reports: List[DegradationReport] = []
     for lab in sorted(blocks, key=lambda l: blocks[l][0]):
         problem = CoveringProblem(blocks[lab], columns_by_block[lab])
         with tracer.span(
             "decompose.solve", component=lab, rows=problem.n_rows,
             columns=problem.n_columns,
         ):
-            solution, degraded = _solve_exact(
-                problem, options, tracker, attempts, "decompose.solve"
+            solution, report = _budgeted_cover(
+                problem, _cluster_engine(problem, options), tracker,
+                options.on_budget_exhausted,
+                candidate_set_complete=not candidates.stats.budget_truncated,
             )
         selected.extend(solution.column_names)
         total += solution.weight
         optimal = optimal and solution.optimal
-        degraded_any = degraded_any or degraded
+        if report is not None:
+            reports.append(report)
     assembled = CoverSolution(
-        column_names=tuple(selected), weight=total,
-        optimal=optimal and not degraded_any,
+        column_names=tuple(selected), weight=total, optimal=optimal,
         stats={"components": len(blocks)},
     )
     covering.check_solution(assembled)
-    return assembled, degraded_any
+    return assembled, reports

@@ -18,7 +18,6 @@ __all__ = [
     "ValidationError",
     "CoveringError",
     "BudgetExceeded",
-    "TransientSolverError",
     "CheckpointError",
     "CheckpointIncompatibleError",
     "BatchError",
@@ -106,12 +105,6 @@ class BudgetExceeded(CoveringError):
         super().__init__(message)
         self.reason = reason
         self.partial = partial
-
-
-class TransientSolverError(SynthesisError):
-    """A solver stage failed for a reason that may not recur (resource
-    hiccup, injected fault).  The runtime supervisor retries these with
-    exponential backoff before falling back to the next stage."""
 
 
 class CheckpointError(SynthesisError):

@@ -45,7 +45,7 @@ from .library import CommunicationLibrary
 from .matrices import IncrementalArcMatrices
 from .merging import build_merging_plan
 from .pruning import PruningMemo, subset_pruned
-from .synthesis import SynthesisOptions, SynthesisResult, _cover_and_assemble, _exact_engine
+from .synthesis import SynthesisOptions, SynthesisResult, _budgeted_cover, _cover_and_assemble
 
 __all__ = ["IncrementalSynthesizer"]
 
@@ -240,5 +240,6 @@ class IncrementalSynthesizer:
         options = self.options
         return _cover_and_assemble(
             self._graph, self.library, options, self._ensure_candidates(),
-            lambda covering, _replayed: (_exact_engine(covering, options), None), start,
+            lambda covering, _replayed: _budgeted_cover(covering, options.ucp_solver, None),
+            start,
         )

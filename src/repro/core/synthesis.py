@@ -17,23 +17,23 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # circular at runtime: decompose builds on this module
     from .decompose import DecompositionReport
 
-from ..covering.bnb import SolverOptions, solve_cover
+from ..covering.bnb import greedy_cover, solve_cover
 from ..covering.ilp import solve_ilp
 from ..covering.matrix import Column, CoverSolution, CoveringProblem
 from ..obs import NULL_TRACER, Tracer, current_tracer, tracing
 from ..runtime.budget import Budget, BudgetTracker, as_tracker
 from ..runtime.checkpoint import CheckpointJournal, instance_fingerprint
+from ..runtime.faults import fault_point
 from ..runtime.report import DegradationReport, ResultQuality, StageAttempt
-from ..runtime.supervisor import RetryPolicy, Supervisor
 from .candidates import Candidate, CandidateSet, PruningLevel, generate_candidates
 from .constraint_graph import ConstraintGraph
-from .exceptions import CoveringError, SynthesisError
+from .exceptions import BudgetExceeded, CoveringError, InfeasibleError, SynthesisError
 from .implementation import ImplementationGraph, Path
 from .library import CommunicationLibrary
 from .merging import materialize_merging
@@ -54,6 +54,9 @@ __all__ = [
 
 #: the recognised values of ``SynthesisOptions.strategy``.
 STRATEGIES = ("auto", "exact", "decompose")
+
+#: the exact covering engines, by ``SynthesisOptions.ucp_solver`` name.
+_EXACT_ENGINES = ("bnb", "ilp")
 
 #: ``strategy="auto"`` keeps exhaustive enumeration up to this many
 #: arcs — the paper-scale regime, where exactness is cheap and every
@@ -101,7 +104,6 @@ class SynthesisOptions:
     #: candidates, costs, and selections; see generate_candidates(jobs=).
     jobs: Optional[int] = None
     ucp_solver: str = "bnb"
-    solver_options: SolverOptions = field(default_factory=SolverOptions)
     validate_result: bool = True
     #: budgeted runs only: on budget exhaustion either serve the best
     #: incumbent with an honest quality tag (``"degrade"``, default) or
@@ -121,13 +123,6 @@ class SynthesisOptions:
     #: never resumed over.  A resume under a fresh ``budget`` continues
     #: from the journal — completed work is never re-spent.
     resume: bool = False
-    #: retry/backoff policy for the supervised fallback chain (``None``
-    #: = the :class:`~repro.runtime.supervisor.RetryPolicy` defaults).
-    #: Concurrent budgeted runs (``repro.serve``) pass per-request
-    #: ``jitter_seed`` values so transient-fault retries decorrelate
-    #: instead of hammering a shared resource in lockstep.  Execution
-    #: knob only — it never changes what result is computed.
-    retry: Optional["RetryPolicy"] = None
     #: how to scale: ``"exact"`` enumerates every K-way subset (the
     #: paper's algorithm), ``"decompose"`` partitions the arcs into
     #: certified clusters and synthesizes them independently, and
@@ -156,7 +151,7 @@ class SynthesisOptions:
 
         The one list behind every "same answer?" key: checkpoint
         fingerprints, batch resume keys and queue manifests.  Execution
-        knobs (``jobs``, ``validate_result``, ``retry``, budget policy,
+        knobs (``jobs``, ``validate_result``, budget policy,
         checkpointing) are left out, so a resume may change them.
         """
         return {
@@ -284,13 +279,6 @@ def materialize_selection(
     return impl
 
 
-def _fallback_stages(ucp_solver: str) -> Sequence[str]:
-    """The anytime chain, starting from the configured exact engine."""
-    if ucp_solver == "bnb":
-        return ("bnb", "ilp", "greedy")
-    return ("ilp", "bnb", "greedy")
-
-
 def synthesize(
     graph: ConstraintGraph,
     library: CommunicationLibrary,
@@ -308,12 +296,13 @@ def synthesize(
 
     With a ``budget`` the run is *supervised*: every hot loop gains
     cooperative checkpoints against the wall-clock/node budget, and the
-    covering step runs the anytime fallback chain (``bnb -> ilp ->
-    greedy`` with per-stage timeouts and retry).  On budget exhaustion
-    the best feasible incumbent is returned — never an exception, as
-    long as one exists and ``options.on_budget_exhausted`` is
-    ``"degrade"`` — with ``result.degradation`` recording what happened
-    and how trustworthy the answer is.
+    covering step runs the anytime fallback chain of
+    :func:`_budgeted_cover` (the configured exact engine, the other
+    one, then greedy).  On budget exhaustion the best feasible cover is
+    returned — never an exception, as long as one exists and
+    ``options.on_budget_exhausted`` is ``"degrade"`` — with
+    ``result.degradation`` recording what happened and how trustworthy
+    the answer is.
 
     ``trace`` turns on the observability layer (:mod:`repro.obs`):
     ``True`` creates a fresh :class:`~repro.obs.Tracer`, or pass your
@@ -325,8 +314,13 @@ def synthesize(
     options = options or SynthesisOptions()
     if len(graph) == 0:
         raise SynthesisError("constraint graph has no arcs — nothing to synthesize")
-    if options.ucp_solver not in ("bnb", "ilp"):
+    if options.ucp_solver not in _EXACT_ENGINES:
         raise SynthesisError(f"unknown ucp_solver {options.ucp_solver!r} (use 'bnb' or 'ilp')")
+    if options.on_budget_exhausted not in ("degrade", "fail"):
+        raise SynthesisError(
+            f"unknown on_budget_exhausted {options.on_budget_exhausted!r} "
+            f"(use 'degrade' or 'fail')"
+        )
     if options.strategy not in STRATEGIES:
         raise SynthesisError(
             f"unknown strategy {options.strategy!r} (use one of {', '.join(STRATEGIES)})"
@@ -397,7 +391,7 @@ def _replayed_report(journal: CheckpointJournal, tracker: BudgetTracker) -> Degr
     return DegradationReport(
         quality=quality,
         source_stage=stage,
-        attempts=[StageAttempt(stage, 1, "replayed", detail="checkpoint journal")],
+        attempts=[StageAttempt(stage, "replayed", detail="checkpoint journal")],
         deadline_s=tracker.budget.deadline_s,
         nodes_used=tracker.nodes_used,
     )
@@ -487,33 +481,157 @@ def _synthesize_exact(
                     return replayed, None
                 assert journal is not None
                 return replayed, _replayed_report(journal, tracker)
-            if tracker is None:
-                return _exact_engine(covering, options, journal), None
-            supervisor = Supervisor(
-                budget=tracker,
-                stages=_fallback_stages(options.ucp_solver),
-                solver_options=options.solver_options,
-                retry=options.retry,
-                on_budget_exhausted=options.on_budget_exhausted,
+            return _budgeted_cover(
+                covering, options.ucp_solver, tracker, options.on_budget_exhausted,
+                candidate_set_complete=not candidates.stats.budget_truncated,
                 journal=journal,
-            )
-            return supervisor.solve(
-                covering, candidate_set_complete=not candidates.stats.budget_truncated
             )
 
     return _cover_and_assemble(graph, library, options, candidates, solve, start, journal)
 
 
-def _exact_engine(
-    covering: CoveringProblem,
-    options: SynthesisOptions,
-    journal: Optional[CheckpointJournal] = None,
+def _stage_cover(
+    stage: str,
+    problem: CoveringProblem,
+    tracker: Optional[BudgetTracker],
+    journal: Optional[CheckpointJournal],
 ) -> CoverSolution:
-    """The exact path's unbudgeted covering engine: ``options.ucp_solver``,
-    whatever the instance's width."""
-    if options.ucp_solver == "bnb":
-        return solve_cover(covering, options.solver_options, journal=journal)
-    return solve_ilp(covering, journal=journal)
+    """One stage's cover.  The engines are module globals looked up per
+    call, so a wrapped ``solve_cover``/``solve_ilp`` sees every solve."""
+    if stage == "bnb":
+        return solve_cover(problem, budget=tracker, journal=journal)
+    if stage == "ilp":
+        return solve_ilp(problem, budget=tracker, journal=journal)
+    return greedy_cover(problem)  # one linear pass, never budgeted
+
+
+def _run_stage(
+    stage: str,
+    problem: CoveringProblem,
+    tracker: Optional[BudgetTracker],
+    journal: Optional[CheckpointJournal],
+    attempts: List[StageAttempt],
+) -> Tuple[Optional[CoverSolution], Optional[CoverSolution]]:
+    """Run one chain stage and record it; returns ``(cover, partial)``.
+
+    ``cover`` is set when the stage completed; ``partial`` is the
+    incumbent a stage interrupted by its budget left behind.  Any other
+    :class:`SynthesisError` just ends the stage; infeasibility raises.
+    """
+    tracer = current_tracer()
+    tracer.count("supervisor.attempts")
+    t0 = time.perf_counter()
+    cover: Optional[CoverSolution] = None
+    partial: Optional[CoverSolution] = None
+    detail = ""
+    with tracer.span(f"supervisor.{stage}") as span:
+        try:
+            fault_point(f"supervisor.{stage}")
+            cover = _stage_cover(stage, problem, tracker, journal)
+            outcome = "completed"
+        except BudgetExceeded as exc:
+            outcome, detail, partial = "budget_exceeded", str(exc), exc.partial
+        except InfeasibleError:
+            span.set("outcome", "infeasible")
+            raise  # no budget can fix a truly infeasible instance
+        except SynthesisError as exc:
+            outcome, detail = "error", str(exc)
+        span.set("outcome", outcome)
+    tracer.count(f"supervisor.attempts.{outcome}")
+    attempts.append(StageAttempt(stage, outcome, time.perf_counter() - t0, detail))
+    return cover, partial
+
+
+def _budgeted_cover(
+    problem: CoveringProblem,
+    primary: str,
+    tracker: Optional[BudgetTracker],
+    on_budget_exhausted: str = "degrade",
+    candidate_set_complete: bool = True,
+    journal: Optional[CheckpointJournal] = None,
+) -> Tuple[CoverSolution, Optional[DegradationReport]]:
+    """The one covering solve of every driver, under its budget policy.
+
+    Without a ``tracker``, the ``primary`` exact engine (``"bnb"`` or
+    ``"ilp"``) runs alone, its errors propagate, and there is no report.
+
+    With one, the chain is ``primary`` on half the remaining time, then
+    the other exact engine on the rest; an exact stage is skipped once
+    the deadline has passed.  A stage stopped by the budget leaves its
+    ``.partial`` cover, any other :class:`SynthesisError` just ends it.
+    When no exact engine completed, :func:`~repro.covering.bnb.greedy_cover`
+    runs without the budget (one linear pass, so the deadline can be
+    overshot by that much) and the cheapest of the partials and greedy's
+    cover is served, a partial on a tie.  Tags: ``optimal`` for a
+    completed exact engine (``feasible_suboptimal`` when
+    ``candidate_set_complete`` is False), ``feasible_suboptimal`` for a
+    partial, ``degraded_greedy`` for greedy.
+
+    Raises :class:`BudgetExceeded` when no stage left a cover, and under
+    ``on_budget_exhausted="fail"`` whenever the tag is not ``optimal``
+    (the served cover rides along as ``.partial``).  Each stage runs in
+    a ``supervisor.<stage>`` span behind a fault site of the same name.
+    """
+    if tracker is None:
+        return _stage_cover(primary, problem, None, journal), None
+    problem.validate_coverable()  # infeasibility is not a degradation case
+    attempts: List[StageAttempt] = []
+    partials: List[Tuple[CoverSolution, str]] = []
+    cover: Optional[CoverSolution] = None
+    source = ""
+    chain = [primary] + [e for e in _EXACT_ENGINES if e != primary]
+    for stage, share in zip(chain, (0.5, 1.0)):
+        if tracker.expired():
+            attempts.append(StageAttempt(stage, "skipped", detail="global deadline exhausted"))
+            current_tracer().count("supervisor.stages.skipped")
+            continue
+        cover, partial = _run_stage(stage, problem, tracker.stage(share), journal, attempts)
+        if cover is not None:
+            source = stage
+            break
+        if partial is not None:
+            partials.append((partial, f"{stage}-partial"))
+
+    if cover is not None:
+        quality = (
+            ResultQuality.OPTIMAL if candidate_set_complete else ResultQuality.FEASIBLE_SUBOPTIMAL
+        )
+    else:
+        greedy, _ = _run_stage("greedy", problem, None, None, attempts)
+        if greedy is not None:
+            partials.append((greedy, "greedy"))
+        if not partials:
+            raise BudgetExceeded(
+                "every fallback stage failed and no feasible cover was found "
+                f"[{'; '.join(f'{a.stage}:{a.outcome}' for a in attempts)}]",
+                reason="deadline" if tracker.expired() else "stages",
+            )
+        # min keeps the first of equal weights: partials precede greedy
+        cover, source = min(partials, key=lambda p: p[0].weight)
+        quality = (
+            ResultQuality.DEGRADED_GREEDY
+            if source == "greedy"
+            else ResultQuality.FEASIBLE_SUBOPTIMAL
+        )
+
+    report = DegradationReport(
+        quality=quality,
+        source_stage=source,
+        attempts=attempts,
+        budget_exhausted=tracker.expired(),
+        candidate_generation_truncated=not candidate_set_complete,
+        deadline_s=tracker.budget.deadline_s,
+        elapsed_s=tracker.elapsed_s(),
+        nodes_used=tracker.nodes_used,
+    )
+    if on_budget_exhausted == "fail" and quality is not ResultQuality.OPTIMAL:
+        raise BudgetExceeded(
+            f"budget exhausted before an optimal result (best available: "
+            f"{quality.value} from {source}, weight {cover.weight:g})",
+            reason="deadline" if tracker.expired() else "degraded",
+            partial=cover,
+        )
+    return cover, report
 
 
 def _cover_and_assemble(

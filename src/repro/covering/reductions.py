@@ -99,7 +99,7 @@ class ReducedState:
 def _apply_essentials(state: ReducedState) -> bool:
     """Select columns forced by singly-covered rows; True if any fired."""
     changed = False
-    for row in list(state.rows):
+    for row in sorted(state.rows):
         if row not in state.rows:  # may have been covered by an earlier pick
             continue
         covering = state.active_columns_covering(row)

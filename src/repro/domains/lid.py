@@ -252,8 +252,8 @@ def lid_aware_synthesize(
     from ..core.candidates import Candidate, CandidateSet, generate_candidates
     from ..core.synthesis import (
         SynthesisOptions,
+        _budgeted_cover,
         _cover_and_assemble,
-        _exact_engine,
         materialize_selection,
     )
 
@@ -295,7 +295,7 @@ def lid_aware_synthesize(
     )
     result = _cover_and_assemble(
         graph, library, opts, lid_candidates,
-        lambda covering, _replayed: (_exact_engine(covering, opts), None), start,
+        lambda covering, _replayed: _budgeted_cover(covering, opts.ucp_solver, None), start,
     )
     result.implementation.name = f"{graph.name}-lid-impl"
     return result

@@ -1,4 +1,4 @@
-"""Resilient synthesis runtime: budgets, fault injection, supervision.
+"""Resilient synthesis runtime: budgets, fault injection, reports.
 
 - :mod:`repro.runtime.budget` — :class:`Budget`/:class:`BudgetTracker`,
   the wall-clock + node budgets threaded through every hot loop via
@@ -6,9 +6,9 @@
 - :mod:`repro.runtime.faults` — deterministic, seeded fault injection
   at named checkpoint sites (the degradation paths are under test);
 - :mod:`repro.runtime.report` — :class:`ResultQuality` tags and the
-  :class:`DegradationReport` audit trail;
-- :mod:`repro.runtime.supervisor` — the anytime fallback chain
-  ``bnb -> ilp -> greedy`` with per-stage timeouts and retry;
+  :class:`DegradationReport` audit trail of the budgeted covering chain
+  (the configured exact engine, the other one, then greedy), which
+  lives beside the pipeline in :mod:`repro.core.synthesis`;
 - :mod:`repro.runtime.checkpoint` — the crash-tolerant
   :class:`CheckpointJournal` (append-only, CRC-checked) that lets a
   killed run resume with an identical result;
@@ -19,10 +19,6 @@
   the one self-healing process pool, shared by candidate generation,
   batch mode and the server (imported from its module: it builds on
   :mod:`repro.core.cache`, which this package must not load eagerly).
-
-``Supervisor``/``RetryPolicy`` are loaded lazily: the covering solvers
-import this package for checkpoints, and the supervisor imports the
-covering solvers — deferring one edge keeps the import graph acyclic.
 """
 
 from __future__ import annotations
@@ -67,17 +63,4 @@ __all__ = [
     "DegradationReport",
     "ResultQuality",
     "StageAttempt",
-    "DEFAULT_STAGES",
-    "RetryPolicy",
-    "Supervisor",
 ]
-
-_LAZY = ("DEFAULT_STAGES", "RetryPolicy", "Supervisor")
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from . import supervisor as _supervisor
-
-        return getattr(_supervisor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,10 +20,10 @@ cadence); :meth:`Budget.start` produces the mutable
 
 Both raise :class:`~repro.core.exceptions.BudgetExceeded` when a limit
 is hit, which every loop in the pipeline is written to tolerate (the
-supervisor turns it into a degraded-but-feasible answer).
+budgeted covering chain turns it into a degraded-but-feasible answer).
 
 Trackers derived with :meth:`BudgetTracker.stage` implement the
-supervisor's per-stage timeouts: the child gets its own (shorter)
+covering chain's per-stage timeouts: the child gets its own (shorter)
 deadline but shares the root node counter, so the global budget holds
 no matter how stages are sliced.  ``clock`` is injectable for tests.
 """
@@ -158,15 +158,12 @@ class BudgetTracker:
         self.root._nodes += count
 
     # ------------------------------------------------------------------
-    def stage(
-        self, share: float = 1.0, cap_s: Optional[float] = None
-    ) -> "BudgetTracker":
-        """A child tracker for one supervisor stage.
+    def stage(self, share: float = 1.0) -> "BudgetTracker":
+        """A child tracker for one covering-chain stage.
 
         The child's deadline is ``share`` of this tracker's remaining
-        time (optionally capped at ``cap_s``); node charges still count
-        against the root budget.  With no deadline anywhere the child
-        is unlimited too.
+        time; node charges still count against the root budget.  With
+        no deadline anywhere the child is unlimited too.
         """
         if not 0.0 < share <= 1.0:
             raise ValueError(f"share must be in (0, 1], got {share}")
@@ -174,8 +171,6 @@ class BudgetTracker:
         deadline: Optional[float] = None
         if remaining != float("inf"):
             deadline = max(0.0, remaining) * share
-        if cap_s is not None:
-            deadline = cap_s if deadline is None else min(deadline, cap_s)
         child_budget = Budget(
             deadline_s=deadline,
             max_nodes=None,  # node budget is enforced at the root

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.exceptions import BudgetExceeded, TransientSolverError
+from ..core.exceptions import BudgetExceeded, SynthesisError
 
 __all__ = [
     "FAULT_KINDS",
@@ -45,7 +45,7 @@ __all__ = [
 #: supported synthetic failure kinds:
 #: ``timeout`` — raises :class:`BudgetExceeded` (reason ``injected-timeout``);
 #: ``node_budget`` — raises :class:`BudgetExceeded` (reason ``injected-node-budget``);
-#: ``error`` — raises :class:`TransientSolverError` (retryable);
+#: ``error`` — raises a plain :class:`SynthesisError` (a stage failure);
 #: ``worker_crash`` — raises :class:`WorkerCrashFault` at a pool
 #: *dispatch* site (``"pool.dispatch.k2"``, ...): the dispatcher marks
 #: the chunk so the worker process that picks it up dies abruptly
@@ -173,7 +173,7 @@ class FaultSpec:
             return HeartbeatStallFault(msg)
         if self.kind == "stale_clock":
             return StaleClockFault(msg, skew_s=self.skew_s)
-        return TransientSolverError(msg)
+        return SynthesisError(msg)
 
 
 class FaultInjector:

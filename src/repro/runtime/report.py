@@ -3,7 +3,7 @@
 A supervised run never dies without an answer if any feasible incumbent
 exists — but then the caller must know *what kind* of answer it got.
 :class:`ResultQuality` is the three-level tag, :class:`DegradationReport`
-the full audit trail (every stage attempt, its outcome and timing)
+the full audit trail (every stage run, its outcome and timing)
 attached to :class:`~repro.core.synthesis.SynthesisResult`.
 
 Serving guidance: every quality level is Definition 2.4-validated and
@@ -37,16 +37,14 @@ class ResultQuality(Enum):
 
 @dataclass(frozen=True)
 class StageAttempt:
-    """One attempt of one fallback-chain stage."""
+    """One run of one fallback-chain stage."""
 
-    stage: str  # "bnb" | "ilp" | "greedy"
-    attempt: int  # 1-based attempt number within the stage
-    #: "completed" | "budget_exceeded" | "transient_error" | "error" | "skipped"
+    stage: str  # "bnb" | "ilp" | "greedy" (| "decompose.generate")
+    #: "completed" | "budget_exceeded" | "error" | "skipped" | "replayed"
+    #: (| "budget-p2p-only" for decompose's generation fallback)
     outcome: str
     elapsed_s: float = 0.0
     detail: str = ""
-    #: backoff slept *after* this attempt before retrying (0 = none).
-    backoff_s: float = 0.0
 
 
 @dataclass
@@ -79,11 +77,6 @@ class DegradationReport:
         """True unless the result is the proven optimum."""
         return self.quality is not ResultQuality.OPTIMAL
 
-    @property
-    def retries(self) -> int:
-        """Total retry attempts across all stages (beyond first tries)."""
-        return sum(1 for a in self.attempts if a.attempt > 1)
-
     def summary(self) -> str:
         """One line for CLI reports and logs."""
         chain = " -> ".join(f"{a.stage}:{a.outcome}" for a in self.attempts)
@@ -112,11 +105,9 @@ class DegradationReport:
             "attempts": [
                 {
                     "stage": a.stage,
-                    "attempt": a.attempt,
                     "outcome": a.outcome,
                     "elapsed_s": a.elapsed_s,
                     "detail": a.detail,
-                    "backoff_s": a.backoff_s,
                 }
                 for a in self.attempts
             ],

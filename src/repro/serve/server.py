@@ -10,9 +10,10 @@ robustness envelope is the product:
 - **fair scheduling** — accepted requests dispatch round-robin across
   clients (:mod:`.scheduler`), so one flood cannot starve others;
 - **degrade, not fail** — each request runs under its own
-  :class:`~repro.runtime.budget.Budget` deadline through the
-  Supervisor's anytime bnb → ilp → greedy chain; the response reports
-  the :class:`~repro.runtime.report.DegradationReport` quality;
+  :class:`~repro.runtime.budget.Budget` deadline through the budgeted
+  covering chain (the configured exact engine, the other one, then
+  greedy); the response reports the
+  :class:`~repro.runtime.report.DegradationReport` quality;
 - **fault containment** — solves run in the self-healing
   :class:`~repro.runtime.pool.WorkerPool`: a dead worker rebuilds the
   pool and re-dispatches, a twice-lost request is solved in-process;
@@ -31,8 +32,8 @@ robustness envelope is the product:
 
 Determinism note: served results are byte-identical (via
 :func:`repro.batch.stable_result_dict`) to solo ``synthesize`` runs of
-the same instance and options — concurrency, retries, pool recoveries
-and caching change *when* an answer arrives, never *what* it is.
+the same instance and options — concurrency, pool recoveries and
+caching change *when* an answer arrives, never *what* it is.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from ..core.synthesis import SynthesisOptions
 from ..runtime.faults import FaultInjector, FaultSpec
 from ..runtime.pool import WorkerLost, WorkerPool
 from ..runtime.records import decode_line
-from ..runtime.supervisor import RetryPolicy
 from .admission import AdmissionController, AdmissionPolicy
 from .protocol import (
     HttpRequest,
@@ -118,10 +118,6 @@ class ServeConfig:
     max_body_bytes: int = 8 * 1024 * 1024
     #: per-connection header+body read timeout.
     io_timeout_s: float = 30.0
-    #: supervisor retry jitter for concurrent requests (0 = lockstep
-    #: deterministic backoff, as in solo runs); each request gets its
-    #: own jitter seed, so retries decorrelate but replay identically.
-    retry_jitter: float = 0.25
     #: deterministic chaos: FaultSpec plan installed in every pool
     #: worker (timeout/error/stall fire inside solves) and consulted at
     #: the parent-side ``serve.dispatch`` site (worker_crash poisons
@@ -142,8 +138,6 @@ class ServeConfig:
             raise ValueError("drain_grace_s and stuck_grace_s must be nonnegative")
         if self.watchdog_interval_s <= 0 or self.stream_interval_s <= 0:
             raise ValueError("watchdog_interval_s and stream_interval_s must be positive")
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ValueError(f"retry_jitter must be in [0, 1], got {self.retry_jitter}")
 
 
 @dataclass
@@ -659,11 +653,6 @@ class SynthesisServer:
             # and the streaming response tails it
             journal_path = self._spool / f"{request_id}.ckpt"
             options = replace(options, checkpoint_path=str(journal_path))
-        if self.config.retry_jitter > 0.0:
-            options = replace(options, retry=RetryPolicy(
-                backoff_jitter=self.config.retry_jitter,
-                jitter_seed=next(self._ids),
-            ))
         request = _Request(
             id=request_id,
             submit=submit,

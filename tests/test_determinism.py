@@ -64,10 +64,12 @@ class TestDeterminism:
 
 
 #: the two 24-seed sweep instances (ring graphs, random libraries) whose
-#: covering search sums its incumbent in string-hash order.
+#: covering search sums its incumbent in string-hash order, and a
+#: clustered instance whose bnb incumbent/prune counters flipped with the
+#: hash seed while essential columns were picked in set order.
 _HASH_SENSITIVE_SWEEP = """
 from repro import SynthesisOptions, synthesize
-from repro.netgen import random_library, ring_graph
+from repro.netgen import clustered_graph, random_library, ring_graph, two_tier_library
 
 for seed in (19, 23):
     result = synthesize(
@@ -78,13 +80,23 @@ for seed in (19, 23):
         ),
     )
     print(seed, result.total_cost.hex())
+
+result = synthesize(
+    clustered_graph(n_clusters=2, ports_per_cluster=4, n_arcs=8, separation=100.0, seed=1003),
+    two_tier_library(),
+    SynthesisOptions(max_arity=3, drop_dominated=True, strategy="exact"),
+    trace=True,
+)
+counters = result.trace.counters
+print(1003, counters.get("covering.bnb.incumbents", 0), counters.get("covering.bnb.pruned_incumbent", 0))
 """
 
 
 def test_total_cost_independent_of_hash_seed():
     """``total_cost`` is the correctly rounded sum of the selected
     columns, so processes with different string-hash seeds report the
-    same double."""
+    same double; the covering search visits rows in sorted order, so its
+    deterministic counters agree too."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = set()
     for hash_seed in ("0", "1", "2"):

@@ -90,11 +90,6 @@ class TestStageTrackers:
         child = root.stage(share=0.5)
         assert child.budget.deadline_s == pytest.approx(4.0)  # 8s left * 0.5
 
-    def test_stage_cap_applies(self):
-        root = Budget(deadline_s=100.0).start(clock=FakeClock())
-        child = root.stage(share=1.0, cap_s=3.0)
-        assert child.budget.deadline_s == pytest.approx(3.0)
-
     def test_stage_of_unlimited_root_is_unlimited(self):
         child = Budget().start().stage(share=0.5)
         assert child.budget.deadline_s is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.exceptions import BudgetExceeded, TransientSolverError
+from repro.core.exceptions import BudgetExceeded, SynthesisError
 from repro.runtime import FaultInjector, FaultSpec, active_injector, fault_point
 
 
@@ -41,10 +41,11 @@ class TestKinds:
                 fault_point("s")
         assert exc.value.reason == "injected-node-budget"
 
-    def test_error_raises_transient(self):
+    def test_error_raises_synthesis_error(self):
         with FaultInjector([FaultSpec(site="s", kind="error")]):
-            with pytest.raises(TransientSolverError):
+            with pytest.raises(SynthesisError) as exc:
                 fault_point("s")
+        assert type(exc.value) is SynthesisError
 
 
 class TestFiringRules:
@@ -59,21 +60,21 @@ class TestFiringRules:
     def test_glob_site_patterns(self):
         with FaultInjector([FaultSpec(site="bnb.*", kind="error")]):
             fault_point("greedy.select")
-            with pytest.raises(TransientSolverError):
+            with pytest.raises(SynthesisError):
                 fault_point("bnb.node")
 
     def test_after_skips_initial_hits(self):
         with FaultInjector([FaultSpec(site="s", kind="error", after=3)]) as inj:
             for _ in range(3):
                 fault_point("s")
-            with pytest.raises(TransientSolverError):
+            with pytest.raises(SynthesisError):
                 fault_point("s")
         assert inj.hits("s") == 4
 
     def test_times_caps_firings(self):
         with FaultInjector([FaultSpec(site="s", kind="error", times=2)]) as inj:
             for _ in range(2):
-                with pytest.raises(TransientSolverError):
+                with pytest.raises(SynthesisError):
                     fault_point("s")
             fault_point("s")  # budget of injected faults used up
             assert inj.total_fired == 2
@@ -86,7 +87,7 @@ class TestFiringRules:
                     try:
                         fault_point("s")
                         pattern.append(False)
-                    except TransientSolverError:
+                    except SynthesisError:
                         pattern.append(True)
             return pattern
 

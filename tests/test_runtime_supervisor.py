@@ -1,22 +1,25 @@
-"""Fallback-chain tests for the runtime Supervisor.
+"""Fallback-chain tests for the budgeted covering solve.
 
-Every transition of the anytime chain bnb -> ilp -> greedy is forced by
-deterministic fault injection and asserted on: which stages ran, which
-solution is served, and how it is tagged.
+Every driver's covering step runs ``_budgeted_cover``: the primary exact
+engine on half the remaining budget, the other exact engine on the rest,
+then greedy.  Every transition is forced by deterministic fault
+injection and asserted on: which stages ran, which cover is served, and
+how it is tagged.
 """
+
+import itertools
 
 import pytest
 
-from repro.core.exceptions import BudgetExceeded, CoveringError, TransientSolverError
-from repro.covering.matrix import Column, CoveringProblem
-from repro.runtime import (
-    Budget,
-    FaultInjector,
-    FaultSpec,
-    ResultQuality,
-    RetryPolicy,
-    Supervisor,
+from repro.core.exceptions import (
+    BudgetExceeded,
+    CoveringError,
+    InfeasibleError,
+    SynthesisError,
 )
+from repro.core.synthesis import _budgeted_cover
+from repro.covering.matrix import Column, CoverSolution, CoveringProblem
+from repro.runtime import Budget, FaultInjector, FaultSpec, ResultQuality
 
 
 def col(name, rows, weight=1.0):
@@ -38,39 +41,69 @@ def greedy_trap():
     )
 
 
-def fast_supervisor(**kwargs):
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=2, backoff_base_s=0.0))
-    return Supervisor(**kwargs)
+def solve(problem, primary="bnb", tracker=None, **kwargs):
+    """The budgeted chain under a generous deadline (or ``tracker``)."""
+    if tracker is None:
+        tracker = Budget(deadline_s=60.0).start()
+    return _budgeted_cover(problem, primary, tracker, **kwargs)
+
+
+def stages(report):
+    return [(a.stage, a.outcome) for a in report.attempts]
+
+
+def bnb_stops_with(columns, weight):
+    """A ``supervisor.bnb`` fault: bnb "runs out of budget" leaving the
+    given cover as its partial."""
+    partial = CoverSolution(column_names=columns, weight=weight, optimal=False)
+    return FaultSpec(
+        site="supervisor.bnb",
+        exception=lambda msg: BudgetExceeded(msg, reason="injected-timeout", partial=partial),
+    )
 
 
 class TestHappyPath:
     def test_bnb_completes_optimal(self, greedy_trap):
-        cover, report = fast_supervisor().solve(greedy_trap)
+        cover, report = solve(greedy_trap)
         assert cover.weight == pytest.approx(1.6)
         assert report.quality is ResultQuality.OPTIMAL
         assert report.source_stage == "bnb"
-        assert [a.outcome for a in report.attempts] == ["completed"]
+        assert stages(report) == [("bnb", "completed")]
         assert not report.degraded
 
     def test_truncated_candidates_downgrade_tag(self, greedy_trap):
-        cover, report = fast_supervisor().solve(greedy_trap, candidate_set_complete=False)
+        cover, report = solve(greedy_trap, candidate_set_complete=False)
         assert cover.weight == pytest.approx(1.6)  # exact over what it was given
         assert report.quality is ResultQuality.FEASIBLE_SUBOPTIMAL
         assert report.candidate_generation_truncated
+
+    def test_unbudgeted_runs_the_primary_alone(self, greedy_trap):
+        cover, report = _budgeted_cover(greedy_trap, "bnb", None)
+        assert cover.weight == pytest.approx(1.6)
+        assert report is None
+        # and its errors propagate: no fallback without a budget
+        with FaultInjector([FaultSpec(site="bnb.*", kind="error")]):
+            with pytest.raises(SynthesisError):
+                _budgeted_cover(greedy_trap, "bnb", None)
 
 
 class TestTransitions:
     def test_bnb_timeout_falls_to_ilp(self, greedy_trap):
         plan = [FaultSpec(site="bnb.node", kind="timeout")]
         with FaultInjector(plan):
-            cover, report = fast_supervisor().solve(greedy_trap)
+            cover, report = solve(greedy_trap)
         assert cover.weight == pytest.approx(1.6)  # ilp is exact too
         assert report.quality is ResultQuality.OPTIMAL
         assert report.source_stage == "ilp"
-        assert [(a.stage, a.outcome) for a in report.attempts] == [
-            ("bnb", "budget_exceeded"),
-            ("ilp", "completed"),
-        ]
+        assert stages(report) == [("bnb", "budget_exceeded"), ("ilp", "completed")]
+
+    def test_ilp_timeout_falls_to_bnb(self, greedy_trap):
+        plan = [FaultSpec(site="ilp.start", kind="timeout")]
+        with FaultInjector(plan):
+            cover, report = solve(greedy_trap, primary="ilp")
+        assert cover.weight == pytest.approx(1.6)
+        assert report.quality is ResultQuality.OPTIMAL
+        assert stages(report) == [("ilp", "budget_exceeded"), ("bnb", "completed")]
 
     def test_ilp_failure_falls_to_greedy(self, greedy_trap):
         plan = [
@@ -78,14 +111,11 @@ class TestTransitions:
             FaultSpec(site="ilp.*", kind="error"),
         ]
         with FaultInjector(plan):
-            cover, report = fast_supervisor().solve(greedy_trap)
+            cover, report = solve(greedy_trap)
         assert cover.weight == pytest.approx(1.8)  # the greedy trap, served honestly
         assert report.quality is ResultQuality.DEGRADED_GREEDY
         assert report.source_stage == "greedy"
-        # both exact stages were retried to exhaustion before greedy ran
-        stages = [a.stage for a in report.attempts]
-        assert stages == ["bnb", "bnb", "ilp", "ilp", "greedy"]
-        assert report.attempts[-1].outcome == "completed"
+        assert stages(report) == [("bnb", "error"), ("ilp", "error"), ("greedy", "completed")]
 
     def test_partial_incumbent_served_when_greedy_also_fails(self, greedy_trap):
         plan = [
@@ -94,16 +124,17 @@ class TestTransitions:
             FaultSpec(site="greedy.select", kind="error"),
         ]
         with FaultInjector(plan):
-            cover, report = fast_supervisor().solve(greedy_trap)
+            cover, report = solve(greedy_trap)
         assert cover.weight == pytest.approx(1.8)  # bnb's seeded incumbent
         assert report.quality is ResultQuality.FEASIBLE_SUBOPTIMAL
         assert report.source_stage == "bnb-partial"
+        assert stages(report)[-1] == ("greedy", "error")
 
     def test_total_exhaustion_raises_with_no_incumbent(self, greedy_trap):
         plan = [FaultSpec(site="*", kind="error")]  # every site, every stage
         with FaultInjector(plan):
             with pytest.raises(BudgetExceeded) as exc:
-                fast_supervisor().solve(greedy_trap)
+                solve(greedy_trap)
         assert exc.value.partial is None
 
     def test_fail_policy_raises_with_partial_attached(self, greedy_trap):
@@ -113,61 +144,73 @@ class TestTransitions:
         ]
         with FaultInjector(plan):
             with pytest.raises(BudgetExceeded) as exc:
-                fast_supervisor(on_budget_exhausted="fail").solve(greedy_trap)
+                solve(greedy_trap, on_budget_exhausted="fail")
         assert exc.value.partial is not None
         assert exc.value.partial.weight == pytest.approx(1.8)
 
+    def test_fail_policy_refuses_a_truncated_candidate_set(self, greedy_trap):
+        with pytest.raises(BudgetExceeded) as exc:
+            solve(greedy_trap, on_budget_exhausted="fail", candidate_set_complete=False)
+        assert exc.value.partial.weight == pytest.approx(1.6)
 
-class TestRetry:
-    def test_transient_fault_retried_with_backoff(self, greedy_trap):
-        sleeps = []
-        plan = [FaultSpec(site="supervisor.bnb", kind="error", times=1)]
-        sup = Supervisor(
-            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01, backoff_factor=2.0),
-            sleep=sleeps.append,
-        )
+
+class TestPartialVersusGreedy:
+    def test_cheaper_partial_beats_greedy(self, greedy_trap):
+        plan = [bnb_stops_with(("left", "right"), 1.6), FaultSpec(site="ilp.*", kind="error")]
         with FaultInjector(plan):
-            cover, report = sup.solve(greedy_trap)
-        assert cover.weight == pytest.approx(1.6)
-        assert report.quality is ResultQuality.OPTIMAL
-        assert [(a.stage, a.attempt, a.outcome) for a in report.attempts] == [
-            ("bnb", 1, "transient_error"),
-            ("bnb", 2, "completed"),
+            cover, report = solve(greedy_trap)
+        assert cover.column_names == ("left", "right")
+        assert report.quality is ResultQuality.FEASIBLE_SUBOPTIMAL
+        assert report.source_stage == "bnb-partial"
+        assert stages(report) == [
+            ("bnb", "budget_exceeded"), ("ilp", "error"), ("greedy", "completed"),
         ]
-        assert sleeps == [pytest.approx(0.01)]
 
-    def test_backoff_grows_exponentially(self, greedy_trap):
-        sleeps = []
+    def test_tie_goes_to_the_partial(self, greedy_trap):
+        # bnb stops at its first node holding its greedy seed: same weight
+        plan = [FaultSpec(site="bnb.node", kind="timeout"), FaultSpec(site="ilp.*", kind="error")]
+        with FaultInjector(plan):
+            cover, report = solve(greedy_trap)
+        assert cover.weight == pytest.approx(1.8)
+        assert report.quality is ResultQuality.FEASIBLE_SUBOPTIMAL
+        assert report.source_stage == "bnb-partial"
+
+    def test_greedy_beats_a_costlier_partial(self, greedy_trap):
         plan = [
-            FaultSpec(site="supervisor.bnb", kind="error"),
-            FaultSpec(site="supervisor.ilp", kind="error"),
-            FaultSpec(site="supervisor.greedy", kind="error", times=2),
+            bnb_stops_with(("left", "right", "wide"), 2.6),
+            FaultSpec(site="ilp.*", kind="error"),
         ]
-        sup = Supervisor(
-            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01, backoff_factor=2.0),
-            sleep=sleeps.append,
-        )
         with FaultInjector(plan):
-            cover, report = sup.solve(greedy_trap)
+            cover, report = solve(greedy_trap)
+        assert cover.weight == pytest.approx(1.8)
         assert report.quality is ResultQuality.DEGRADED_GREEDY
-        # each failing stage sleeps 0.01 then 0.02 between its attempts
-        assert sleeps == [pytest.approx(s) for s in (0.01, 0.02, 0.01, 0.02, 0.01, 0.02)]
-        assert report.retries >= 2
+        assert report.source_stage == "greedy"
 
 
 class TestBudgets:
     def test_expired_deadline_skips_all_stages(self, greedy_trap):
-        import itertools
-
+        """Every budgeted stage is skipped; greedy, which runs without
+        the budget, still serves a cover."""
         clock = itertools.count(0.0, 10.0)  # jumps 10s per reading
         tracker = Budget(deadline_s=1.0).start(clock=lambda: float(next(clock)))
-        with pytest.raises(BudgetExceeded):
-            fast_supervisor(budget=tracker).solve(greedy_trap)
+        cover, report = solve(greedy_trap, tracker=tracker)
+        assert cover.weight == pytest.approx(1.8)
+        assert report.quality is ResultQuality.DEGRADED_GREEDY
+        assert stages(report) == [
+            ("bnb", "skipped"), ("ilp", "skipped"), ("greedy", "completed"),
+        ]
+        assert report.budget_exhausted
 
     def test_infeasible_is_not_a_degradation_case(self):
         p = CoveringProblem(["r1", "r2"], [col("a", {"r1"})])
         with pytest.raises(CoveringError, match="infeasible"):
-            fast_supervisor().solve(p)
+            solve(p)
+
+    def test_infeasible_stage_error_propagates(self, greedy_trap):
+        plan = [FaultSpec(site="supervisor.bnb", exception=InfeasibleError)]
+        with FaultInjector(plan):
+            with pytest.raises(InfeasibleError):
+                solve(greedy_trap)
 
     def test_determinism_across_runs_with_same_seed(self, greedy_trap):
         plan = [
@@ -177,91 +220,7 @@ class TestBudgets:
 
         def run():
             with FaultInjector(plan, seed=42):
-                cover, report = fast_supervisor().solve(greedy_trap)
-            return cover.column_names, cover.weight, report.quality, [
-                (a.stage, a.attempt, a.outcome) for a in report.attempts
-            ]
+                cover, report = solve(greedy_trap)
+            return cover.column_names, cover.weight, report.quality, stages(report)
 
         assert run() == run()
-
-
-class TestConfigValidation:
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError, match="unknown stages"):
-            Supervisor(stages=("bnb", "magic"))
-
-    def test_empty_stages_rejected(self):
-        with pytest.raises(ValueError, match="at least one stage"):
-            Supervisor(stages=())
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError, match="on_budget_exhausted"):
-            Supervisor(on_budget_exhausted="panic")
-
-    def test_bad_retry_policy_rejected(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-
-
-class TestBackoffJitter:
-    def test_default_policy_has_no_jitter(self):
-        policy = RetryPolicy(backoff_base_s=0.01)
-        import random
-
-        assert policy.backoff_jitter == 0.0
-        # jittered == plain for every attempt when jitter is off
-        rng = random.Random(0)
-        for attempt in range(1, 5):
-            assert policy.jittered_backoff_s(attempt, rng) == policy.backoff_s(attempt)
-
-    def test_jitter_bounds_and_determinism(self):
-        import random
-
-        policy = RetryPolicy(backoff_base_s=0.1, backoff_jitter=0.5, jitter_seed=11)
-
-        def series():
-            rng = random.Random(policy.jitter_seed)
-            return [policy.jittered_backoff_s(a, rng) for a in range(1, 9)]
-
-        a, b = series(), series()
-        assert a == b  # same seed, same schedule
-        for attempt, backoff in enumerate(a, start=1):
-            base = policy.backoff_s(attempt)
-            assert base * 0.5 <= backoff <= base * 1.5
-        assert len(set(round(x / policy.backoff_s(i + 1), 6) for i, x in enumerate(a))) > 1
-
-    def test_different_seeds_decorrelate(self):
-        import random
-
-        policy = RetryPolicy(backoff_base_s=0.1, backoff_jitter=0.5)
-        a = [policy.jittered_backoff_s(n, random.Random(1)) for n in range(1, 5)]
-        b = [policy.jittered_backoff_s(n, random.Random(2)) for n in range(1, 5)]
-        assert a != b
-
-    def test_jitter_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="backoff_jitter"):
-            RetryPolicy(backoff_jitter=1.5)
-        with pytest.raises(ValueError, match="backoff_jitter"):
-            RetryPolicy(backoff_jitter=-0.1)
-
-    def test_supervised_solve_with_jitter_still_deterministic(self, greedy_trap):
-        plan = [FaultSpec(site="supervisor.bnb", kind="error", times=2)]
-        sleeps = []
-
-        def run():
-            sup = Supervisor(
-                retry=RetryPolicy(
-                    max_attempts=3, backoff_base_s=0.01,
-                    backoff_jitter=0.5, jitter_seed=7,
-                ),
-                sleep=sleeps.append,
-            )
-            with FaultInjector(plan):
-                cover, report = sup.solve(greedy_trap)
-            return cover.column_names, cover.weight
-
-        first = run()
-        marks = list(sleeps)
-        assert first == run()
-        assert sleeps[len(marks):] == marks  # identical jittered schedule
-        assert all(0.005 <= s <= 0.045 for s in marks)

@@ -300,6 +300,15 @@ class TestEndpoints:
             stats = json.loads(raw)
             assert stats["accepted"] == 1 and stats["completed"] == 1 and stats["ok"] == 1
 
+    def test_sequential_requests_get_consecutive_ids(self, instance_doc):
+        with ServerThread(ServeConfig(port=0, workers=1)) as handle:
+            ids = []
+            for _ in range(3):
+                status, doc, _ = _submit(handle.port, {"instance": instance_doc})
+                assert status == 200
+                ids.append(doc["id"])
+        assert ids == ["r000001", "r000002", "r000003"]
+
     def test_served_result_identical_to_solo_synthesize(self, instance_doc, tmp_path):
         with ServerThread(ServeConfig(port=0, workers=1)) as handle:
             status, doc, _ = _submit(handle.port, {"instance": instance_doc})

@@ -1,7 +1,7 @@
 """Chaos tests for the synthesis service under deterministic faults.
 
 The contract under test: with worker crashes, injected timeouts,
-transient errors and stalls fired mid-request by the
+injected solver errors and stalls fired mid-request by the
 :class:`FaultInjector`, **every accepted request still terminates in an
 ok/degraded/failed record**, the server keeps serving afterwards, the
 shared persistent cache is never corrupted, and a drain during chaos
@@ -150,7 +150,7 @@ class TestFaultStorm:
         worker_plan = (
             # first solve in every worker loses its bnb to a fake timeout
             FaultSpec(site="supervisor.bnb", kind="timeout", times=1),
-            # ... and the next one hits a retryable transient error
+            # ... and its first ilp stage fails with an injected error
             FaultSpec(site="supervisor.ilp", kind="error", times=1),
         )
         parent_plan = [FaultSpec(site="serve.dispatch", kind="worker_crash", times=2)]

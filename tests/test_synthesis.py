@@ -69,6 +69,20 @@ class TestDriverBehaviour:
         with pytest.raises(SynthesisError, match="unknown ucp_solver"):
             synthesize(wan_graph, wan_lib, SynthesisOptions(ucp_solver="magic"))
 
+    @pytest.mark.parametrize(
+        "strategy, budgeted",
+        [("exact", False), ("exact", True), ("decompose", True)],
+    )
+    def test_unknown_budget_policy_rejected(self, wan_graph, wan_lib, strategy, budgeted):
+        from repro import Budget
+
+        with pytest.raises(SynthesisError, match="unknown on_budget_exhausted"):
+            synthesize(
+                wan_graph, wan_lib,
+                SynthesisOptions(strategy=strategy, on_budget_exhausted="panic"),
+                budget=Budget(deadline_s=60.0) if budgeted else None,
+            )
+
     def test_infeasible_arc_raises(self, wan_graph):
         from repro import CommunicationLibrary, Link
 

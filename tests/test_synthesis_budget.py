@@ -24,7 +24,8 @@ from repro import (
     validate,
 )
 from repro.core.exceptions import BudgetExceeded
-from repro.domains import wan_example
+from repro.covering.ilp import solve_ilp
+from repro.domains import wan_example, wan_library
 from repro.netgen import clustered_graph, two_tier_library, uniform_graph
 
 # generous wall-clock slack standing in for "one checkpoint interval":
@@ -105,8 +106,8 @@ class TestFallbacksEndToEnd:
         assert again.total_cost == pytest.approx(result.total_cost)
         assert again.degradation.quality is result.degradation.quality
         assert [
-            (a.stage, a.attempt, a.outcome) for a in again.degradation.attempts
-        ] == [(a.stage, a.attempt, a.outcome) for a in result.degradation.attempts]
+            (a.stage, a.outcome) for a in again.degradation.attempts
+        ] == [(a.stage, a.outcome) for a in result.degradation.attempts]
 
     def test_candidate_truncation_downgrades_quality(self):
         graph, library = wan_example()
@@ -140,6 +141,74 @@ class TestFallbacksEndToEnd:
         tracker = Budget(deadline_s=1.0).start(clock=lambda: float(next(clock)))
         with pytest.raises(BudgetExceeded):
             synthesize(graph, library, budget=tracker)
+
+
+class TestCrossEngineFallback:
+    def test_ilp_serves_the_optimum_bnb_cannot_reach_in_time(self):
+        """Unbudgeted, bnb needs about 8.5 s on this 12-arc cover; under a
+        2 s deadline it runs out of its half and HiGHS finishes in tens
+        of milliseconds.  Either way the served cover is the optimum."""
+        graph = clustered_graph(
+            n_clusters=2, ports_per_cluster=5, n_arcs=12, separation=100.0, seed=2005
+        )
+        result = synthesize(
+            graph, two_tier_library(), SynthesisOptions(max_arity=3),
+            budget=Budget(deadline_s=2.0),
+        )
+        assert result.degradation.quality is ResultQuality.OPTIMAL
+        assert result.total_cost == pytest.approx(
+            solve_ilp(result.covering).weight, rel=1e-9
+        )
+
+
+def _two_island():
+    return clustered_graph(
+        n_clusters=2, ports_per_cluster=6, n_arcs=16, cluster_spread=4.0,
+        separation=800.0, bandwidth_range=(1.0, 3.0), seed=7, intra_fraction=1.0,
+    ), wan_library()
+
+
+#: the two-island optimum, and the cover greedy (and bnb's greedy-seeded
+#: incumbent) serves on it.
+ISLAND_OPTIMUM = 117985.38071054274
+ISLAND_GREEDY = 122003.75134562215
+
+
+@pytest.mark.parametrize("strategy", ["exact", "decompose"])
+@pytest.mark.parametrize(
+    "plan, quality, cost",
+    [
+        (
+            [FaultSpec(site="bnb.node", kind="timeout")],
+            ResultQuality.OPTIMAL, ISLAND_OPTIMUM,
+        ),
+        (
+            [FaultSpec(site="bnb.*", kind="error"), FaultSpec(site="ilp.*", kind="error")],
+            ResultQuality.DEGRADED_GREEDY, ISLAND_GREEDY,
+        ),
+        (
+            [
+                FaultSpec(site="bnb.node", kind="timeout"),
+                FaultSpec(site="ilp.*", kind="error"),
+                FaultSpec(site="greedy.select", kind="error"),
+            ],
+            ResultQuality.FEASIBLE_SUBOPTIMAL, ISLAND_GREEDY,
+        ),
+    ],
+    ids=["bnb-timeout", "exact-errors", "bnb-timeout-ilp-greedy-errors"],
+)
+def test_exact_and_decompose_degrade_alike(strategy, plan, quality, cost):
+    """One covering policy: each decompose block degrades exactly as the
+    whole instance does on the exact path."""
+    graph, library = _two_island()
+    with FaultInjector(plan):
+        result = synthesize(
+            graph, library, SynthesisOptions(strategy=strategy, max_arity=2),
+            budget=Budget(deadline_s=60.0),
+        )
+    assert result.degradation.quality is quality
+    assert result.total_cost == pytest.approx(cost, rel=1e-9)
+    validate(result.implementation, graph)
 
 
 # -- property: the deadline is honored on random instances ------------------
