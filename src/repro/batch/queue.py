@@ -64,7 +64,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
@@ -278,9 +278,15 @@ def _options_doc(options: SynthesisOptions) -> Dict[str, Any]:
 def _options_from_doc(doc: Dict[str, Any]) -> SynthesisOptions:
     # manifests written before demand_margin joined the block solved at 0
     doc = {"demand_margin": 0.0, **doc}
+    live = {f.name for f in fields(SynthesisOptions)}
+    expected = _options_doc(SynthesisOptions())
+    # a retired option solves only at the value result_shaping pins
+    retired = {name: value for name, value in expected.items() if name not in live}
     try:
-        kwargs = {name: doc[name] for name in _options_doc(SynthesisOptions())}
+        kwargs = {name: doc[name] for name in expected if name in live}
         kwargs["pruning"] = PruningLevel(doc["pruning"])
+        if any(doc[name] != value for name, value in retired.items()):
+            raise ValueError(f"retired options must read {retired}")
     except (KeyError, ValueError) as exc:
         raise BatchError(f"queue manifest: unusable options block: {exc!r}") from exc
     return SynthesisOptions(**kwargs)

@@ -131,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=PruningLevel.LEMMAS.value,
         help="candidate pruning level (default: lemmas)",
     )
-    syn.add_argument("--solver", choices=("bnb", "ilp"), default="bnb")
     syn.add_argument(
         "--strategy",
         choices=STRATEGIES,
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[l.value for l in PruningLevel],
         default=PruningLevel.LEMMAS.value,
     )
-    bat.add_argument("--solver", choices=("bnb", "ilp"), default="bnb")
     bat.add_argument(
         "--strategy",
         choices=STRATEGIES,
@@ -540,7 +538,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     options = SynthesisOptions(
         pruning=PruningLevel(args.pruning),
         max_arity=args.max_arity,
-        ucp_solver=args.solver,
         validate_result=not args.no_validate,
         on_budget_exhausted=args.on_budget_exhausted,
         jobs=args.jobs,
@@ -626,7 +623,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     options = SynthesisOptions(
         pruning=PruningLevel(args.pruning),
         max_arity=args.max_arity,
-        ucp_solver=args.solver,
         on_budget_exhausted="degrade",
         strategy=args.strategy,
     )

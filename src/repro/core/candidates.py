@@ -35,7 +35,7 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -223,25 +223,19 @@ def _singleton(
 
 def _admit_merging(
     plan: MergingPlan,
-    singles: Mapping[str, float],
     max_merge_hops: Optional[int],
     hop_penalty: float,
-    drop_dominated: bool,
     stats: Optional[GenerationStats] = None,
 ) -> Optional[Candidate]:
     """Whether a planned merging becomes a covering column, and at what
     weight: ``None`` when its worst path exceeds ``max_merge_hops``
-    (counted in ``stats.pruned_hops``) or, with ``drop_dominated``, its
-    penalized cost is no lower than its members' singleton weights in
-    ``singles``; else the candidate weighted ``cost + hop_penalty x
-    max_hops``."""
+    (counted in ``stats.pruned_hops``), else the candidate weighted
+    ``cost + hop_penalty x max_hops``."""
     if max_merge_hops is not None and plan.max_hops > max_merge_hops:
         if stats is not None:
             stats.pruned_hops += 1
         return None
     cost = plan.cost + hop_penalty * plan.max_hops
-    if drop_dominated and cost >= sum(singles[a] for a in plan.arc_names) - 1e-12:
-        return None
     return Candidate(arc_names=plan.arc_names, cost=cost, plan=plan)
 
 
@@ -250,7 +244,6 @@ def generate_candidates(
     library: CommunicationLibrary,
     pruning: PruningLevel = PruningLevel.LEMMAS,
     max_arity: Optional[int] = None,
-    drop_dominated: bool = False,
     heterogeneous: bool = False,
     max_merge_hops: Optional[int] = None,
     polish_placement: bool = True,
@@ -261,11 +254,10 @@ def generate_candidates(
 ) -> CandidateSet:
     """Run Figure 2's candidate generation on ``graph`` over ``library``.
 
-    ``max_arity`` caps K (None = up to |A|).  ``drop_dominated`` removes
-    merging candidates costing at least the sum of their members'
-    point-to-point costs — sound for optimality (the singletons are
-    always available) and useful to shrink the covering instance, but
-    off by default so reported candidate counts match the paper's.
+    ``max_arity`` caps K (None = up to |A|).  Every surviving merging is
+    kept, even one costing no less than its members' singletons, so the
+    candidate counts match the paper's; the covering step screens those
+    out (:func:`~repro.covering.reductions.screen_dominated`).
     ``heterogeneous`` additionally evaluates mixed-link-type chains
     (:mod:`repro.core.mixed_segmentation`) for each arc's singleton
     candidate and keeps the cheaper plan.  ``max_merge_hops`` drops
@@ -343,7 +335,6 @@ def generate_candidates(
                 tracker.checkpoint("candidates.p2p")
                 tracer.count("candidates.p2p.plans")
                 p2p_candidates.append(_singleton(arc, library, heterogeneous, hop_penalty))
-        p2p_cost = {c.arc_names[0]: c.cost for c in p2p_candidates}
 
         plans: List[MergingPlan] = []
         if n >= 2:
@@ -370,9 +361,7 @@ def generate_candidates(
 
         mergings: List[Candidate] = []
         for merge_plan in plans:
-            candidate = _admit_merging(
-                merge_plan, p2p_cost, max_merge_hops, hop_penalty, drop_dominated, stats
-            )
+            candidate = _admit_merging(merge_plan, max_merge_hops, hop_penalty, stats)
             if candidate is not None:
                 mergings.append(candidate)
         if max_merge_hops is not None:

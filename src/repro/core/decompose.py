@@ -56,16 +56,16 @@ uses, so its optimality claim inherits the lemmas' soundness
     (``certified=False``, ``gap_bound=None``, and a note names the
     arity).
 
-The strategy owns only how it builds its candidate universe and which
-exact engine each block's cover starts from (:func:`_cluster_engine`,
-with the :data:`ILP_CUTOVER_COLUMNS` cutover).  The steps it shares
-with the exact pipeline run as one implementation each:
+The strategy owns only how it builds its candidate universe and how
+it splits the cover into blocks.  The steps it shares with the exact
+pipeline run as one implementation each:
 ``SynthesisOptions.candidate_args`` for generation, the Figure 2 arity
 loop and merge admission of :mod:`repro.core.candidates`, and the
-budgeted covering chain and cover-and-assemble tail of
-:mod:`repro.core.synthesis` — so a block degrades under a budget
-exactly as a whole exact-path instance does.  The tail returns a
-normal :class:`~repro.core.synthesis.SynthesisResult` with the extra
+budgeted covering chain (screen, engine choice by width, fallbacks)
+and cover-and-assemble tail of :mod:`repro.core.synthesis` — so a block
+is solved, and degrades under a budget, exactly as a whole exact-path
+instance is.  The tail returns a normal
+:class:`~repro.core.synthesis.SynthesisResult` with the extra
 ``decomposition`` report attached.
 """
 
@@ -95,7 +95,13 @@ from .library import CommunicationLibrary, NodeKind
 from .matrices import ArcMatrices, compute_matrices
 from .merging import build_merging_plan
 from .pruning import PRUNE_TOL
-from .synthesis import SynthesisResult, SynthesisOptions, _budgeted_cover, _cover_and_assemble
+from .synthesis import (
+    SynthesisOptions,
+    SynthesisResult,
+    _budgeted_cover,
+    _cover_and_assemble,
+    _fail_unless_optimal,
+)
 # perfbench traces these names in this module; the calls run in synthesis
 from .synthesis import build_covering_problem, materialize_selection  # noqa: F401
 from .synthesis import solve_cover, solve_ilp  # noqa: F401  (perfbench, as above)
@@ -110,18 +116,6 @@ __all__ = [
 #: per-cluster worker pools only pay off past this many arcs; smaller
 #: clusters plan in-process even when ``options.jobs`` asks for a pool.
 MIN_CLUSTER_ARCS_FOR_POOL = 12
-
-#: covers with at least this many columns go to the HiGHS ILP engine,
-#: narrower ones to the native B&B.  Speed alone would cut over near 24
-#: columns: on decompose cluster covers (2-core x86, scipy 1.17) the
-#: B&B's median is 3.3 ms to HiGHS's 15 ms below 10 columns, 36 ms to
-#: 9.5 ms at 24-31, and 0.14-5.4 s to 6-18 ms at 68-204.  But HiGHS
-#: breaks equal-weight ties its own way (on WAN's 62-column cover it
-#: picks another selection, 6e-11 apart), and no bundled domain's cover
-#: is wider than 170 columns, so below this cutover decompose serves
-#: the exact pipeline's selection.  Engine choice only; the optimum is
-#: the same either way.
-ILP_CUTOVER_COLUMNS = 192
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +304,7 @@ def _clusters_from_labels(labels: np.ndarray) -> List[List[int]]:
 
 
 # ----------------------------------------------------------------------
-# cluster bookkeeping + covering engine choice
+# cluster bookkeeping
 # ----------------------------------------------------------------------
 
 
@@ -331,14 +325,6 @@ def _merge_stats(master: GenerationStats, part: GenerationStats) -> None:
     master.worker_recoveries += part.worker_recoveries
     master.chunks_replayed += part.chunks_replayed
     master.effective_jobs = max(master.effective_jobs, part.effective_jobs)
-
-
-def _cluster_engine(problem: CoveringProblem, options: SynthesisOptions) -> str:
-    """The exact engine a block's cover starts from: ``options.ucp_solver``,
-    or HiGHS from :data:`ILP_CUTOVER_COLUMNS` columns on."""
-    if options.ucp_solver == "ilp" or problem.n_columns >= ILP_CUTOVER_COLUMNS:
-        return "ilp"
-    return "bnb"
 
 
 # ----------------------------------------------------------------------
@@ -444,8 +430,7 @@ def synthesize_decomposed(
         if forced:
             with tracer.span("decompose.stitch"):
                 stitched = _stitch_pass(
-                    graph, library, options, matrices, natural_labels, labels,
-                    p2p_by_arc, decomposition,
+                    graph, library, options, matrices, natural_labels, labels, decomposition
                 )
             mergings.extend(stitched)
             decomposition.certified = False
@@ -477,10 +462,9 @@ def synthesize_decomposed(
             else:
                 with tracer.span("covering.solve", components=0):
                     cover, reports = _solve_components(
-                        graph, natural_labels, matrices, candidates, covering,
-                        options, tracker,
+                        graph, natural_labels, matrices, candidates, covering, tracker
                     )
-            if replayed is None and not cover.optimal:
+            if not cover.optimal:
                 decomposition.certified = False
                 decomposition.gap_bound = None
                 decomposition.notes.append("covering solve degraded under budget")
@@ -502,7 +486,7 @@ def synthesize_decomposed(
                     ResultQuality.FEASIBLE_SUBOPTIMAL if truncated else ResultQuality.OPTIMAL
                 ),
             )
-            return cover, DegradationReport(
+            report = DegradationReport(
                 quality=quality,
                 source_stage="decompose",
                 attempts=attempts + [a for r in reports for a in r.attempts],
@@ -511,6 +495,8 @@ def synthesize_decomposed(
                 deadline_s=tracker.budget.deadline_s,
                 nodes_used=tracker.nodes_used,
             )
+            _fail_unless_optimal(report, cover, tracker, options.on_budget_exhausted)
+            return cover, report
 
         return _cover_and_assemble(
             graph, library, options, candidates, solve, start, journal, decomposition
@@ -596,7 +582,6 @@ def _stitch_pass(
     matrices: ArcMatrices,
     natural_labels: np.ndarray,
     labels: np.ndarray,
-    p2p_by_arc: Dict[str, Candidate],
     decomposition: DecompositionReport,
 ) -> List[Candidate]:
     """Re-price the 2-way candidates severed by forced cuts.
@@ -604,11 +589,10 @@ def _stitch_pass(
     A forced cut separates arcs of one *natural* (certificate-backed)
     cluster, so pairs across it are not certified useless.  Every such
     pair that survives the pair predicates is planned and offered to
-    the covering step; dominated plans (no cheaper than the two
-    singletons) are dropped on the spot.
+    the covering step, whose screen drops the plans no cheaper than
+    their two singletons.
     """
     tracer = current_tracer()
-    singles = {name: c.cost for name, c in p2p_by_arc.items()}
     margin, bw_pruned = _pair_matrices(matrices, library)
     geo_pair_pruned = margin >= -PRUNE_TOL * np.maximum(
         1.0, np.maximum(np.abs(matrices.gamma), np.abs(matrices.delta))
@@ -626,9 +610,7 @@ def _stitch_pass(
         tracer.count("decompose.stitch.planned")
         if plan is None:
             continue
-        candidate = _admit_merging(
-            plan, singles, options.max_merge_hops, options.hop_penalty, drop_dominated=True
-        )
+        candidate = _admit_merging(plan, options.max_merge_hops, options.hop_penalty)
         if candidate is None:
             continue
         decomposition.boundary_pairs_stitched += 1
@@ -642,7 +624,6 @@ def _solve_components(
     matrices: ArcMatrices,
     candidates: CandidateSet,
     covering: CoveringProblem,
-    options: SynthesisOptions,
     tracker: Optional[BudgetTracker],
 ) -> Tuple[CoverSolution, List[DegradationReport]]:
     """Solve one covering instance per natural component and reassemble.
@@ -651,8 +632,9 @@ def _solve_components(
     so the global UCP is block-diagonal and the per-block optima
     compose into the global optimum (a fact checked at assembly:
     ``check_solution`` re-verifies feasibility and weight).  Each block
-    runs the budgeted covering chain; its reports (budgeted runs only)
-    come back in block order.
+    runs the budgeted covering chain under ``"degrade"``, so a ``"fail"``
+    policy sees the assembled cover; the block reports (budgeted runs
+    only) come back in block order.
     """
     tracer = current_tracer()
     arc_component = {
@@ -679,8 +661,7 @@ def _solve_components(
             columns=problem.n_columns,
         ):
             solution, report = _budgeted_cover(
-                problem, _cluster_engine(problem, options), tracker,
-                options.on_budget_exhausted,
+                problem, tracker,
                 candidate_set_complete=not candidates.stats.budget_truncated,
             )
         selected.extend(solution.column_names)

@@ -20,11 +20,12 @@ at these scales, and exactness is preserved trivially because the final
 candidate set equals what full generation would produce (asserted by
 the tests on every mutation).
 
-Candidates are generated, admitted (hop cap, hop penalty, dominance)
-and covered by the same steps :func:`~repro.core.synthesis.synthesize`
-runs on its exact path, so every result-shaping option means the same
-here.  ``demand_margin`` is rejected: an ECO session re-budgets arcs
-one by one instead of scaling every demand.
+Candidates are generated, admitted (hop cap, hop penalty) and covered
+(screen, engine choice by width) by the same steps
+:func:`~repro.core.synthesis.synthesize` runs on its exact path, so
+every result-shaping option means the same here.  ``demand_margin`` is
+rejected: an ECO session re-budgets arcs one by one instead of scaling
+every demand.
 
 Limitations: moving a *port* changes geometry and falls back to full
 regeneration (`refresh`).
@@ -162,7 +163,6 @@ class IncrementalSynthesizer:
         p2p = list(old.point_to_point) + [
             _singleton(new_arc, self.library, options.heterogeneous, options.hop_penalty)
         ]
-        singles = {c.arc_names[0]: c.cost for c in p2p}
 
         # a name can return with different attributes than it left
         # with — stale memo verdicts for its old incarnation must die
@@ -205,8 +205,7 @@ class IncrementalSynthesizer:
                 if merge_plan is None:
                     continue
                 candidate = _admit_merging(
-                    merge_plan, singles, options.max_merge_hops, options.hop_penalty,
-                    options.drop_dominated,
+                    merge_plan, options.max_merge_hops, options.hop_penalty
                 )
                 if candidate is not None:
                     new_mergings.append(candidate)
@@ -237,9 +236,7 @@ class IncrementalSynthesizer:
     def solve(self) -> SynthesisResult:
         """Solve the covering problem over the current candidate set."""
         start = time.perf_counter()
-        options = self.options
         return _cover_and_assemble(
-            self._graph, self.library, options, self._ensure_candidates(),
-            lambda covering, _replayed: _budgeted_cover(covering, options.ucp_solver, None),
-            start,
+            self._graph, self.library, self.options, self._ensure_candidates(),
+            lambda covering, _replayed: _budgeted_cover(covering, None), start,
         )

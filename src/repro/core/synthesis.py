@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # circular at runtime: decompose builds on this module
 from ..covering.bnb import greedy_cover, solve_cover
 from ..covering.ilp import solve_ilp
 from ..covering.matrix import Column, CoverSolution, CoveringProblem
+from ..covering.reductions import screen_dominated
 from ..obs import NULL_TRACER, Tracer, current_tracer, tracing
 from ..runtime.budget import Budget, BudgetTracker, as_tracker
 from ..runtime.checkpoint import CheckpointJournal, instance_fingerprint
@@ -55,8 +56,22 @@ __all__ = [
 #: the recognised values of ``SynthesisOptions.strategy``.
 STRATEGIES = ("auto", "exact", "decompose")
 
-#: the exact covering engines, by ``SynthesisOptions.ucp_solver`` name.
+#: the exact covering engines; a budgeted chain runs the one the cover's
+#: width picks, then the other.
 _EXACT_ENGINES = ("bnb", "ilp")
+
+#: screened covers with at least this many columns go to HiGHS
+#: (``"ilp"``), narrower ones to the native B&B (``"bnb"``).  The screen
+#: leaves the measured workloads no tied optimum, so both engines serve
+#: the same labels and the cutover only sets speed.  On screened covers
+#: (2-core x86, scipy 1.17): batch-warm's 50 are 8-28 columns, bnb 12 ms
+#: a cover on average and HiGHS 13 ms; the 12-arc
+#: ``clustered_graph(2 x 5 ports, seeds 2000-2009)`` covers are 18-56
+#: columns, bnb 3-125 ms and HiGHS 6-34 ms; decompose300's blocks are
+#: 314-765 columns, HiGHS 21-109 ms a block, and bnb finishes none of
+#: them in 10 s.  The conformance covers stay below the cutover (the
+#: widest, allgather, screens from 170 to 50 columns).
+ILP_CUTOVER_COLUMNS = 192
 
 #: ``strategy="auto"`` keeps exhaustive enumeration up to this many
 #: arcs — the paper-scale regime, where exactness is cheap and every
@@ -76,16 +91,15 @@ def resolve_strategy(strategy: str, n_arcs: int) -> str:
 class SynthesisOptions:
     """Configuration for one synthesis run.
 
-    ``ucp_solver`` selects the global-step engine: the native
-    branch-and-bound (``"bnb"``, default) or the independent 0-1 ILP
-    cross-checker (``"ilp"``).  ``validate_result`` runs the full
+    The global step's engine is not an option: every driver's cover
+    goes through :func:`_budgeted_cover`, which picks it from the
+    screened cover's width.  ``validate_result`` runs the full
     Definition 2.4 validator on the final graph (on by default — it is
     cheap at paper scales and catches construction bugs loudly).
     """
 
     pruning: PruningLevel = PruningLevel.LEMMAS
     max_arity: Optional[int] = None
-    drop_dominated: bool = False
     #: also consider heterogeneous (mixed-link-type) chains per arc.
     heterogeneous: bool = False
     #: drop merging candidates whose worst path exceeds this many
@@ -103,7 +117,6 @@ class SynthesisOptions:
     #: (None/1 = serial).  Parallel runs return byte-identical
     #: candidates, costs, and selections; see generate_candidates(jobs=).
     jobs: Optional[int] = None
-    ucp_solver: str = "bnb"
     validate_result: bool = True
     #: budgeted runs only: on budget exhaustion either serve the best
     #: incumbent with an honest quality tag (``"degrade"``, default) or
@@ -157,12 +170,15 @@ class SynthesisOptions:
         return {
             "pruning": self.pruning.value,
             "max_arity": self.max_arity,
-            "drop_dominated": self.drop_dominated,
+            # retired options, pinned at the values every journal
+            # fingerprint, batch resume key and queue manifest on disk
+            # was written with, so those stay valid
+            "drop_dominated": False,
             "heterogeneous": self.heterogeneous,
             "max_merge_hops": self.max_merge_hops,
             "polish_placement": self.polish_placement,
             "hop_penalty": self.hop_penalty,
-            "ucp_solver": self.ucp_solver,
+            "ucp_solver": "bnb",
             "strategy": self.strategy,
             "max_cluster_arcs": self.max_cluster_arcs,
             "demand_margin": self.demand_margin,
@@ -175,7 +191,6 @@ class SynthesisOptions:
         args: Dict[str, Any] = {
             "pruning": self.pruning,
             "max_arity": self.max_arity,
-            "drop_dominated": self.drop_dominated,
             "heterogeneous": self.heterogeneous,
             "max_merge_hops": self.max_merge_hops,
             "polish_placement": self.polish_placement,
@@ -297,12 +312,12 @@ def synthesize(
     With a ``budget`` the run is *supervised*: every hot loop gains
     cooperative checkpoints against the wall-clock/node budget, and the
     covering step runs the anytime fallback chain of
-    :func:`_budgeted_cover` (the configured exact engine, the other
-    one, then greedy).  On budget exhaustion the best feasible cover is
-    returned — never an exception, as long as one exists and
-    ``options.on_budget_exhausted`` is ``"degrade"`` — with
-    ``result.degradation`` recording what happened and how trustworthy
-    the answer is.
+    :func:`_budgeted_cover` (the exact engine the screened cover's
+    width picks, the other one, then greedy).  On budget exhaustion the
+    best feasible cover is returned — never an exception, as long as
+    one exists and ``options.on_budget_exhausted`` is ``"degrade"`` —
+    with ``result.degradation`` recording what happened and how
+    trustworthy the answer is.
 
     ``trace`` turns on the observability layer (:mod:`repro.obs`):
     ``True`` creates a fresh :class:`~repro.obs.Tracer`, or pass your
@@ -314,8 +329,6 @@ def synthesize(
     options = options or SynthesisOptions()
     if len(graph) == 0:
         raise SynthesisError("constraint graph has no arcs — nothing to synthesize")
-    if options.ucp_solver not in _EXACT_ENGINES:
-        raise SynthesisError(f"unknown ucp_solver {options.ucp_solver!r} (use 'bnb' or 'ilp')")
     if options.on_budget_exhausted not in ("degrade", "fail"):
         raise SynthesisError(
             f"unknown on_budget_exhausted {options.on_budget_exhausted!r} "
@@ -355,15 +368,21 @@ def synthesize(
 def _replay_solution(
     journal: Optional[CheckpointJournal], covering: CoveringProblem
 ) -> Optional[CoverSolution]:
-    """The journal's recorded final cover, iff it still solves ``covering``.
+    """The journal's recorded final cover, iff it was served optimal and
+    still solves ``covering``.
 
-    The instance fingerprint already guarantees the same candidate
-    universe; the feasibility re-check means a hand-edited or stale
-    record degrades to a normal solve instead of poisoning the result.
+    A degraded cover (a partial, greedy's, or one over truncated
+    candidates) is not replayed: the solve re-runs instead, and bnb
+    seeds from the journal's best incumbent.  The instance fingerprint
+    already guarantees the same candidate universe; the feasibility
+    re-check means a hand-edited or stale record degrades to a normal
+    solve instead of poisoning the result.
     """
     if journal is None or journal.solution is None:
         return None
     recorded = journal.solution
+    if not recorded.optimal or recorded.quality not in (None, ResultQuality.OPTIMAL.value):
+        return None
     candidate = CoverSolution(
         column_names=recorded.column_names,
         weight=recorded.weight,
@@ -378,18 +397,12 @@ def _replay_solution(
 
 
 def _replayed_report(journal: CheckpointJournal, tracker: BudgetTracker) -> DegradationReport:
-    """Audit trail for a supervised run served entirely from the journal."""
-    recorded = journal.solution
-    assert recorded is not None
-    if recorded.quality is not None:
-        quality = ResultQuality(recorded.quality)
-    else:
-        quality = (
-            ResultQuality.OPTIMAL if recorded.optimal else ResultQuality.FEASIBLE_SUBOPTIMAL
-        )
-    stage = recorded.source_stage or "journal"
+    """Audit trail for a supervised run served from the journal's
+    optimal cover (:func:`_replay_solution` replays no other)."""
+    assert journal.solution is not None
+    stage = journal.solution.source_stage or "journal"
     return DegradationReport(
-        quality=quality,
+        quality=ResultQuality.OPTIMAL,
         source_stage=stage,
         attempts=[StageAttempt(stage, "replayed", detail="checkpoint journal")],
         deadline_s=tracker.budget.deadline_s,
@@ -440,7 +453,6 @@ def _synthesize_journaled(
         "synthesize",
         graph=graph.name,
         arcs=len(graph),
-        solver=options.ucp_solver,
         strategy=strategy,
     ) as root_span:
         tracker = as_tracker(budget) if budget is not None else None
@@ -465,7 +477,7 @@ def _synthesize_exact(
 ) -> SynthesisResult:
     """The paper's pipeline: every pruning survivor planned, then one
     covering solve — supervised through the fallback chain under a
-    budget, by the configured engine without one."""
+    budget, by the width-picked engine alone without one."""
     tracer = current_tracer()
     candidates = generate_candidates(
         graph, library, **options.candidate_args(),
@@ -482,7 +494,7 @@ def _synthesize_exact(
                 assert journal is not None
                 return replayed, _replayed_report(journal, tracker)
             return _budgeted_cover(
-                covering, options.ucp_solver, tracker, options.on_budget_exhausted,
+                covering, tracker, options.on_budget_exhausted,
                 candidate_set_complete=not candidates.stats.budget_truncated,
                 journal=journal,
             )
@@ -544,7 +556,6 @@ def _run_stage(
 
 def _budgeted_cover(
     problem: CoveringProblem,
-    primary: str,
     tracker: Optional[BudgetTracker],
     on_budget_exhausted: str = "degrade",
     candidate_set_complete: bool = True,
@@ -552,10 +563,17 @@ def _budgeted_cover(
 ) -> Tuple[CoverSolution, Optional[DegradationReport]]:
     """The one covering solve of every driver, under its budget policy.
 
-    Without a ``tracker``, the ``primary`` exact engine (``"bnb"`` or
-    ``"ilp"``) runs alone, its errors propagate, and there is no report.
+    ``problem`` is screened once
+    (:func:`~repro.covering.reductions.screen_dominated`, counted in
+    ``covering.columns_screened``) and every stage solves the screened
+    cover, whose columns all belong to ``problem``.  The primary exact
+    engine follows from the screened width: ``"ilp"`` from
+    :data:`ILP_CUTOVER_COLUMNS` columns on, ``"bnb"`` below.
 
-    With one, the chain is ``primary`` on half the remaining time, then
+    Without a ``tracker``, the primary engine runs alone, its errors
+    propagate, and there is no report.
+
+    With one, the chain is the primary on half the remaining time, then
     the other exact engine on the rest; an exact stage is skipped once
     the deadline has passed.  A stage stopped by the budget leaves its
     ``.partial`` cover, any other :class:`SynthesisError` just ends it.
@@ -572,6 +590,10 @@ def _budgeted_cover(
     (the served cover rides along as ``.partial``).  Each stage runs in
     a ``supervisor.<stage>`` span behind a fault site of the same name.
     """
+    screened = screen_dominated(problem)
+    current_tracer().count("covering.columns_screened", problem.n_columns - screened.n_columns)
+    problem = screened
+    primary = "ilp" if problem.n_columns >= ILP_CUTOVER_COLUMNS else "bnb"
     if tracker is None:
         return _stage_cover(primary, problem, None, journal), None
     problem.validate_coverable()  # infeasibility is not a degradation case
@@ -624,14 +646,25 @@ def _budgeted_cover(
         elapsed_s=tracker.elapsed_s(),
         nodes_used=tracker.nodes_used,
     )
-    if on_budget_exhausted == "fail" and quality is not ResultQuality.OPTIMAL:
+    _fail_unless_optimal(report, cover, tracker, on_budget_exhausted)
+    return cover, report
+
+
+def _fail_unless_optimal(
+    report: DegradationReport,
+    cover: CoverSolution,
+    tracker: BudgetTracker,
+    on_budget_exhausted: str,
+) -> None:
+    """Under ``on_budget_exhausted="fail"``, raise :class:`BudgetExceeded`
+    for any tag but ``optimal``, with the served cover as ``.partial``."""
+    if on_budget_exhausted == "fail" and report.quality is not ResultQuality.OPTIMAL:
         raise BudgetExceeded(
             f"budget exhausted before an optimal result (best available: "
-            f"{quality.value} from {source}, weight {cover.weight:g})",
+            f"{report.quality.value} from {report.source_stage}, weight {cover.weight:g})",
             reason="deadline" if tracker.expired() else "degraded",
             partial=cover,
         )
-    return cover, report
 
 
 def _cover_and_assemble(
@@ -650,10 +683,10 @@ def _cover_and_assemble(
     """The tail every synthesis driver returns through.
 
     Builds the covering instance over ``candidates``, hands it to the
-    driver's ``solve(covering, replayed)`` — its engine and budget
-    policy, which returns ``(cover, report)`` and serves ``replayed``,
-    the journal's still-valid final cover, instead of solving when there
-    is one — journals the final cover, then selects by label,
+    driver's ``solve(covering, replayed)`` — its budget policy, which
+    returns ``(cover, report)`` and serves ``replayed``, the journal's
+    still-valid optimal cover, instead of solving when there is one —
+    journals the final cover, then selects by label,
     materializes, validates and assembles the :class:`SynthesisResult`.
     ``total_cost`` is the ``math.fsum`` of the selected weights:
     correctly rounded, so independent of the order a covering solver
@@ -675,7 +708,7 @@ def _cover_and_assemble(
         elif decomposition is not None:
             stage = decomposition.strategy
         else:
-            stage = options.ucp_solver
+            stage = cover.engine
         journal.record_solution(
             stage=stage,
             column_names=cover.column_names,

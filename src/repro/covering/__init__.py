@@ -13,7 +13,7 @@ from .bounds import best_lower_bound, lp_lower_bound, mis_lower_bound
 from .exhaustive import solve_exhaustive
 from .ilp import solve_ilp
 from .matrix import Column, CoverSolution, CoveringProblem
-from .reductions import ReducedState, reduce_to_fixpoint
+from .reductions import ReducedState, reduce_to_fixpoint, screen_dominated
 
 __all__ = [
     "Column",
@@ -21,6 +21,7 @@ __all__ = [
     "CoverSolution",
     "ReducedState",
     "reduce_to_fixpoint",
+    "screen_dominated",
     "mis_lower_bound",
     "lp_lower_bound",
     "best_lower_bound",

@@ -98,7 +98,8 @@ def greedy_cover(
                 )
             state.select(best_name)
         return CoverSolution(
-            column_names=tuple(state.selected), weight=state.cost, optimal=False
+            column_names=tuple(state.selected), weight=state.cost, optimal=False,
+            engine="greedy",
         )
 
 
@@ -268,7 +269,9 @@ def solve_cover(
     tracer = current_tracer()
 
     if problem.n_rows == 0:
-        return CoverSolution(column_names=(), weight=0.0, optimal=True, stats={"nodes": 0})
+        return CoverSolution(
+            column_names=(), weight=0.0, optimal=True, stats={"nodes": 0}, engine="bnb"
+        )
 
     with tracer.span(
         "covering.bnb", rows=problem.n_rows, columns=len(problem.columns)
@@ -301,6 +304,7 @@ def solve_cover(
                     "reductions": search.reductions_applied,
                     "greedy_seed_weight": incumbent.weight,
                 },
+                engine="bnb",
             )
             problem.check_solution(partial)
             raise BudgetExceeded(str(exc), reason=exc.reason, partial=partial) from exc
@@ -317,6 +321,7 @@ def solve_cover(
                 "reductions": search.reductions_applied,
                 "greedy_seed_weight": incumbent.weight,
             },
+            engine="bnb",
         )
         problem.check_solution(solution)
         return solution

@@ -48,5 +48,6 @@ def solve_exhaustive(problem: CoveringProblem) -> CoverSolution:
     if best is None:
         raise CoveringError("no feasible cover exists")
     return CoverSolution(
-        column_names=best, weight=best_weight, optimal=True, stats={"subsets": checked}
+        column_names=best, weight=best_weight, optimal=True, stats={"subsets": checked},
+        engine="exhaustive",
     )

@@ -12,8 +12,8 @@ and solves it with one ``scipy.optimize.milp`` call (HiGHS: presolve,
 cutting planes, branch-and-bound) at a relative gap of zero, so a
 returned cover is optimal.  It shares no search code with
 :mod:`repro.covering.bnb`: it cross-checks that paper-faithful engine,
-and decompose sends it every cluster cover at or above
-``ILP_CUTOVER_COLUMNS``.
+and synthesis sends it every screened cover of at least
+``repro.core.synthesis.ILP_CUTOVER_COLUMNS`` columns.
 
 HiGHS takes no starting solution and has no incumbent callback, so a
 budget maps onto its limits: the tracker's remaining time becomes
@@ -61,7 +61,7 @@ def solve_ilp(
     """
     problem.validate_coverable()
     if problem.n_rows == 0:
-        return CoverSolution(column_names=(), weight=0.0, optimal=True)
+        return CoverSolution(column_names=(), weight=0.0, optimal=True, engine="ilp")
     tracker = as_tracker(budget)
     tracer = current_tracer()
     cols = problem.columns
@@ -106,6 +106,7 @@ def solve_ilp(
             weight=float(weights @ chosen),
             optimal=res.status == _OPTIMAL,
             stats={"nodes": nodes},
+            engine="ilp",
         )
         problem.check_solution(cover)
         if journal is not None:

@@ -52,6 +52,9 @@ class CoverSolution:
     optimal: bool = True
     #: solver statistics (nodes expanded, reductions applied, ...).
     stats: Mapping[str, float] = field(default_factory=dict)
+    #: the solver that produced the cover (``"bnb"``, ``"ilp"``, ...);
+    #: provenance only, so two equal selections compare equal.
+    engine: str = field(default="", compare=False)
 
     def __contains__(self, name: str) -> bool:
         return name in self.column_names

@@ -15,17 +15,33 @@ Applied to fixpoint before and during branch-and-bound:
 Reductions operate on a lightweight mutable :class:`ReducedState` view
 over an immutable :class:`CoveringProblem`, accumulating the forced
 selections and their weight.
+
+One problem-level reduction runs once, before any engine:
+:func:`screen_dominated` drops every multi-row column that costs no
+less than the single-row columns of its rows, the same column
+dominance taken against singleton combinations instead of one column.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.exceptions import CoveringError
 from .matrix import Column, CoveringProblem
 
-__all__ = ["ReducedState", "reduce_to_fixpoint"]
+__all__ = ["SCREEN_TOL", "ReducedState", "reduce_to_fixpoint", "screen_dominated"]
+
+#: relative slack of :func:`screen_dominated`.  Merge columns that equal
+#: their members' singletons in exact arithmetic land a few ulps off in
+#: floating point: 48 of batch-warm's merges sit 1.2e-16 to 2.8e-16
+#: below the singleton sum.  At a slack of 0 they stay (703 columns on
+#: the 50 batch-warm covers instead of 655) and keep tied optima that
+#: bnb and HiGHS break differently (4 of 50 covers).  The price is a
+#: served cover at most ``SCREEN_TOL`` x the singleton sum above the
+#: unscreened optimum.
+SCREEN_TOL = 1e-9
 
 
 @dataclass
@@ -176,3 +192,33 @@ def reduce_to_fixpoint(state: ReducedState) -> ReducedState:
         fired |= _apply_column_dominance(state)
         if not fired:
             return state
+
+
+def screen_dominated(problem: CoveringProblem) -> CoveringProblem:
+    """``problem`` without the columns its single-row columns dominate.
+
+    A column covering two or more rows is dropped when its weight is at
+    least ``(1 - SCREEN_TOL)`` times the ``math.fsum`` of its rows'
+    cheapest single-row column weights: those singletons cover the same
+    rows for no more.  A row with no single-row column counts as +inf,
+    so every column covering it stays.  Sound for weighted unate
+    covering: replacing the dropped columns of an optimum by singletons
+    costs at most ``SCREEN_TOL`` x the summed singleton weights more.
+    Column order is kept; ``problem`` itself comes back when nothing is
+    dropped.
+    """
+    cheapest: Dict[str, float] = {}
+    for col in problem.columns:
+        if len(col.rows) == 1:
+            (row,) = col.rows
+            cheapest[row] = min(col.weight, cheapest.get(row, math.inf))
+    kept = [
+        col
+        for col in problem.columns
+        if len(col.rows) < 2
+        or col.weight
+        < (1.0 - SCREEN_TOL) * math.fsum(cheapest.get(r, math.inf) for r in col.rows)
+    ]
+    if len(kept) == problem.n_columns:
+        return problem
+    return CoveringProblem(problem.rows, kept)

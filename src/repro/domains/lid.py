@@ -259,11 +259,8 @@ def lid_aware_synthesize(
 
     opts = options or SynthesisOptions()
     start = time.perf_counter()
-    # generated unfiltered and unpenalized: a merging dominated on
-    # monetary cost need not be dominated on LID weight
-    candidates = generate_candidates(
-        graph, library, **opts.candidate_args(drop_dominated=False, hop_penalty=0.0)
-    )
+    # unpenalized: the LID weight below replaces the monetary cost
+    candidates = generate_candidates(graph, library, **opts.candidate_args(hop_penalty=0.0))
 
     def lid_weight(candidate: Candidate) -> float:
         scratch = materialize_selection(graph, library, [candidate], name="lid-probe")
@@ -295,7 +292,7 @@ def lid_aware_synthesize(
     )
     result = _cover_and_assemble(
         graph, library, opts, lid_candidates,
-        lambda covering, _replayed: _budgeted_cover(covering, opts.ucp_solver, None), start,
+        lambda covering, _replayed: _budgeted_cover(covering, None), start,
     )
     result.implementation.name = f"{graph.name}-lid-impl"
     return result

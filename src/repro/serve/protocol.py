@@ -239,10 +239,6 @@ def _parse_options(doc: Any) -> SynthesisOptions:
             except ValueError:
                 raise _bad(path, f"unknown pruning level {value!r} "
                                  f"(use one of {[l.value for l in PruningLevel]})") from None
-        elif key == "ucp_solver":
-            if value not in ("bnb", "ilp"):
-                raise _bad(path, f"unknown solver {value!r} (use 'bnb' or 'ilp')")
-            fields["ucp_solver"] = value
         elif key in ("max_arity", "max_merge_hops"):
             if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 1):
                 raise _bad(path, f"expected a positive integer or null, got {value!r}")
@@ -251,7 +247,7 @@ def _parse_options(doc: Any) -> SynthesisOptions:
             if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
                 raise _bad(path, f"expected a nonnegative number, got {value!r}")
             fields[key] = float(value)
-        elif key in ("heterogeneous", "drop_dominated", "polish_placement", "validate_result"):
+        elif key in ("heterogeneous", "polish_placement", "validate_result"):
             if not isinstance(value, bool):
                 raise _bad(path, f"expected a boolean, got {type(value).__name__}")
             fields[key] = value
@@ -261,10 +257,9 @@ def _parse_options(doc: Any) -> SynthesisOptions:
                                  f"(use one of {list(STRATEGIES)})")
             fields["strategy"] = value
         else:
-            raise _bad(path, "unknown option (clients may set: pruning, ucp_solver, "
-                             "strategy, max_arity, max_merge_hops, hop_penalty, "
-                             "heterogeneous, drop_dominated, polish_placement, "
-                             "validate_result)")
+            raise _bad(path, "unknown option (clients may set: pruning, strategy, "
+                             "max_arity, max_merge_hops, hop_penalty, heterogeneous, "
+                             "polish_placement, validate_result)")
     # the service always degrades instead of failing on budget exhaustion
     return SynthesisOptions(on_budget_exhausted="degrade", **fields)
 

@@ -78,22 +78,6 @@ class TestPruningLevels:
         assert all(c.k <= 2 for c in cs.mergings)
 
 
-class TestDominanceFilter:
-    def test_drop_dominated_removes_useless_mergings(self, wan_graph, wan_lib):
-        keep = generate_candidates(wan_graph, wan_lib, drop_dominated=False)
-        drop = generate_candidates(wan_graph, wan_lib, drop_dominated=True)
-        assert len(drop.mergings) < len(keep.mergings)
-        # the winner must survive the filter
-        assert any(c.arc_names == ("a4", "a5", "a6") for c in drop.mergings)
-
-    def test_optimum_unaffected_by_filter(self, wan_graph, wan_lib):
-        from repro import SynthesisOptions, synthesize
-
-        a = synthesize(wan_graph, wan_lib, SynthesisOptions(drop_dominated=False))
-        b = synthesize(wan_graph, wan_lib, SynthesisOptions(drop_dominated=True))
-        assert a.total_cost == pytest.approx(b.total_cost)
-
-
 class TestParametricInstances:
     def test_parallel_channels_fully_mergeable(self):
         graph = parallel_channels_graph(k=3, distance=100.0, pitch=1.0)

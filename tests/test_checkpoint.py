@@ -21,6 +21,7 @@ from repro import (
     instance_fingerprint,
     synthesize,
 )
+from repro.core import synthesis
 from repro.domains import wan_example
 from repro.runtime.checkpoint import JOURNAL_VERSION
 
@@ -246,7 +247,7 @@ def test_fingerprint_covers_result_shaping_options(wan):
     for options in (
         SynthesisOptions(max_arity=2),
         SynthesisOptions(hop_penalty=1.0),
-        SynthesisOptions(ucp_solver="ilp"),
+        SynthesisOptions(strategy="decompose"),
         SynthesisOptions(polish_placement=False),
     ):
         assert base != instance_fingerprint(graph, library, options)
@@ -263,8 +264,9 @@ def test_wan_fingerprint_is_pinned(wan):
 
 
 def test_removed_kernels_option_is_a_type_error():
-    with pytest.raises(TypeError, match="kernels"):
-        SynthesisOptions(kernels="numpy")
+    for name, value in (("kernels", "numpy"), ("ucp_solver", "bnb"), ("drop_dominated", False)):
+        with pytest.raises(TypeError, match=name):
+            SynthesisOptions(**{name: value})
 
 
 # ----------------------------------------------------------------------
@@ -349,14 +351,18 @@ def test_resume_over_truncated_journal(wan, tmp_path):
     assert _result_key(plain) == _result_key(resumed)
 
 
-def test_ilp_solver_checkpoint_round_trip(wan, tmp_path):
+def test_ilp_solver_checkpoint_round_trip(wan, tmp_path, monkeypatch):
+    # with the cutover at one column, every cover goes to ilp
+    monkeypatch.setattr(synthesis, "ILP_CUTOVER_COLUMNS", 1)
     graph, library = wan
     path = str(tmp_path / "j.ckpt")
-    options = SynthesisOptions(ucp_solver="ilp", checkpoint_path=path)
-    first = synthesize(graph, library, options)
+    first = synthesize(graph, library, SynthesisOptions(checkpoint_path=path))
+    journal = CheckpointJournal.open(
+        path, instance_fingerprint(graph, library, SynthesisOptions()), resume=True
+    )
+    assert journal.solution.source_stage == "ilp"  # the engine that ran
+    journal.close()
     resumed = synthesize(
-        graph,
-        library,
-        SynthesisOptions(ucp_solver="ilp", checkpoint_path=path, resume=True),
+        graph, library, SynthesisOptions(checkpoint_path=path, resume=True)
     )
     assert _result_key(first) == _result_key(resumed)

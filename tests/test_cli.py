@@ -23,7 +23,7 @@ class TestParser:
 
     def test_synthesize_defaults(self):
         args = build_parser().parse_args(["synthesize", "x.json"])
-        assert args.pruning == "lemmas" and args.solver == "bnb"
+        assert args.pruning == "lemmas" and args.strategy == "auto"
 
     def test_unknown_demo_rejected(self):
         with pytest.raises(SystemExit):
@@ -61,10 +61,6 @@ class TestSynthesize:
     def test_quiet_suppresses_report(self, wan_file, capsys):
         assert main(["synthesize", str(wan_file), "--quiet"]) == 0
         assert "Totals" not in capsys.readouterr().out
-
-    def test_ilp_solver_option(self, wan_file, capsys):
-        assert main(["synthesize", str(wan_file), "--solver", "ilp", "--max-arity", "3"]) == 0
-        assert "merge(a4+a5+a6)" in capsys.readouterr().out
 
     def test_pruning_none(self, wan_file, capsys):
         assert main(["synthesize", str(wan_file), "--pruning", "none", "--max-arity", "3"]) == 0
@@ -250,10 +246,15 @@ class TestArgumentValidation:
         assert "--strategy" in capsys.readouterr().err
 
     def test_removed_kernels_flag_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["synthesize", "x.json", "--kernels", "numpy"])
-        assert exc.value.code == 2
-        assert "--kernels" in capsys.readouterr().err
+        for command, flag, value in (
+            ("synthesize", "--kernels", "numpy"),
+            ("synthesize", "--solver", "bnb"),
+            ("batch", "--solver", "bnb"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, "x.json", flag, value])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_valid_values_still_accepted(self):
         args = build_parser().parse_args(

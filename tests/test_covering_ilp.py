@@ -2,7 +2,7 @@
 
 How HiGHS outcomes and budgets map onto the ``CoverSolution`` /
 ``BudgetExceeded`` contract is pinned with a stub in place of
-``scipy.optimize.milp``.  Exactness above decompose's engine cutover is
+``scipy.optimize.milp``.  Exactness above the engine cutover is
 pinned on instances whose optimum is known by construction: at that
 size neither the native branch-and-bound nor enumeration is a usable
 oracle.
@@ -26,7 +26,7 @@ from repro import (
     SynthesisOptions,
     synthesize,
 )
-from repro.core import decompose, synthesis
+from repro.core import synthesis
 from repro.core.exceptions import CoveringError
 from repro.covering import (
     Column,
@@ -34,10 +34,12 @@ from repro.covering import (
     CoveringProblem,
     ReducedState,
     lp_lower_bound,
+    screen_dominated,
+    solve_cover,
     solve_ilp,
 )
 from repro.domains import wan_library
-from repro.netgen import clustered_graph
+from repro.netgen import clustered_graph, two_tier_library
 from repro.obs import tracing
 
 
@@ -225,7 +227,7 @@ def planted(n_rows, n_decoys, seed, per_row=3.0):
 class TestKnownOptimaAboveCutover:
     def test_odd_triangles_need_branching_or_cuts(self):
         problem = odd_triangles(70)
-        assert problem.n_columns == 210 >= decompose.ILP_CUTOVER_COLUMNS
+        assert problem.n_columns == 210 >= synthesis.ILP_CUTOVER_COLUMNS
         assert lp_lower_bound(ReducedState.initial(problem)) == pytest.approx(105.0)
         sol = solve_ilp(problem)
         assert sol.optimal and sol.weight == 140.0
@@ -233,26 +235,55 @@ class TestKnownOptimaAboveCutover:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_planted_partition_is_the_unique_optimum(self, seed):
         problem, partition = planted(n_rows=120, n_decoys=160, seed=seed)
-        assert problem.n_columns >= decompose.ILP_CUTOVER_COLUMNS
+        assert problem.n_columns >= synthesis.ILP_CUTOVER_COLUMNS
         sol = solve_ilp(problem)
         assert sol.optimal
         assert sol.column_names == partition
         assert sol.weight == 3.0 * 120
 
 
+@pytest.mark.parametrize("seed", range(1000, 1010))
+def test_engines_agree_on_screened_batch_warm_covers(seed):
+    """Unscreened, these covers hold tied optima that HiGHS breaks its own
+    way; screened, bnb and HiGHS both return bnb's unscreened labels."""
+    graph = clustered_graph(
+        n_clusters=2, ports_per_cluster=4, n_arcs=8, separation=100.0, seed=seed
+    )
+    covering = synthesize(graph, two_tier_library(), SynthesisOptions(max_arity=3)).covering
+    expected = solve_cover(covering).column_names
+    screened = screen_dominated(covering)
+    assert screened.n_columns < covering.n_columns
+    assert solve_cover(screened).column_names == expected
+    assert solve_ilp(screened).column_names == expected
+
+
 # ----------------------------------------------------------------------
-# decompose: engine cutover and budget degradation
+# the engine cutover, and decompose's budget degradation
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "n_columns, engine",
-    [(decompose.ILP_CUTOVER_COLUMNS - 1, "bnb"), (decompose.ILP_CUTOVER_COLUMNS, "ilp")],
+    [(synthesis.ILP_CUTOVER_COLUMNS - 1, "bnb"), (synthesis.ILP_CUTOVER_COLUMNS, "ilp")],
 )
 def test_solve_exact_engine_cutover(monkeypatch, n_columns, engine):
+    problem = CoveringProblem(["r"], [col(f"c{i}", {"r"}, 1 + i) for i in range(n_columns)])
+    assert _engines_used(monkeypatch, problem) == [engine]
+
+
+def test_engine_follows_the_screened_width(monkeypatch):
+    # 201 columns, but the 10 pairs cost more than their singletons:
+    # the screened cover is 191 columns wide, so bnb solves it
+    columns = [col(f"c{i}", {"r"}, 1 + i) for i in range(190)] + [col("s", {"s"}, 1.0)]
+    columns += [col(f"d{i}", {"r", "s"}, 5.0 + i) for i in range(10)]
+    problem = CoveringProblem(["r", "s"], columns)
+    assert problem.n_columns >= synthesis.ILP_CUTOVER_COLUMNS
+    assert _engines_used(monkeypatch, problem) == ["bnb"]
+
+
+def _engines_used(monkeypatch, problem):
     # the engines are looked up in repro.core.synthesis at call time, so
     # a wrapper installed there (as perfbench's tracer does) sees the call
-    problem = CoveringProblem(["r"], [col(f"c{i}", {"r"}, 1 + i) for i in range(n_columns)])
     used = []
 
     def spy(name):
@@ -263,14 +294,14 @@ def test_solve_exact_engine_cutover(monkeypatch, n_columns, engine):
 
     monkeypatch.setattr(synthesis, "solve_cover", spy("bnb"))
     monkeypatch.setattr(synthesis, "solve_ilp", spy("ilp"))
-    primary = decompose._cluster_engine(problem, SynthesisOptions())
-    synthesis._budgeted_cover(problem, primary, None)
-    assert used == [engine]
+    synthesis._budgeted_cover(problem, None)
+    return used
 
 
-def test_decompose_budget_spent_before_covering_serves_degraded_greedy():
+def test_decompose_budget_spent_before_covering_serves_degraded_greedy(monkeypatch):
     # the deadline passes at the first cover's ilp.start checkpoint:
     # every cluster falls back to greedy, nothing waits on HiGHS
+    monkeypatch.setattr(synthesis, "ILP_CUTOVER_COLUMNS", 1)  # every block starts on ilp
     graph = clustered_graph(
         n_clusters=2, ports_per_cluster=6, n_arcs=16, cluster_spread=4.0,
         separation=800.0, bandwidth_range=(1.0, 3.0), seed=7, intra_fraction=1.0,
@@ -285,7 +316,7 @@ def test_decompose_budget_spent_before_covering_serves_degraded_greedy():
     with FaultInjector([stall], sleep=sleep), tracing() as t:
         result = synthesize(
             graph, wan_library(),
-            SynthesisOptions(strategy="decompose", max_arity=2, ucp_solver="ilp"),
+            SynthesisOptions(strategy="decompose", max_arity=2),
             budget=root,
         )
     assert result.degradation.quality is ResultQuality.DEGRADED_GREEDY

@@ -18,6 +18,7 @@ from repro.covering import (
     solve_ilp,
 )
 from repro.covering.bounds import solve_master_lp
+from repro.covering.reductions import SCREEN_TOL, screen_dominated
 
 
 def col(name, rows, weight=1.0):
@@ -207,6 +208,53 @@ class TestExhaustive:
         )
         sol = solve_exhaustive(p)
         assert set(sol.column_names) == {"both"}
+
+
+class TestScreen:
+    def test_drops_columns_no_cheaper_than_their_singletons(self):
+        p = CoveringProblem(
+            ["a", "b", "c"],
+            [
+                col("a", {"a"}, 1.0), col("b", {"b"}, 2.0), col("c", {"c"}, 4.0),
+                col("ab_tie", {"a", "b"}, 3.0),
+                col("ab_dear", {"a", "b"}, 3.5),
+                col("bc_cheap", {"b", "c"}, 5.9),
+            ],
+        )
+        screened = screen_dominated(p)
+        assert [c.name for c in screened.columns] == ["a", "b", "c", "bc_cheap"]
+        assert screened.rows == p.rows
+
+    def test_keeps_every_column_on_a_row_without_a_singleton(self):
+        p = CoveringProblem(
+            ["a", "b"], [col("a", {"a"}, 1.0), col("ab", {"a", "b"}, 100.0)]
+        )
+        assert screen_dominated(p) is p  # nothing dropped: the same problem
+
+    def test_merges_a_few_ulps_under_their_singletons_are_dropped(self):
+        # 0.1 + 0.2 sums to 0.30000000000000004, one ulp above 0.3
+        p = CoveringProblem(
+            ["a", "b"],
+            [col("a", {"a"}, 0.1), col("b", {"b"}, 0.2), col("ab", {"a", "b"}, 0.3)],
+        )
+        assert [c.name for c in screen_dominated(p).columns] == ["a", "b"]
+        # a merge cheaper by more than the slack stays
+        cheaper = 0.3 * (1.0 - 10 * SCREEN_TOL)
+        q = CoveringProblem(
+            ["a", "b"],
+            [col("a", {"a"}, 0.1), col("b", {"b"}, 0.2), col("ab", {"a", "b"}, cheaper)],
+        )
+        assert screen_dominated(q) is q
+
+    def test_wan_cover_shrinks_and_keeps_its_optimum(self, wan_graph, wan_lib):
+        from repro import synthesize
+
+        result = synthesize(wan_graph, wan_lib, trace=True)
+        screened = screen_dominated(result.covering)
+        assert (result.covering.n_columns, screened.n_columns) == (62, 11)
+        assert result.trace.counters["covering.columns_screened"] == 51
+        assert "merge(a4+a5+a6)" in {c.name for c in screened.columns}  # the winner
+        assert solve_cover(screened).column_names == solve_cover(result.covering).column_names
 
 
 class TestZeroWeightTieBreak:

@@ -84,7 +84,7 @@ for seed in (19, 23):
 result = synthesize(
     clustered_graph(n_clusters=2, ports_per_cluster=4, n_arcs=8, separation=100.0, seed=1003),
     two_tier_library(),
-    SynthesisOptions(max_arity=3, drop_dominated=True, strategy="exact"),
+    SynthesisOptions(max_arity=3, strategy="exact"),
     trace=True,
 )
 counters = result.trace.counters

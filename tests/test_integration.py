@@ -108,18 +108,15 @@ class TestCrossDomainConsistency:
 
 
 class TestOptionInteractions:
-    def test_all_options_together(self):
+    def test_all_options_together(self, monkeypatch):
+        from repro.core import synthesis
+
+        monkeypatch.setattr(synthesis, "ILP_CUTOVER_COLUMNS", 1)  # cover on ilp
         graph, library = soc_example()
         result = synthesize(
             graph,
             library,
-            SynthesisOptions(
-                max_arity=3,
-                drop_dominated=True,
-                heterogeneous=True,
-                max_merge_hops=30,
-                ucp_solver="ilp",
-            ),
+            SynthesisOptions(max_arity=3, heterogeneous=True, max_merge_hops=30),
         )
         validate(result.implementation, graph)
         assert result.total_cost <= result.point_to_point_cost + 1e-9

@@ -90,11 +90,10 @@ class TestLidAwareSynthesis:
         ]
         assert costs == sorted(costs)
 
-    def test_honours_ucp_solver(self, monkeypatch):
-        """``ucp_solver="ilp"`` selects the ILP engine, as it does for
-        synthesize(), and reaches the bnb optimum."""
-        import dataclasses
-
+    def test_follows_the_engine_rule(self, monkeypatch):
+        """The LID cover picks its engine by width, as synthesize() does:
+        at or above ``ILP_CUTOVER_COLUMNS`` it goes to the ILP engine,
+        which reaches the bnb optimum."""
         import repro.core.synthesis as synthesis_mod
 
         engines = []
@@ -109,8 +108,7 @@ class TestLidAwareSynthesis:
         lib = soc_library()
         bnb = lid_aware_synthesize(g, lib, l_clock=2.0, options=OPTS)
         assert engines == []
-        ilp = lid_aware_synthesize(
-            g, lib, l_clock=2.0, options=dataclasses.replace(OPTS, ucp_solver="ilp")
-        )
+        monkeypatch.setattr(synthesis_mod, "ILP_CUTOVER_COLUMNS", 1)
+        ilp = lid_aware_synthesize(g, lib, l_clock=2.0, options=OPTS)
         assert engines == ["ilp"]
         assert ilp.total_cost == pytest.approx(bnb.total_cost, rel=1e-9)

@@ -1,5 +1,7 @@
 """Property-based tests: the covering solvers agree with brute force."""
 
+import math
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.covering import (
     solve_exhaustive,
     solve_ilp,
 )
+from repro.covering.reductions import SCREEN_TOL, screen_dominated
 
 
 @st.composite
@@ -79,3 +82,41 @@ def test_solution_is_irredundant_under_check(problem):
             # but an optimal solver should not have kept a zero-use column
             # unless its weight is ~0
             assert problem.column(name).weight <= 1e-9
+
+
+@st.composite
+def screenable_instances(draw):
+    """Instances where some rows have single-row columns and some do
+    not, with multi-row columns priced around their singleton sums:
+    far below, just outside and just inside the screen's slack, tied,
+    and above."""
+    n_rows = draw(st.integers(min_value=2, max_value=6))
+    rows = [f"r{i}" for i in range(n_rows)]
+    columns, cheapest = [], {}
+    for r in rows:
+        for k in range(draw(st.integers(min_value=0, max_value=2))):
+            weight = draw(st.floats(min_value=0.0, max_value=20.0))
+            cheapest[r] = min(weight, cheapest.get(r, math.inf))
+            columns.append(Column(f"s{k}_{r}", frozenset({r}), weight))
+    for j in range(draw(st.integers(min_value=1, max_value=8))):
+        size = draw(st.integers(min_value=2, max_value=n_rows))
+        members = draw(st.lists(st.sampled_from(rows), min_size=size, max_size=size, unique=True))
+        base = math.fsum(cheapest.get(r, 10.0) for r in members)
+        factor = draw(
+            st.sampled_from([0.5, 1.0 - 1e-7, 1.0 - SCREEN_TOL / 10, 1.0, 1.0 + 1e-12, 1.5])
+        )
+        columns.append(Column(f"m{j}", frozenset(members), base * factor))
+    # feasibility, whatever the singletons: one full column
+    columns.append(Column("full", frozenset(rows), draw(st.floats(min_value=0.0, max_value=60.0))))
+    return CoveringProblem(rows, columns), cheapest
+
+
+@settings(max_examples=80, deadline=None)
+@given(screenable_instances())
+def test_screen_keeps_the_optimum_within_its_slack(instance):
+    problem, cheapest = instance
+    full = solve_exhaustive(problem).weight
+    screened = solve_exhaustive(screen_dominated(problem)).weight
+    assert screened >= full  # a subset of the same columns
+    slack = SCREEN_TOL * math.fsum(cheapest.values())
+    assert screened <= full + slack + 1e-12 * max(1.0, full)

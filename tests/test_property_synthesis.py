@@ -19,6 +19,7 @@ from repro import PruningLevel, SynthesisOptions, compute_matrices, synthesize
 from repro.baselines import exhaustive_synthesis, point_to_point_baseline
 from repro.core.pruning import lemma_3_1_not_mergeable
 from repro.core.validation import validate
+from repro.covering import solve_ilp
 from repro.netgen import clustered_graph, two_tier_library, uniform_graph
 
 # deliberately varied economics: trunk/feeder price ratios around the
@@ -99,6 +100,7 @@ def test_pruning_none_and_lemmas_agree(graph, library):
 @settings(max_examples=15, deadline=None)
 @given(small_graphs, libraries)
 def test_bnb_and_ilp_agree_end_to_end(graph, library):
-    bnb = synthesize(graph, library, SynthesisOptions(ucp_solver="bnb"))
-    ilp = synthesize(graph, library, SynthesisOptions(ucp_solver="ilp"))
-    assert bnb.total_cost == pytest.approx(ilp.total_cost, rel=1e-6)
+    # the served (screened, width-routed) cover against HiGHS on the
+    # full, unscreened cover
+    result = synthesize(graph, library)
+    assert result.total_cost == pytest.approx(solve_ilp(result.covering).weight, rel=1e-6)

@@ -127,6 +127,20 @@ def test_manifest_without_demand_margin_solves_at_zero(tmp_path):
     assert QueueWorker(qdir).options == SynthesisOptions()
 
 
+@pytest.mark.parametrize("key, value", [("ucp_solver", "ilp"), ("drop_dominated", True)])
+def test_manifest_with_a_retired_option_value_is_refused(tmp_path, key, value):
+    """Manifests keep the retired covering options at their pinned values;
+    one enqueued with another value cannot be solved the same way."""
+    corpus = discover_corpus(_make_corpus(tmp_path / "corpus", count=1))
+    qdir = tmp_path / "q"
+    enqueue(qdir, _tasks(corpus, SynthesisOptions()), SynthesisOptions(), None, QueueConfig())
+    doc = load_manifest(qdir)
+    doc["options"][key] = value
+    _Paths(qdir).manifest.write_text(canonical_json(doc))
+    with pytest.raises(BatchError, match="retired options"):
+        QueueWorker(qdir)
+
+
 def test_enqueue_shards_in_corpus_order(tmp_path):
     qdir, _, tasks, _ = _enqueued(tmp_path, count=5, shard_size=2)
     doc = load_manifest(qdir)

@@ -1,10 +1,10 @@
 """Fallback-chain tests for the budgeted covering solve.
 
 Every driver's covering step runs ``_budgeted_cover``: the primary exact
-engine on half the remaining budget, the other exact engine on the rest,
-then greedy.  Every transition is forced by deterministic fault
-injection and asserted on: which stages ran, which cover is served, and
-how it is tagged.
+engine (picked by the screened cover's width) on half the remaining
+budget, the other exact engine on the rest, then greedy.  Every
+transition is forced by deterministic fault injection and asserted on:
+which stages ran, which cover is served, and how it is tagged.
 """
 
 import itertools
@@ -17,6 +17,7 @@ from repro.core.exceptions import (
     InfeasibleError,
     SynthesisError,
 )
+from repro.core import synthesis
 from repro.core.synthesis import _budgeted_cover
 from repro.covering.matrix import Column, CoverSolution, CoveringProblem
 from repro.runtime import Budget, FaultInjector, FaultSpec, ResultQuality
@@ -41,11 +42,11 @@ def greedy_trap():
     )
 
 
-def solve(problem, primary="bnb", tracker=None, **kwargs):
+def solve(problem, tracker=None, **kwargs):
     """The budgeted chain under a generous deadline (or ``tracker``)."""
     if tracker is None:
         tracker = Budget(deadline_s=60.0).start()
-    return _budgeted_cover(problem, primary, tracker, **kwargs)
+    return _budgeted_cover(problem, tracker, **kwargs)
 
 
 def stages(report):
@@ -78,13 +79,13 @@ class TestHappyPath:
         assert report.candidate_generation_truncated
 
     def test_unbudgeted_runs_the_primary_alone(self, greedy_trap):
-        cover, report = _budgeted_cover(greedy_trap, "bnb", None)
+        cover, report = _budgeted_cover(greedy_trap, None)
         assert cover.weight == pytest.approx(1.6)
         assert report is None
         # and its errors propagate: no fallback without a budget
         with FaultInjector([FaultSpec(site="bnb.*", kind="error")]):
             with pytest.raises(SynthesisError):
-                _budgeted_cover(greedy_trap, "bnb", None)
+                _budgeted_cover(greedy_trap, None)
 
 
 class TestTransitions:
@@ -97,10 +98,12 @@ class TestTransitions:
         assert report.source_stage == "ilp"
         assert stages(report) == [("bnb", "budget_exceeded"), ("ilp", "completed")]
 
-    def test_ilp_timeout_falls_to_bnb(self, greedy_trap):
+    def test_ilp_timeout_falls_to_bnb(self, greedy_trap, monkeypatch):
+        # a cover at the cutover width starts on ilp
+        monkeypatch.setattr(synthesis, "ILP_CUTOVER_COLUMNS", greedy_trap.n_columns)
         plan = [FaultSpec(site="ilp.start", kind="timeout")]
         with FaultInjector(plan):
-            cover, report = solve(greedy_trap, primary="ilp")
+            cover, report = solve(greedy_trap)
         assert cover.weight == pytest.approx(1.6)
         assert report.quality is ResultQuality.OPTIMAL
         assert stages(report) == [("ilp", "budget_exceeded"), ("bnb", "completed")]

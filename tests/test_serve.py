@@ -119,8 +119,11 @@ class TestParseSubmit:
             parse_submit(self._doc(instance_doc, deadline_s=deadline))
 
     def test_unknown_option_is_400(self, instance_doc):
-        with pytest.raises(ProtocolError, match="options.jobs"):
-            parse_submit(self._doc(instance_doc, options={"jobs": 4}))
+        # an execution knob, and the two retired covering options
+        for key, value in (("jobs", 4), ("ucp_solver", "bnb"), ("drop_dominated", True)):
+            with pytest.raises(ProtocolError, match=f"options.{key}") as exc:
+                parse_submit(self._doc(instance_doc, options={key: value}))
+            assert exc.value.status == 400
 
     def test_bad_pruning_level_is_400(self, instance_doc):
         with pytest.raises(ProtocolError, match="options.pruning"):
@@ -134,10 +137,10 @@ class TestParseSubmit:
     def test_options_parsed_and_budget_policy_forced(self, instance_doc):
         submit = parse_submit(self._doc(
             instance_doc,
-            options={"max_arity": 3, "ucp_solver": "ilp", "hop_penalty": 2},
+            options={"max_arity": 3, "strategy": "exact", "hop_penalty": 2},
         ))
         assert submit.options.max_arity == 3
-        assert submit.options.ucp_solver == "ilp"
+        assert submit.options.strategy == "exact"
         assert submit.options.hop_penalty == 2.0
         # the service never hard-fails a budget: degrade is forced
         assert submit.options.on_budget_exhausted == "degrade"

@@ -1,8 +1,8 @@
 """Strategy agreement: exact and decompose give one answer.
 
 The strategies differ only in which candidate universe they enumerate
-and which covering engine they run; candidate options, merge admission
-and result assembly are shared.  So under every result-shaping option,
+and how they split the cover; candidate options, merge admission, the
+covering policy and result assembly are shared.  So under every result-shaping option,
 on instances small enough for decompose to certify a zero gap, both
 must return the same optimum and the same selection.  Selections
 compare as label sets: decompose lists a multi-cluster cover in
@@ -23,7 +23,6 @@ VARIANTS = {
     "default": {},
     "hop_penalty": {"hop_penalty": 5.0},
     "max_merge_hops": {"max_merge_hops": 3},
-    "drop_dominated": {"drop_dominated": True},
     "heterogeneous": {"heterogeneous": True},
     "no_polish": {"polish_placement": False},
     "demand_margin": {"demand_margin": 0.3},

@@ -3,12 +3,9 @@
 Generated ``clustered_graph`` instances of 17–24 arcs, the range just
 past ``AUTO_EXACT_MAX_ARCS`` where ``auto`` hands over to certified
 decomposition.  On each, both must return exact's ``total_cost``
-(1e-9 relative) with a certified zero gap.  Selections must match as
-label sets while the covering instance stays under
-``ILP_CUTOVER_COLUMNS``; wider covers go to HiGHS, which breaks
-equal-cost ties its own way (seed 527's 350-column cover picks another
-selection at the same cost).  The draws were picked from a probe sweep
-for speed: the whole pack runs in a few seconds.
+(1e-9 relative) with a certified zero gap, and exact's selection as a
+label set.  The draws were picked from a probe sweep for speed: the
+whole pack runs in a few seconds.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro import SynthesisOptions, synthesize
-from repro.core.decompose import ILP_CUTOVER_COLUMNS
 from repro.domains import wan_library
 from repro.netgen import clustered_graph, two_tier_library
 
@@ -63,5 +59,4 @@ def test_decompose_and_auto_reproduce_exact(
         assert report is not None and report.strategy == "decompose", strategy
         assert result.total_cost == pytest.approx(exact.total_cost, rel=1e-9), strategy
         assert report.certified and report.gap_bound == 0.0, strategy
-        if exact.covering.n_columns < ILP_CUTOVER_COLUMNS:
-            assert {c.label() for c in result.selected} == labels, strategy
+        assert {c.label() for c in result.selected} == labels, strategy

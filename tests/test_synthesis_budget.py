@@ -7,6 +7,7 @@ returns a valid Definition 2.4-validated implementation tagged
 deterministically across runs with the same fault seed.
 """
 
+import dataclasses
 import itertools
 import time
 
@@ -23,6 +24,7 @@ from repro import (
     synthesize,
     validate,
 )
+from repro.core import synthesis
 from repro.core.exceptions import BudgetExceeded
 from repro.covering.ilp import solve_ilp
 from repro.domains import wan_example, wan_library
@@ -53,16 +55,13 @@ class TestBudgetedHappyPath:
         result = synthesize(graph, library)
         assert result.degradation is None
 
-    def test_ilp_first_chain_respects_solver_option(self):
+    def test_wide_cover_chain_starts_on_ilp(self, monkeypatch):
+        monkeypatch.setattr(synthesis, "ILP_CUTOVER_COLUMNS", 1)  # every cover is wide
         graph, library = wan_example()
-        result = synthesize(
-            graph,
-            library,
-            SynthesisOptions(ucp_solver="ilp"),
-            budget=Budget(deadline_s=30.0),
-        )
+        result = synthesize(graph, library, budget=Budget(deadline_s=30.0))
         assert result.degradation.quality is ResultQuality.OPTIMAL
         assert result.degradation.source_stage == "ilp"
+        assert [a.stage for a in result.degradation.attempts] == ["ilp"]
 
 
 class TestFallbacksEndToEnd:
@@ -143,11 +142,12 @@ class TestFallbacksEndToEnd:
             synthesize(graph, library, budget=tracker)
 
 
-class TestCrossEngineFallback:
-    def test_ilp_serves_the_optimum_bnb_cannot_reach_in_time(self):
-        """Unbudgeted, bnb needs about 8.5 s on this 12-arc cover; under a
-        2 s deadline it runs out of its half and HiGHS finishes in tens
-        of milliseconds.  Either way the served cover is the optimum."""
+class TestScreenedCover:
+    def test_bnb_serves_the_optimum_under_a_2s_deadline(self):
+        """The screen shrinks this 12-arc cover from 159 to 34 columns,
+        which bnb solves well inside its half of a 2 s deadline (about
+        0.1 s; the unscreened cover took it about 8.5 s).  A lost screen
+        sends the cover to the ilp fallback and fails the stage check."""
         graph = clustered_graph(
             n_clusters=2, ports_per_cluster=5, n_arcs=12, separation=100.0, seed=2005
         )
@@ -156,6 +156,7 @@ class TestCrossEngineFallback:
             budget=Budget(deadline_s=2.0),
         )
         assert result.degradation.quality is ResultQuality.OPTIMAL
+        assert result.degradation.source_stage == "bnb"
         assert result.total_cost == pytest.approx(
             solve_ilp(result.covering).weight, rel=1e-9
         )
@@ -209,6 +210,49 @@ def test_exact_and_decompose_degrade_alike(strategy, plan, quality, cost):
     assert result.degradation.quality is quality
     assert result.total_cost == pytest.approx(cost, rel=1e-9)
     validate(result.implementation, graph)
+
+
+ISLAND_ERRORS = [FaultSpec(site="bnb.*", kind="error"), FaultSpec(site="ilp.*", kind="error")]
+
+
+@pytest.mark.parametrize("budgeted", [False, True], ids=["unbudgeted", "budgeted"])
+@pytest.mark.parametrize("strategy", ["exact", "decompose"])
+def test_resume_replays_only_an_optimal_cover(tmp_path, strategy, budgeted):
+    """A journaled greedy cover is solved again on resume, not served
+    as optimal."""
+    graph, library = _two_island()
+    options = SynthesisOptions(
+        strategy=strategy, max_arity=2, checkpoint_path=str(tmp_path / "j.ckpt")
+    )
+    with FaultInjector(ISLAND_ERRORS):
+        first = synthesize(graph, library, options, budget=Budget(deadline_s=60.0))
+    assert first.degradation.quality is ResultQuality.DEGRADED_GREEDY
+    assert first.total_cost == pytest.approx(ISLAND_GREEDY, rel=1e-9)
+    resumed = synthesize(
+        graph, library, dataclasses.replace(options, resume=True),
+        budget=Budget(deadline_s=60.0) if budgeted else None,
+    )
+    assert resumed.total_cost == pytest.approx(ISLAND_OPTIMUM, rel=1e-9)
+    if budgeted:
+        assert resumed.degradation.quality is ResultQuality.OPTIMAL
+    if strategy == "decompose":
+        assert resumed.decomposition.certified
+        assert resumed.decomposition.gap_bound == 0.0
+
+
+@pytest.mark.parametrize("strategy", ["exact", "decompose"])
+def test_fail_policy_partial_covers_the_whole_instance(strategy):
+    graph, library = _two_island()
+    options = SynthesisOptions(strategy=strategy, max_arity=2)
+    with FaultInjector(ISLAND_ERRORS):
+        with pytest.raises(BudgetExceeded) as exc:
+            synthesize(
+                graph, library, dataclasses.replace(options, on_budget_exhausted="fail"),
+                budget=Budget(deadline_s=60.0),
+            )
+    partial = exc.value.partial
+    assert partial.weight == pytest.approx(ISLAND_GREEDY, rel=1e-9)
+    synthesize(graph, library, options).covering.check_solution(partial)  # every row
 
 
 # -- property: the deadline is honored on random instances ------------------
