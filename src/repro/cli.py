@@ -147,14 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shorthand for --strategy exact (exhaustive enumeration)",
     )
     syn.add_argument(
-        "--max-cluster-arcs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --strategy decompose: force-split clusters larger than "
-        "N arcs (caps per-cluster cost; voids the optimality certificate)",
-    )
-    syn.add_argument(
         "--demand-margin",
         type=_nonnegative_seconds,
         default=0.0,
@@ -544,7 +536,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         strategy=args.strategy,
-        max_cluster_arcs=args.max_cluster_arcs,
         demand_margin=args.demand_margin,
     )
     if args.resume:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -272,7 +273,11 @@ def generate_candidates(
     cost of the final architecture is ``implementation.cost()``.
 
     Raises :class:`InfeasibleError` if some arc has no point-to-point
-    implementation at all (then no implementation graph exists either).
+    implementation at all (then no implementation graph exists either),
+    and its subclass :class:`~repro.core.exceptions.EnumerationLimitError`
+    before an arity whose subsets would pass
+    :data:`MAX_ENUMERATED_SUBSETS`; the error's ``partial`` is the
+    candidate set of the arities below it.
 
     ``budget`` adds cooperative checkpoints to every enumeration loop.
     The mandatory point-to-point pass raises
@@ -337,6 +342,7 @@ def generate_candidates(
                 p2p_candidates.append(_singleton(arc, library, heterogeneous, hop_penalty))
 
         plans: List[MergingPlan] = []
+        limit: Optional[EnumerationLimitError] = None
         if n >= 2:
             matrices = IncrementalArcMatrices(graph)
             pool: Optional[WorkerPool] = None
@@ -350,10 +356,12 @@ def generate_candidates(
                         initargs=(graph, library, polish_placement, tracer.enabled),
                         rescue=partial(_plan_chunk_here, graph, library, polish_placement),
                     )
-                plans = _enumerate_mergings(
-                    graph, library, matrices, pruning, max_arity, stats, polish_placement,
-                    tracker=tracker, pool=pool, journal=journal,
+                _enumerate_mergings(
+                    graph, library, matrices, pruning, max_arity, stats, plans,
+                    polish_placement, tracker=tracker, pool=pool, journal=journal,
                 )
+            except EnumerationLimitError as exc:
+                limit = exc  # raised below, carrying the arities it let finish
             finally:
                 if pool is not None:
                     stats.worker_recoveries = pool.recoveries
@@ -371,7 +379,11 @@ def generate_candidates(
         gen_span.set("mergings", len(mergings))
         gen_span.set("budget_truncated", stats.budget_truncated)
         tracer.gauge("candidates.total", len(p2p_candidates) + len(mergings))
-        return CandidateSet(point_to_point=p2p_candidates, mergings=mergings, stats=stats)
+        candidates = CandidateSet(point_to_point=p2p_candidates, mergings=mergings, stats=stats)
+        if limit is not None:
+            limit.partial = candidates
+            raise limit
+        return candidates
 
 
 #: per-worker state installed by the pool initializer — forked/spawned
@@ -466,7 +478,21 @@ def _prune_arity(
     predicate call over the Γ/Δ column sums and one over the bandwidth
     vector instead of one ``np.ix_`` block per subset.  APRIORI's
     survivor memory is keyed by arc *name* (stable across compaction).
+
+    Every K-subset counts against :data:`MAX_ENUMERATED_SUBSETS`, so an
+    arity that would pass it raises
+    :class:`~repro.core.exceptions.EnumerationLimitError` before
+    enumerating any.
     """
+    subsets = math.comb(matrices.size, k)
+    if stats.subsets_enumerated + subsets > MAX_ENUMERATED_SUBSETS:
+        raise EnumerationLimitError(
+            f"candidate enumeration would exceed {MAX_ENUMERATED_SUBSETS} subsets "
+            f"at arity {k} ({subsets} subsets of {matrices.size} mergeable arcs) — "
+            f"set max_arity to bound the search (the result stays exact "
+            f"within that arity)",
+            arity=k,
+        )
     tracer = current_tracer()
     names = matrices.arc_names
     survivors: List[Tuple[int, ...]] = []
@@ -482,14 +508,6 @@ def _prune_arity(
             return None
         stats.subsets_enumerated += len(chunk)
         tracer.count("candidates.subsets.enumerated", len(chunk))
-        if stats.subsets_enumerated > MAX_ENUMERATED_SUBSETS:
-            raise EnumerationLimitError(
-                f"candidate enumeration exceeded {MAX_ENUMERATED_SUBSETS} subsets "
-                f"at arity {k} with {matrices.size} mergeable arcs — set "
-                f"max_arity to bound the search (the result stays exact "
-                f"within that arity)",
-                arity=k,
-            )
         if pruning is PruningLevel.APRIORI and k > 2:
             kept = []
             for subset in chunk:
@@ -674,11 +692,12 @@ def _enumerate_mergings(
     pruning: PruningLevel,
     max_arity: Optional[int],
     stats: GenerationStats,
+    feasible: List[MergingPlan],
     polish_placement: bool = True,
     tracker: Optional[BudgetTracker] = None,
     pool: Optional[WorkerPool] = None,
     journal: Optional[CheckpointJournal] = None,
-) -> List[MergingPlan]:
+) -> None:
     """The main loop of Figure 2: increasing K, shrinking active set.
 
     Each arity runs a vectorized pruning pass (:func:`_prune_arity`) and
@@ -688,17 +707,17 @@ def _enumerate_mergings(
     every arc in no surviving subset
     (:meth:`~repro.core.matrices.IncrementalArcMatrices.remove_arcs` —
     exact entry copies, no recomputation), so later arities gather from
-    ever-smaller matrices.  Returns the feasible plans, unweighted and
-    unfiltered (the journal records them raw; admission runs on the
-    result).  On :class:`BudgetExceeded` from a checkpoint the
-    enumeration stops and the plans built so far are returned (anytime
+    ever-smaller matrices.  Appends the feasible plans to ``feasible``,
+    unweighted and unfiltered (the journal records them raw; admission
+    runs on the result).  On :class:`BudgetExceeded` from a checkpoint
+    the enumeration stops and keeps the plans built so far (anytime
     behavior); ``stats.budget_truncated`` records the cut.  The
     :data:`MAX_ENUMERATED_SUBSETS` valve raises
-    :class:`~repro.core.exceptions.EnumerationLimitError`.
+    :class:`~repro.core.exceptions.EnumerationLimitError`, and
+    ``feasible`` then holds every arity below it.
     """
     tracker = tracker if tracker is not None else as_tracker(None)
     tracer = current_tracer()
-    feasible: List[MergingPlan] = []
     n = matrices.size
     top = n if max_arity is None else min(max_arity, n)
     max_bw = library.max_link_bandwidth()
@@ -751,4 +770,3 @@ def _enumerate_mergings(
             prev_survivors = {
                 frozenset(names[i] for i in s) for s in survivors_k
             }
-    return feasible

@@ -11,8 +11,8 @@ uses, so its optimality claim inherits the lemmas' soundness
 **Cluster decomposition** (``strategy="decompose"``)
     Partition the arcs into clusters such that every cluster-spanning
     merging subset is *certifiably* pruned, synthesize each cluster
-    independently (reusing the self-healing planning pool), and stitch
-    the per-cluster covers back together.  The certificate (below)
+    independently (reusing the self-healing planning pool), and
+    assemble the per-cluster covers.  The certificate (below)
     makes the decomposition lossless: the union of the per-cluster
     candidate universes equals the exact pipeline's universe, so the
     assembled cover is globally optimal and the reported
@@ -40,21 +40,12 @@ uses, so its optimality claim inherits the lemmas' soundness
     certificate holds — in the worst case collapsing to one cluster,
     i.e. the exact pipeline.
 
-    ``max_cluster_arcs`` additionally *force-splits* oversized
-    clusters along spatial median cuts.  Forced cuts break the
-    certificate, so the boundary-merging **stitch pass** re-prices the
-    2-way candidates crossing each cut (higher-arity cross-cut subsets
-    stay unexplored) and the result reports ``certified=False`` with a
-    *sound, generally non-zero* ``gap_bound`` from the restricted
-    master LP's dual correction (:func:`_forced_gap_bound`) — honest,
-    not silently suboptimal.
-
-    At unbounded arity a cluster whose enumeration trips the subset
-    valve (:data:`~repro.core.candidates.MAX_ENUMERATED_SUBSETS`) is
-    regenerated below the arity that tripped, where the exact pipeline
-    refuses; the capped universe voids the certificate
-    (``certified=False``, ``gap_bound=None``, and a note names the
-    arity).
+    At unbounded arity a cluster whose enumeration would pass the
+    subset valve (:data:`~repro.core.candidates.MAX_ENUMERATED_SUBSETS`)
+    is served from the arities below the one that would trip it, where
+    the exact pipeline refuses; the capped universe voids the
+    certificate (``certified=False``, ``gap_bound=None``, and a note
+    names the arity).
 
 The strategy owns only how it builds its candidate universe and how
 it splits the cover into blocks.  The steps it shares with the exact
@@ -76,24 +67,16 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..covering.bounds import solve_master_lp
 from ..covering.matrix import Column, CoverSolution, CoveringProblem
 from ..obs import current_tracer
 from ..runtime.budget import BudgetTracker
 from ..runtime.checkpoint import CheckpointJournal
 from ..runtime.report import DegradationReport, ResultQuality, StageAttempt
-from .candidates import (
-    Candidate,
-    CandidateSet,
-    GenerationStats,
-    _admit_merging,
-    generate_candidates,
-)
+from .candidates import Candidate, CandidateSet, GenerationStats, generate_candidates
 from .constraint_graph import ConstraintGraph
 from .exceptions import BudgetExceeded, EnumerationLimitError
-from .library import CommunicationLibrary, NodeKind
+from .library import CommunicationLibrary
 from .matrices import ArcMatrices, compute_matrices
-from .merging import build_merging_plan
 from .pruning import PRUNE_TOL
 from .synthesis import (
     SynthesisOptions,
@@ -103,6 +86,8 @@ from .synthesis import (
     _fail_unless_optimal,
 )
 # perfbench traces these names in this module; the calls run in synthesis
+# and candidates
+from .merging import build_merging_plan  # noqa: F401
 from .synthesis import build_covering_problem, materialize_selection  # noqa: F401
 from .synthesis import solve_cover, solve_ilp  # noqa: F401  (perfbench, as above)
 from .validation import validate  # noqa: F401  (perfbench, as above)
@@ -127,24 +112,20 @@ MIN_CLUSTER_ARCS_FOR_POOL = 12
 class DecompositionReport:
     """What the decompose strategy did, and what it certifies.
 
-    ``gap_bound`` is an upper bound on ``total_cost − OPT``:
-    ``0.0`` with ``certified=True`` means provably optimal (the
-    decomposition certificate held); a positive *uncertified* value on
-    forced splits is the restricted-master dual correction of
-    :func:`_forced_gap_bound`; ``None`` means no sound bound is
-    available (LP failure, budget truncation, a capped enumeration) —
-    never a silent claim.
+    ``gap_bound`` bounds ``total_cost − OPT``.  It is ``0.0`` exactly
+    when ``certified`` holds: the partition certificate held, every
+    cluster's candidate universe is complete and every block's cover
+    is optimal, so the result is provably optimal.  It is ``None`` when budget truncation,
+    a capped enumeration (the subset valve) or a degraded cover voids
+    the certificate — never a silent claim.
     """
 
     strategy: str
     n_clusters: int = 1
     cluster_sizes: List[int] = field(default_factory=list)
     coarsening_rounds: int = 0
-    forced_splits: int = 0
     #: cross-cluster arc pairs certified useless (bandwidth or margin).
     boundary_pairs_pruned: int = 0
-    #: cross-cut pairs re-priced (planned) by the stitch pass.
-    boundary_pairs_stitched: int = 0
     gap_bound: Optional[float] = None
     certified: bool = False
     notes: List[str] = field(default_factory=list)
@@ -156,9 +137,7 @@ class DecompositionReport:
             "n_clusters": self.n_clusters,
             "cluster_sizes": list(self.cluster_sizes),
             "coarsening_rounds": self.coarsening_rounds,
-            "forced_splits": self.forced_splits,
             "boundary_pairs_pruned": self.boundary_pairs_pruned,
-            "boundary_pairs_stitched": self.boundary_pairs_stitched,
             "gap_bound": self.gap_bound,
             "certified": self.certified,
             "notes": list(self.notes),
@@ -168,24 +147,6 @@ class DecompositionReport:
 # ----------------------------------------------------------------------
 # partitioning + certificate
 # ----------------------------------------------------------------------
-
-
-def _pair_matrices(
-    matrices: ArcMatrices, library: CommunicationLibrary
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(margin, bw_pruned)`` over all arc pairs.
-
-    ``margin[i, j] = Δ(i, j) − Γ(i, j)`` (Lemma 3.1 pair-prunes when it
-    is ≥ −tol); ``bw_pruned[i, j]`` is the Theorem 3.2 pair verdict
-    with the same keep-favouring tolerance as the batch predicate.
-    """
-    margin = matrices.delta - matrices.gamma
-    b = matrices.bandwidth
-    total = b[:, None] + b[None, :]
-    threshold = library.max_link_bandwidth() + np.minimum(b[:, None], b[None, :])
-    scale = np.maximum(1.0, np.maximum(np.abs(total), np.abs(threshold)))
-    bw_pruned = (total >= threshold + PRUNE_TOL * scale) | (total == threshold)
-    return margin, bw_pruned
 
 
 def _components(n: int, mergeable: np.ndarray) -> np.ndarray:
@@ -224,7 +185,15 @@ def certified_partition(
     trivially certified.
     """
     n = matrices.size
-    margin, bw_pruned = _pair_matrices(matrices, library)
+    # margin[i, j] = Δ(i, j) − Γ(i, j): the pair is Lemma 3.1 pruned
+    # when it is ≥ −tol.  bw_pruned is the Theorem 3.2 pair verdict,
+    # with the batch predicate's keep-favouring tolerance.
+    margin = matrices.delta - matrices.gamma
+    b = matrices.bandwidth
+    total = b[:, None] + b[None, :]
+    threshold = library.max_link_bandwidth() + np.minimum(b[:, None], b[None, :])
+    bw_scale = np.maximum(1.0, np.maximum(np.abs(total), np.abs(threshold)))
+    bw_pruned = (total >= threshold + PRUNE_TOL * bw_scale) | (total == threshold)
     geo_pair_pruned = margin >= -PRUNE_TOL * np.maximum(
         1.0, np.maximum(np.abs(matrices.gamma), np.abs(matrices.delta))
     )
@@ -254,45 +223,6 @@ def certified_partition(
     same = labels[:, None] == labels[None, :]
     boundary_pairs = int(np.count_nonzero(np.triu(~same, 1)))
     return labels, rounds, boundary_pairs
-
-
-def _force_split(
-    graph: ConstraintGraph,
-    matrices: ArcMatrices,
-    labels: np.ndarray,
-    max_cluster_arcs: int,
-) -> Tuple[np.ndarray, int]:
-    """Spatially bisect clusters larger than ``max_cluster_arcs``.
-
-    Each oversized cluster is split at the median arc midpoint along
-    its wider axis, recursively.  Returns new labels plus the number of
-    cuts made (0 ⇒ the certificate still stands).
-    """
-    mids = np.empty((matrices.size, 2), dtype=float)
-    for i, name in enumerate(matrices.arc_names):
-        arc = graph.arc(name)
-        mids[i, 0] = (arc.source.position.x + arc.target.position.x) / 2.0
-        mids[i, 1] = (arc.source.position.y + arc.target.position.y) / 2.0
-
-    out = labels.copy()
-    cuts = 0
-    next_label = int(labels.max()) + 1
-    stack = [np.nonzero(labels == lab)[0] for lab in np.unique(labels)]
-    while stack:
-        idxs = stack.pop()
-        if idxs.size <= max_cluster_arcs:
-            continue
-        pts = mids[idxs]
-        extents = pts.max(axis=0) - pts.min(axis=0)
-        axis = int(np.argmax(extents))
-        order = idxs[np.lexsort((idxs, pts[:, axis]))]
-        half = order.size // 2
-        out[order[half:]] = next_label
-        next_label += 1
-        cuts += 1
-        stack.append(order[:half])
-        stack.append(order[half:])
-    return out, cuts
 
 
 def _clusters_from_labels(labels: np.ndarray) -> List[List[int]]:
@@ -357,12 +287,7 @@ def synthesize_decomposed(
     with tracer.span("decompose", arcs=n):
         matrices = compute_matrices(graph)
         with tracer.span("decompose.partition"):
-            natural_labels, rounds, boundary_pairs = certified_partition(matrices, library)
-        labels, forced = natural_labels, 0
-        if options.max_cluster_arcs is not None:
-            labels, forced = _force_split(
-                graph, matrices, natural_labels, options.max_cluster_arcs
-            )
+            labels, rounds, boundary_pairs = certified_partition(matrices, library)
         clusters = _clusters_from_labels(labels)
         tracer.gauge("decompose.clusters", float(len(clusters)))
         tracer.count("decompose.coarsening_rounds", rounds)
@@ -371,7 +296,6 @@ def synthesize_decomposed(
             n_clusters=len(clusters),
             cluster_sizes=[len(c) for c in clusters],
             coarsening_rounds=rounds,
-            forced_splits=forced,
             boundary_pairs_pruned=boundary_pairs,
         )
 
@@ -427,26 +351,12 @@ def synthesize_decomposed(
                 p2p_by_arc[c.arc_names[0]] = c
             mergings.extend(cs.mergings)
 
-        if forced:
-            with tracer.span("decompose.stitch"):
-                stitched = _stitch_pass(
-                    graph, library, options, matrices, natural_labels, labels, decomposition
-                )
-            mergings.extend(stitched)
-            decomposition.certified = False
-            decomposition.gap_bound = None  # honest bound computed post-solve
+        decomposition.certified = not (master.budget_truncated or capped)
+        decomposition.gap_bound = 0.0 if decomposition.certified else None
+        if master.budget_truncated:
             decomposition.notes.append(
-                f"{forced} forced cut(s): cross-cut candidates beyond arity 2 "
-                f"were not explored; gap_bound is the restricted-master dual "
-                f"bound, not an optimality certificate"
+                "budget truncated candidate generation; certificate void"
             )
-        else:
-            decomposition.certified = not (master.budget_truncated or capped)
-            decomposition.gap_bound = 0.0 if decomposition.certified else None
-            if master.budget_truncated:
-                decomposition.notes.append(
-                    "budget truncated candidate generation; certificate void"
-                )
 
         point_to_point = [p2p_by_arc[a.name] for a in arcs]
         candidates = CandidateSet(
@@ -462,19 +372,12 @@ def synthesize_decomposed(
             else:
                 with tracer.span("covering.solve", components=0):
                     cover, reports = _solve_components(
-                        graph, natural_labels, matrices, candidates, covering, tracker
+                        graph, labels, matrices, candidates, covering, tracker
                     )
             if not cover.optimal:
                 decomposition.certified = False
                 decomposition.gap_bound = None
                 decomposition.notes.append("covering solve degraded under budget")
-            elif forced:
-                with tracer.span("decompose.gap_bound"):
-                    decomposition.gap_bound = _forced_gap_bound(
-                        graph, library, options, candidates, cover
-                    )
-                if decomposition.gap_bound is None:
-                    decomposition.notes.append("master LP failed; no dual bound")
             if tracker is None:
                 return cover, None
             truncated = master.budget_truncated
@@ -512,123 +415,30 @@ def _generate_cluster(
     """One cluster's candidates, plus the arity its enumeration was
     capped below (``None`` when it ran to completion).
 
-    At unbounded arity a cluster that trips the subset valve is
-    regenerated below the arity that tripped — every lower arity
-    finished under the ceiling, so the rerun cannot trip it again.  The
-    exact pipeline refuses such an instance, and so does decompose
-    under an explicit ``max_arity``.
+    At unbounded arity a cluster that would pass the subset valve is
+    served from the arities it already planned, which the valve's
+    error carries as ``partial``.  The exact pipeline refuses such an
+    instance, and so does decompose under an explicit ``max_arity``.
     """
     try:
         return generate_candidates(sub, library, **options.candidate_args(), **execution), None
     except EnumerationLimitError as exc:
         if options.max_arity is not None:
             raise
-        below = options.candidate_args(max_arity=exc.arity - 1)
-        return generate_candidates(sub, library, **below, **execution), exc.arity
-
-
-def _forced_gap_bound(
-    graph: ConstraintGraph,
-    library: CommunicationLibrary,
-    options: SynthesisOptions,
-    candidates: CandidateSet,
-    cover: CoverSolution,
-) -> Optional[float]:
-    """A *sound* optimality-gap bound for forced-split runs.
-
-    Forced ``max_cluster_arcs`` cuts leave cross-cut mergings beyond
-    arity 2 unexplored, so the returned cover optimizes over a
-    restricted column pool.  The bound is Lasdon's dual correction:
-    solve the restricted master LP (objective ``z_r``, row duals
-    ``y``); an unexplored column covers at most ``m`` rows (the arity
-    cap, or ``n``) and — paying at least one mux and one demux — costs
-    at least ``node_floor``, so its dual constraint is violated by at
-    most ``v = max(0, Σ top-m duals − node_floor)``.  Singleton
-    columns are already in the pool at their exact optimal cost, so
-    they contribute no violation.  Some optimal full-universe LP
-    solution has total column multiplicity ≤ ``n`` (each ``x_j`` may
-    be capped at 1 and a basic solution has ≤ n positives), hence
-
-        ``z_full ≥ z_r − n·v``   ⇒   ``gap ≤ cover.weight − z_r + n·v``.
-
-    Honest by construction: never 0.0 unless the duals were in fact
-    feasible for the full universe (``v = 0``) *and* the cover matched
-    the LP bound.  ``None`` when the LP solver fails.
-    """
-    rows = [a.name for a in graph.arcs]
-    cols = [(frozenset(c.arc_names), c.cost) for c in candidates.all]
-    duals = solve_master_lp(rows, cols)
-    if duals is None:
-        return None
-    n = len(rows)
-    m = n if options.max_arity is None else min(options.max_arity, n)
-    mux = library.cheapest_node(NodeKind.MUX)
-    demux = library.cheapest_node(NodeKind.DEMUX)
-    if mux is None or demux is None:
-        # no merging column can exist at all: the pool (p2p + per-
-        # cluster singleton structures) is already the full universe
-        violation = 0.0
-    else:
-        node_floor = mux.cost + demux.cost
-        top = np.sort(duals.duals)[::-1][:m]
-        violation = max(0.0, float(np.sum(top)) - node_floor)
-    return max(0.0, cover.weight - duals.objective + n * violation)
-
-
-def _stitch_pass(
-    graph: ConstraintGraph,
-    library: CommunicationLibrary,
-    options: SynthesisOptions,
-    matrices: ArcMatrices,
-    natural_labels: np.ndarray,
-    labels: np.ndarray,
-    decomposition: DecompositionReport,
-) -> List[Candidate]:
-    """Re-price the 2-way candidates severed by forced cuts.
-
-    A forced cut separates arcs of one *natural* (certificate-backed)
-    cluster, so pairs across it are not certified useless.  Every such
-    pair that survives the pair predicates is planned and offered to
-    the covering step, whose screen drops the plans no cheaper than
-    their two singletons.
-    """
-    tracer = current_tracer()
-    margin, bw_pruned = _pair_matrices(matrices, library)
-    geo_pair_pruned = margin >= -PRUNE_TOL * np.maximum(
-        1.0, np.maximum(np.abs(matrices.gamma), np.abs(matrices.delta))
-    )
-    cut = (natural_labels[:, None] == natural_labels[None, :]) & (
-        labels[:, None] != labels[None, :]
-    )
-    candidates: List[Candidate] = []
-    rows, cols = np.nonzero(np.triu(cut & ~geo_pair_pruned & ~bw_pruned, 1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        names = [matrices.arc_names[i], matrices.arc_names[j]]
-        plan = build_merging_plan(
-            graph, names, library, polish_placement=options.polish_placement
-        )
-        tracer.count("decompose.stitch.planned")
-        if plan is None:
-            continue
-        candidate = _admit_merging(plan, options.max_merge_hops, options.hop_penalty)
-        if candidate is None:
-            continue
-        decomposition.boundary_pairs_stitched += 1
-        candidates.append(candidate)
-    return candidates
+        return exc.partial, exc.arity
 
 
 def _solve_components(
     graph: ConstraintGraph,
-    natural_labels: np.ndarray,
+    labels: np.ndarray,
     matrices: ArcMatrices,
     candidates: CandidateSet,
     covering: CoveringProblem,
     tracker: Optional[BudgetTracker],
 ) -> Tuple[CoverSolution, List[DegradationReport]]:
-    """Solve one covering instance per natural component and reassemble.
+    """Solve one covering instance per cluster and reassemble.
 
-    The certificate guarantees no candidate spans natural components,
+    The certificate guarantees no candidate spans clusters,
     so the global UCP is block-diagonal and the per-block optima
     compose into the global optimum (a fact checked at assembly:
     ``check_solution`` re-verifies feasibility and weight).  Each block
@@ -638,7 +448,7 @@ def _solve_components(
     """
     tracer = current_tracer()
     arc_component = {
-        matrices.arc_names[i]: int(natural_labels[i]) for i in range(matrices.size)
+        matrices.arc_names[i]: int(labels[i]) for i in range(matrices.size)
     }
     blocks: Dict[int, List[str]] = {}
     for arc in graph.arcs:

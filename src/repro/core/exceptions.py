@@ -67,17 +67,24 @@ class InfeasibleError(SynthesisError):
 
 
 class EnumerationLimitError(InfeasibleError):
-    """Candidate enumeration passed its subset ceiling
+    """Candidate enumeration would pass its subset ceiling
     (``repro.core.candidates.MAX_ENUMERATED_SUBSETS``) — a loud refusal
     instead of an open-ended hang.  ``arity`` is the merge size K whose
-    pruning pass tripped it; every lower arity finished."""
+    subsets would pass it; every lower arity finished.
 
-    def __init__(self, message: str, arity: int) -> None:
+    ``partial`` carries the admitted ``CandidateSet`` of those lower
+    arities, just as :class:`BudgetExceeded` carries its incumbent —
+    callers that accept a capped universe serve it instead of
+    regenerating.
+    """
+
+    def __init__(self, message: str, arity: int, partial=None) -> None:
         super().__init__(message)
         self.arity = arity
+        self.partial = partial
 
-    def __reduce__(self):  # pickles across pool workers with its arity
-        return type(self), (str(self), self.arity)
+    def __reduce__(self):  # pickles across pool workers with its fields
+        return type(self), (str(self), self.arity, self.partial)
 
 
 class ValidationError(SynthesisError):

@@ -31,13 +31,9 @@ from .geometry import Norm, Point
 from .implementation import ImplementationGraph, Path
 from .library import CommunicationLibrary, NodeKind, NodeSpec
 from .mux_trees import tree_node_count
-from .placement import (
-    PlacementProblem,
-    PlacementResult,
-    StageCost,
-    optimize_two_points,
-    optimize_two_points_batch,
-)
+from .placement import StageCost, optimize_two_points
+# perfbench traces the placement layer under this module's names
+from .placement import optimize_two_points_batch  # noqa: F401
 from .point_to_point import (
     PointToPointPlan,
     best_point_to_point,
@@ -255,153 +251,18 @@ def build_merging_plan(
     return plan
 
 
-#: distinguishes "not yet resolved" from "resolved to infeasible (None)".
-_UNRESOLVED = object()
-
-
 def build_merging_plans_batch(
     graph: ConstraintGraph,
     groups: Sequence[Sequence[str]],
     library: CommunicationLibrary,
     polish_placement: bool = True,
 ) -> List[Optional[MergingPlan]]:
-    """Cost many mergings at once; entry ``i`` equals
-    ``build_merging_plan(graph, groups[i], library, polish_placement)``
-    bit for bit.
-
-    The per-group cache lookups, stage-cost construction and
-    feasibility outcomes are unchanged; all cache-miss groups' placement
-    problems go to one
-    :func:`~repro.core.placement.optimize_two_points_batch` call, which
-    solves each on its own and counts their iterations once.
-    """
-    store = current_persistent_cache()
-    results: List[object] = [_UNRESOLVED] * len(groups)
-    group_arcs: List[Optional[List[Arc]]] = [None] * len(groups)
-    keys: List[Optional[list]] = [None] * len(groups)
-
-    for idx, names in enumerate(groups):
-        if len(names) < 2:
-            raise ValueError("a merging involves at least two arcs")
-        arcs = [graph.arc(name) for name in names]
-        group_arcs[idx] = arcs
-        if store is not None:
-            keys[idx] = _merge_cache_key(graph, arcs, polish_placement)
-            found, cached = store.lookup("merge", library, keys[idx])
-            if found:
-                results[idx] = (
-                    None if cached is None else replace(cached, arc_names=tuple(names))
-                )
-
-    mux = library.cheapest_node(NodeKind.MUX)
-    demux = library.cheapest_node(NodeKind.DEMUX)
-    if mux is None or demux is None:
-        for idx in range(len(groups)):
-            if results[idx] is _UNRESOLVED:
-                if store is not None:
-                    store.put("merge", library, keys[idx], None)
-                results[idx] = None
-        return results  # type: ignore[return-value]
-
-    pending: List[int] = []
-    problems: List[PlacementProblem] = []
-    stage_costs: Dict[int, Tuple[List[StageCost], StageCost]] = {}
-    for idx in range(len(groups)):
-        if results[idx] is not _UNRESOLVED:
-            continue
-        arcs = group_arcs[idx]
-        assert arcs is not None
-        try:
-            feeder_costs = [stage_cost(a.bandwidth, library) for a in arcs]
-            trunk_cost = stage_cost(sum(a.bandwidth for a in arcs), library)
-        except InfeasibleError:
-            if store is not None:
-                store.put("merge", library, keys[idx], None)
-            results[idx] = None
-            continue
-        stage_costs[idx] = (feeder_costs, trunk_cost)
-        pending.append(idx)
-        problems.append(
-            PlacementProblem(
-                sources=tuple(a.source.position for a in arcs),
-                sinks=tuple(a.target.position for a in arcs),
-                feeder_costs=tuple(feeder_costs),
-                trunk_cost=trunk_cost,
-                distributor_costs=tuple(feeder_costs),  # same per-arc bandwidths
-                norm=graph.norm,
-                polish=polish_placement,
-            )
-        )
-
-    if pending:
-        try:
-            placements = optimize_two_points_batch(problems)
-        except InfeasibleError:
-            # An exact cost evaluation was infeasible mid-placement (a
-            # stage length no library chain covers).  Rare enough that
-            # the unresolved groups simply retake the serial path,
-            # which scopes the failure to its own group.
-            for idx in pending:
-                results[idx] = build_merging_plan(
-                    graph, list(groups[idx]), library, polish_placement=polish_placement
-                )
-            placements = None
-        if placements is not None:
-            for idx, placement in zip(pending, placements):
-                arcs = group_arcs[idx]
-                assert arcs is not None
-                feeder_costs, trunk_cost = stage_costs[idx]
-                s, t = placement.merge_point, placement.split_point
-                total_bw = sum(a.bandwidth for a in arcs)
-                try:
-                    feeder_plans = tuple(
-                        best_point_to_point(
-                            graph.norm.distance(a.source.position, s), a.bandwidth, library
-                        )
-                        for a in arcs
-                    )
-                    trunk_plan = best_point_to_point(
-                        graph.norm.distance(s, t), total_bw, library
-                    )
-                    distributor_plans = tuple(
-                        best_point_to_point(
-                            graph.norm.distance(t, a.target.position), a.bandwidth, library
-                        )
-                        for a in arcs
-                    )
-                except InfeasibleError:
-                    if store is not None:
-                        store.put("merge", library, keys[idx], None)
-                    results[idx] = None
-                    continue
-                mux_count = tree_node_count(len(arcs), mux.max_degree)
-                demux_count = tree_node_count(len(arcs), demux.max_degree)
-                cost = (
-                    sum(p.cost for p in feeder_plans)
-                    + trunk_plan.cost
-                    + sum(p.cost for p in distributor_plans)
-                    + mux_count * mux.cost
-                    + demux_count * demux.cost
-                )
-                plan = MergingPlan(
-                    arc_names=tuple(groups[idx]),
-                    merge_point=s,
-                    split_point=t,
-                    feeder_plans=feeder_plans,
-                    trunk_plan=trunk_plan,
-                    distributor_plans=distributor_plans,
-                    mux=mux,
-                    demux=demux,
-                    mux_count=mux_count,
-                    demux_count=demux_count,
-                    cost=cost,
-                    placement_method=placement.method,
-                )
-                if store is not None:
-                    store.put("merge", library, keys[idx], plan)
-                results[idx] = plan
-
-    return results  # type: ignore[return-value]
+    """:func:`build_merging_plan` for every group, in order — the name
+    candidate generation plans each chunk through."""
+    return [
+        build_merging_plan(graph, names, library, polish_placement=polish_placement)
+        for names in groups
+    ]
 
 
 def materialize_merging(

@@ -646,62 +646,6 @@ def _linear_placement(
     return s, t, iterations
 
 
-def _optimize(
-    sources: Sequence[Point],
-    sinks: Sequence[Point],
-    feeder_costs: Sequence[StageCost],
-    trunk_cost: StageCost,
-    distributor_costs: Sequence[StageCost],
-    norm: Norm,
-    polish: bool,
-) -> Tuple[PlacementResult, int]:
-    """:func:`optimize_two_points` plus the Weiszfeld iterations it ran."""
-    if not sources or not sinks:
-        raise ValueError("need at least one source and one sink")
-    if len(sources) != len(feeder_costs) or len(sinks) != len(distributor_costs):
-        raise ValueError("one stage-cost per source/sink required")
-
-    F = _objective(norm, sources, sinks, feeder_costs, trunk_cost, distributor_costs)
-
-    pinned_s = _all_same(list(sources))
-    pinned_t = _all_same(list(sinks))
-    if pinned_s is not None and pinned_t is not None:
-        return PlacementResult(pinned_s, pinned_t, F(pinned_s, pinned_t), 0, "degenerate"), 0
-
-    all_linear = (
-        trunk_cost.is_linear
-        and all(c.is_linear for c in feeder_costs)
-        and all(c.is_linear for c in distributor_costs)
-    )
-    if all_linear and norm.name == "euclidean":
-        s, t, iterations = _linear_placement(
-            sources, sinks, feeder_costs, trunk_cost, distributor_costs, F, pinned_s, pinned_t
-        )
-        return PlacementResult(s, t, F(s, t), iterations, "weiszfeld"), iterations
-
-    # General costs: place with a linear surrogate (slope = average cost
-    # density at the instance's own length scale), then polish with
-    # Nelder-Mead from that point and a couple of centroid seeds.
-    scale = _typical_scale(list(sources) + list(sinks), norm)
-    s, t, iterations = _linear_placement(
-        sources,
-        sinks,
-        [_linearize(c, scale) for c in feeder_costs],
-        _linearize(trunk_cost, scale),
-        [_linearize(c, scale) for c in distributor_costs],
-        F,
-        pinned_s,
-        pinned_t,
-    )
-    if not polish:
-        # exact evaluation at the surrogate optimum, no refinement
-        return PlacementResult(s, t, F(s, t), iterations, "surrogate"), iterations
-    polished = _nelder_mead(
-        sources, sinks, F, norm, pinned_s, pinned_t, extra_seeds=[(s, t)]
-    )
-    return polished, iterations
-
-
 def optimize_two_points(
     sources: Sequence[Point],
     sinks: Sequence[Point],
@@ -724,11 +668,49 @@ def optimize_two_points(
     points.  The Weiszfeld iterations feed the ``placement.iterations``
     counter of the ambient tracer.
     """
-    result, iterations = _optimize(
-        sources, sinks, feeder_costs, trunk_cost, distributor_costs, norm, polish
+    if not sources or not sinks:
+        raise ValueError("need at least one source and one sink")
+    if len(sources) != len(feeder_costs) or len(sinks) != len(distributor_costs):
+        raise ValueError("one stage-cost per source/sink required")
+
+    F = _objective(norm, sources, sinks, feeder_costs, trunk_cost, distributor_costs)
+
+    pinned_s = _all_same(list(sources))
+    pinned_t = _all_same(list(sinks))
+    if pinned_s is not None and pinned_t is not None:
+        return PlacementResult(pinned_s, pinned_t, F(pinned_s, pinned_t), 0, "degenerate")
+
+    all_linear = (
+        trunk_cost.is_linear
+        and all(c.is_linear for c in feeder_costs)
+        and all(c.is_linear for c in distributor_costs)
+    )
+    if all_linear and norm.name == "euclidean":
+        s, t, iterations = _linear_placement(
+            sources, sinks, feeder_costs, trunk_cost, distributor_costs, F, pinned_s, pinned_t
+        )
+        current_tracer().count("placement.iterations", iterations)
+        return PlacementResult(s, t, F(s, t), iterations, "weiszfeld")
+
+    # General costs: place with a linear surrogate (slope = average cost
+    # density at the instance's own length scale), then polish with
+    # Nelder-Mead from that point and a couple of centroid seeds.
+    scale = _typical_scale(list(sources) + list(sinks), norm)
+    s, t, iterations = _linear_placement(
+        sources,
+        sinks,
+        [_linearize(c, scale) for c in feeder_costs],
+        _linearize(trunk_cost, scale),
+        [_linearize(c, scale) for c in distributor_costs],
+        F,
+        pinned_s,
+        pinned_t,
     )
     current_tracer().count("placement.iterations", iterations)
-    return result
+    if not polish:
+        # exact evaluation at the surrogate optimum, no refinement
+        return PlacementResult(s, t, F(s, t), iterations, "surrogate")
+    return _nelder_mead(sources, sinks, F, norm, pinned_s, pinned_t, extra_seeds=[(s, t)])
 
 
 def _typical_scale(points: Sequence[Point], norm: Norm) -> float:
@@ -772,24 +754,14 @@ class PlacementProblem:
 def optimize_two_points_batch(
     problems: Sequence[PlacementProblem],
 ) -> List[PlacementResult]:
-    """Solve many independent placement problems.
-
-    Result ``i`` is **bit-identical** to
-    ``optimize_two_points(*problems[i])``: every problem runs the same
-    scalar solver on its own.  The batch adds the Weiszfeld iterations
-    of all its problems to the ``placement.iterations`` counter once.
-    """
-    results: List[PlacementResult] = []
-    iterations = 0
-    for p in problems:
-        result, used = _optimize(
+    """:func:`optimize_two_points` for every problem, in order."""
+    return [
+        optimize_two_points(
             p.sources, p.sinks, p.feeder_costs, p.trunk_cost, p.distributor_costs,
             p.norm, p.polish,
         )
-        results.append(result)
-        iterations += used
-    current_tracer().count("placement.iterations", iterations)
-    return results
+        for p in problems
+    ]
 
 
 def _nelder_mead(

@@ -145,12 +145,6 @@ class SynthesisOptions:
     #: (``result.decomposition`` reports a certified optimality-gap
     #: bound).
     strategy: str = "auto"
-    #: ``strategy="decompose"`` only: force-split certified clusters
-    #: larger than this many arcs along spatial median cuts.  Caps the
-    #: per-cluster enumeration cost, but voids the optimality
-    #: certificate (the stitch pass re-prices 2-way cross-cut
-    #: candidates; ``gap_bound`` becomes ``None``).
-    max_cluster_arcs: Optional[int] = None
     #: uniform static headroom: synthesize as if every ``b(a)`` were
     #: ``(1 + demand_margin)`` times larger, so the architecture keeps
     #: slack for bursts/overload.  ``0.0`` (default) reproduces the
@@ -170,18 +164,18 @@ class SynthesisOptions:
         return {
             "pruning": self.pruning.value,
             "max_arity": self.max_arity,
-            # retired options, pinned at the values every journal
-            # fingerprint, batch resume key and queue manifest on disk
-            # was written with, so those stay valid
-            "drop_dominated": False,
             "heterogeneous": self.heterogeneous,
             "max_merge_hops": self.max_merge_hops,
             "polish_placement": self.polish_placement,
             "hop_penalty": self.hop_penalty,
-            "ucp_solver": "bnb",
             "strategy": self.strategy,
-            "max_cluster_arcs": self.max_cluster_arcs,
             "demand_margin": self.demand_margin,
+            # retired options, pinned at the values every journal
+            # fingerprint, batch resume key and queue manifest on disk
+            # was written with, so those stay valid
+            "drop_dominated": False,
+            "ucp_solver": "bnb",
+            "max_cluster_arcs": None,
         }
 
     def candidate_args(self, **overrides: Any) -> Dict[str, Any]:
@@ -337,10 +331,6 @@ def synthesize(
     if options.strategy not in STRATEGIES:
         raise SynthesisError(
             f"unknown strategy {options.strategy!r} (use one of {', '.join(STRATEGIES)})"
-        )
-    if options.max_cluster_arcs is not None and options.max_cluster_arcs < 2:
-        raise SynthesisError(
-            f"max_cluster_arcs must be >= 2 or None, got {options.max_cluster_arcs}"
         )
     if not (options.demand_margin >= 0.0):
         raise SynthesisError(

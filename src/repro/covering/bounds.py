@@ -11,27 +11,11 @@ references [4, 8]:
   (Liao–Devadas-style LPR bound, ref [8]), solved with
   ``scipy.optimize.linprog``.  Tighter but costlier; the solver invokes
   it only when the subproblem is small enough or on demand.
-
-And one bound for a *restricted* column pool:
-:func:`solve_master_lp` returns the covering LP relaxation's optimum
-and row duals, from which the decompose strategy's forced-split runs
-(:mod:`repro.core.decompose`) bound the gap to the full candidate
-universe.  Two details carry that bound's soundness:
-
-- variables are bounded **below only** (``x_j ≥ 0``).  Adding ``x_j ≤
-  1`` — harmless for the optimum of a covering LP — would introduce
-  upper-bound duals that break the dual-feasibility argument the gap
-  bound rests on (``Σ_{r∈S_j} y_r ≤ c_j`` must hold with the row duals
-  alone);
-- duals are read off HiGHS's ``ineqlin.marginals`` (``≤`` form, so
-  negated) and clipped at zero, guarding against the solver's
-  occasional ``-0.0``/epsilon-negative marginals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set
 
 import numpy as np
 from scipy import optimize
@@ -39,11 +23,9 @@ from scipy import optimize
 from .reductions import ReducedState
 
 __all__ = [
-    "MasterDuals",
     "mis_lower_bound",
     "lp_lower_bound",
     "best_lower_bound",
-    "solve_master_lp",
 ]
 
 
@@ -119,50 +101,3 @@ def best_lower_bound(state: ReducedState, use_lp: bool, lp_row_limit: int = 64) 
             bound = lp
     return bound
 
-
-@dataclass(frozen=True)
-class MasterDuals:
-    """The LP relaxation's optimum and its row duals.
-
-    ``objective`` (= ``Σ_r duals[r]`` by strong duality) lower-bounds
-    every integral cover built from the given column pool.
-    """
-
-    objective: float
-    #: one dual per row, in the row order given to :func:`solve_master_lp`.
-    duals: np.ndarray
-
-
-def solve_master_lp(
-    rows: Sequence[str],
-    columns: Sequence[Tuple[FrozenSet[str], float]],
-) -> Optional[MasterDuals]:
-    """Solve the covering LP relaxation; ``None`` if HiGHS fails.
-
-    ``columns`` are ``(covered_rows, weight)`` pairs.  The caller
-    guarantees feasibility (every row covered by some column — the
-    point-to-point columns, one per row, always are).
-    """
-    n_rows = len(rows)
-    n_cols = len(columns)
-    if n_rows == 0 or n_cols == 0:
-        return None
-    row_index = {name: i for i, name in enumerate(rows)}
-    # linprog speaks A_ub x <= b_ub: negate the >= 1 covering rows.
-    a_ub = np.zeros((n_rows, n_cols))
-    cost = np.empty(n_cols)
-    for j, (covered, weight) in enumerate(columns):
-        cost[j] = weight
-        for name in covered:
-            a_ub[row_index[name], j] = -1.0
-    res = optimize.linprog(
-        c=cost,
-        A_ub=a_ub,
-        b_ub=-np.ones(n_rows),
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success or res.ineqlin is None:
-        return None
-    duals = np.maximum(0.0, -np.asarray(res.ineqlin.marginals, dtype=float))
-    return MasterDuals(objective=float(res.fun), duals=duals)

@@ -250,6 +250,7 @@ class TestArgumentValidation:
             ("synthesize", "--kernels", "numpy"),
             ("synthesize", "--solver", "bnb"),
             ("batch", "--solver", "bnb"),
+            ("synthesize", "--max-cluster-arcs", "4"),
         ):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args([command, "x.json", flag, value])

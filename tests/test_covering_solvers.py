@@ -1,7 +1,6 @@
 """Unit tests for the covering solvers: bounds, greedy, B&B, ILP,
 exhaustive — including agreement on crafted instances."""
 
-import numpy as np
 import pytest
 
 from repro.core.exceptions import CoveringError
@@ -17,7 +16,6 @@ from repro.covering import (
     solve_exhaustive,
     solve_ilp,
 )
-from repro.covering.bounds import solve_master_lp
 from repro.covering.reductions import SCREEN_TOL, screen_dominated
 
 
@@ -71,55 +69,6 @@ class TestBounds:
         state = ReducedState.initial(diamond)
         state.rows.clear()
         assert lp_lower_bound(state) == 0.0
-
-
-class TestMasterLP:
-    def test_duals_price_rows(self):
-        # two rows, only singletons: LP optimum = sum of weights, and
-        # each dual prices its own row at exactly the singleton cost
-        duals = solve_master_lp(
-            rows=("a", "b"),
-            columns=[(frozenset({"a"}), 3.0), (frozenset({"b"}), 5.0)],
-        )
-        assert duals is not None
-        assert duals.objective == pytest.approx(8.0)
-        assert duals.duals == pytest.approx([3.0, 5.0])
-
-    def test_cheap_pair_column_caps_duals(self):
-        # a merged column covering both rows for 4 < 3 + 5 pulls the
-        # LP optimum down to 4 and the duals must stay dual-feasible:
-        # y_a <= 3, y_b <= 5, y_a + y_b <= 4
-        duals = solve_master_lp(
-            rows=("a", "b"),
-            columns=[
-                (frozenset({"a"}), 3.0),
-                (frozenset({"b"}), 5.0),
-                (frozenset({"a", "b"}), 4.0),
-            ],
-        )
-        assert duals is not None
-        assert duals.objective == pytest.approx(4.0)
-        y = duals.duals
-        assert y[0] <= 3.0 + 1e-9 and y[1] <= 5.0 + 1e-9
-        assert y[0] + y[1] <= 4.0 + 1e-9
-        assert np.all(y >= 0.0)
-
-    def test_objective_equals_dual_sum(self):
-        duals = solve_master_lp(
-            rows=("a", "b", "c"),
-            columns=[
-                (frozenset({"a"}), 2.0),
-                (frozenset({"b"}), 2.0),
-                (frozenset({"c"}), 2.0),
-                (frozenset({"a", "b", "c"}), 3.0),
-            ],
-        )
-        assert duals is not None
-        assert float(duals.duals.sum()) == pytest.approx(duals.objective)
-
-    def test_empty_inputs_return_none(self):
-        assert solve_master_lp(rows=(), columns=[]) is None
-        assert solve_master_lp(rows=("a",), columns=[]) is None
 
 
 class TestGreedy:

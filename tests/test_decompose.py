@@ -1,5 +1,6 @@
-"""Cluster-decomposition strategy: partition certificate, stitch pass,
-strategy dispatch, and exactness against the exhaustive pipeline."""
+"""Cluster-decomposition strategy: partition certificate, strategy
+dispatch, the subset valve, and exactness against the exhaustive
+pipeline."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from repro.core.decompose import (
     DecompositionReport,
     certified_partition,
     _clusters_from_labels,
-    _force_split,
 )
 from repro.core.matrices import compute_matrices
 from repro.core.synthesis import AUTO_EXACT_MAX_ARCS, resolve_strategy
@@ -75,21 +75,6 @@ class TestCertifiedPartition:
         labels, _, _ = certified_partition(compute_matrices(wan_graph), wan_lib)
         assert len(set(labels.tolist())) == 1
 
-    def test_force_split_caps_cluster_size(self, two_island_instance):
-        graph, library = two_island_instance
-        matrices = compute_matrices(graph)
-        labels, _, _ = certified_partition(matrices, library)
-        split, cuts = _force_split(graph, matrices, labels, max_cluster_arcs=3)
-        assert cuts > 0
-        assert all(len(c) <= 3 for c in _clusters_from_labels(split))
-
-    def test_force_split_noop_when_under_cap(self, two_island_instance):
-        graph, library = two_island_instance
-        matrices = compute_matrices(graph)
-        labels, _, _ = certified_partition(matrices, library)
-        split, cuts = _force_split(graph, matrices, labels, max_cluster_arcs=1000)
-        assert cuts == 0 and np.array_equal(split, labels)
-
 
 class TestDecomposeStrategy:
     def test_matches_exact_on_islands(self, two_island_instance):
@@ -112,30 +97,6 @@ class TestDecomposeStrategy:
             c.label() for c in exact.selected
         )
         assert dec.decomposition.gap_bound == 0.0
-
-    def test_forced_split_voids_certificate(self, two_island_instance):
-        graph, library = two_island_instance
-        r = synthesize(
-            graph,
-            library,
-            SynthesisOptions(strategy="decompose", max_arity=2, max_cluster_arcs=3),
-        )
-        d = r.decomposition
-        assert d.forced_splits > 0
-        assert not d.certified
-        # forced splits report an *honest* dual gap bound — never a
-        # certified 0.0 (the unexplored cross-cut columns could still
-        # improve the cover, and the bound must admit that)
-        assert d.gap_bound is not None
-        assert d.gap_bound > 0.0
-        assert d.notes
-        # the stitch pass still re-prices cross-cut pairs, so a forced
-        # split costs at most the unexplored >2-way cross candidates
-        exact = synthesize(graph, library, SynthesisOptions(strategy="exact", max_arity=2))
-        assert r.total_cost <= sum(c.cost for c in r.candidates.point_to_point) + 1e-9
-        assert r.total_cost >= exact.total_cost - 1e-9
-        # the bound is sound: it dominates the run's true optimality gap
-        assert r.total_cost - exact.total_cost <= d.gap_bound + 1e-9
 
     def _second_cluster_p2p_fault(self, graph, library):
         """A timeout injected into the *second* cluster's p2p pass."""
@@ -222,9 +183,11 @@ class TestStrategyDispatch:
             with pytest.raises(SynthesisError, match="strategy"):
                 synthesize(wan_graph, wan_lib, SynthesisOptions(strategy=strategy))
 
-    def test_bad_max_cluster_arcs_rejected(self, wan_graph, wan_lib):
-        with pytest.raises(SynthesisError, match="max_cluster_arcs"):
-            synthesize(wan_graph, wan_lib, SynthesisOptions(max_cluster_arcs=1))
+    def test_bad_max_cluster_arcs_rejected(self):
+        # forced splits are gone, so the option is refused at construction
+        for value in (1, 4, 1000):
+            with pytest.raises(TypeError, match="max_cluster_arcs"):
+                SynthesisOptions(max_cluster_arcs=value)
 
     def test_exact_runs_have_no_decomposition_report(self, wan_graph, wan_lib):
         r = synthesize(wan_graph, wan_lib)
@@ -253,9 +216,9 @@ class TestEnumerationValveCap:
         self, wan_graph, wan_lib, monkeypatch
     ):
         # where the exact pipeline refuses an instance whose subset
-        # count blows the enumeration valve, decompose regenerates the
-        # cluster below the arity that tripped and serves a feasible
-        # result with an honestly voided certificate
+        # count blows the enumeration valve, decompose serves the
+        # arities below the one that tripped it: a feasible result with
+        # an honestly voided certificate
         from repro.core import candidates as cand_mod
         from repro.core.exceptions import InfeasibleError
 
@@ -279,3 +242,38 @@ class TestEnumerationValveCap:
         assert r.decomposition.certified and r.decomposition.gap_bound == 0.0
         exact = synthesize(wan_graph, wan_lib, SynthesisOptions(max_arity=3))
         assert r.total_cost == pytest.approx(exact.total_cost, rel=1e-9)
+
+    def test_valve_refuses_before_enumerating_the_arity(
+        self, wan_graph, wan_lib, monkeypatch
+    ):
+        # the 28 pairs fit under a ceiling of 30, WAN's 35 triples of
+        # its 7 still-active arcs would not: the exact run refuses
+        # without enumerating one triple, and the error carries the
+        # pairs' candidate set
+        from repro.core import candidates as cand_mod
+        from repro.core.exceptions import EnumerationLimitError
+        from repro.obs import Tracer
+
+        monkeypatch.setattr(cand_mod, "MAX_ENUMERATED_SUBSETS", 30)
+        tracer = Tracer()
+        with pytest.raises(EnumerationLimitError) as exc:
+            synthesize(wan_graph, wan_lib, SynthesisOptions(strategy="exact"), trace=tracer)
+        assert exc.value.arity == 3
+        assert tracer.counters["candidates.subsets.enumerated"] == 28
+        partial = exc.value.partial
+        assert partial.stats.subsets_enumerated == 28
+        assert {c.k for c in partial.mergings} == {2}
+        assert len(partial.point_to_point) == len(wan_graph.arcs)
+
+    def test_capped_cluster_plans_each_survivor_once(self, wan_graph, wan_lib, monkeypatch):
+        # the capped cluster is served from the pass that tripped the
+        # valve, so no pair is planned a second time
+        from repro.core import candidates as cand_mod
+
+        monkeypatch.setattr(cand_mod, "MAX_ENUMERATED_SUBSETS", 30)
+        r = synthesize(wan_graph, wan_lib, SynthesisOptions(strategy="decompose"), trace=True)
+        stats = r.candidates.stats
+        assert r.trace.counters["candidates.plans.built"] == sum(
+            stats.pruning_survivors_by_k.values()
+        )
+        assert r.trace.counters["candidates.subsets.enumerated"] == stats.subsets_enumerated == 28

@@ -106,7 +106,7 @@ def test_enqueue_refuses_a_different_workload(tmp_path):
 
 def test_manifest_options_round_trip(tmp_path):
     options = SynthesisOptions(
-        demand_margin=0.5, strategy="decompose", max_cluster_arcs=4,
+        demand_margin=0.5, strategy="decompose",
         on_budget_exhausted="fail", hop_penalty=2.0,
     )
     corpus = discover_corpus(_make_corpus(tmp_path / "corpus", count=1))
@@ -127,10 +127,12 @@ def test_manifest_without_demand_margin_solves_at_zero(tmp_path):
     assert QueueWorker(qdir).options == SynthesisOptions()
 
 
-@pytest.mark.parametrize("key, value", [("ucp_solver", "ilp"), ("drop_dominated", True)])
+@pytest.mark.parametrize(
+    "key, value", [("ucp_solver", "ilp"), ("drop_dominated", True), ("max_cluster_arcs", 4)]
+)
 def test_manifest_with_a_retired_option_value_is_refused(tmp_path, key, value):
-    """Manifests keep the retired covering options at their pinned values;
-    one enqueued with another value cannot be solved the same way."""
+    """Manifests keep the retired options at their pinned values; one
+    enqueued with another value cannot be solved the same way."""
     corpus = discover_corpus(_make_corpus(tmp_path / "corpus", count=1))
     qdir = tmp_path / "q"
     enqueue(qdir, _tasks(corpus, SynthesisOptions()), SynthesisOptions(), None, QueueConfig())
