@@ -7,7 +7,7 @@ criteria — warm measurably faster than cold with cache-hit counters
 > 0, every per-instance result byte-identical between passes and to a
 solo ``synthesize()`` run — and records the wall-clock numbers in
 ``BENCH_batch.json`` at the repo root (uploaded as a CI artifact
-alongside BENCH_candidates.json).
+with the other benchmark records).
 """
 
 from __future__ import annotations

@@ -5,10 +5,8 @@ Builds a four-node system with five channels, defines a two-tier link
 library (cheap slow copper, expensive fast fiber), and lets the
 synthesizer decide which channels share a trunk.
 
-Run:  python examples/quickstart.py [--jobs N]
+Run:  python examples/quickstart.py
 """
-
-import sys
 
 from repro import (
     Budget,
@@ -22,12 +20,6 @@ from repro import (
     synthesize,
 )
 from repro.analysis import synthesis_report
-
-# Optional: --jobs N runs candidate generation on N worker processes
-# (identical results, just faster on multi-core machines).
-jobs = None
-if "--jobs" in sys.argv:
-    jobs = int(sys.argv[sys.argv.index("--jobs") + 1])
 
 # 1. Describe WHAT must communicate: ports with positions, channels
 #    with distance (implied by geometry) and bandwidth requirements.
@@ -56,9 +48,7 @@ library.add_node(NodeSpec("repeater", NodeKind.REPEATER, cost=5.0))
 #    The 30 s budget makes the run supervised: if the exact solver ever
 #    blew its deadline, the anytime fallback chain would still return a
 #    valid architecture — with an honest quality tag instead of a hang.
-result = synthesize(
-    graph, library, SynthesisOptions(jobs=jobs), budget=Budget(deadline_s=30.0)
-)
+result = synthesize(graph, library, SynthesisOptions(), budget=Budget(deadline_s=30.0))
 
 print(synthesis_report(result, title="Quickstart synthesis"))
 print()

@@ -70,7 +70,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple,
 
 from ..core.cache import PersistentCache, persistent_cache
 from ..core.synthesis import PruningLevel, SynthesisOptions
-from ..core.exceptions import BatchError
+from ..core.exceptions import BatchError, SynthesisError
 from ..io.atomic import atomic_write
 from ..obs import current_tracer
 from ..runtime.faults import (
@@ -287,9 +287,9 @@ def _options_from_doc(doc: Dict[str, Any]) -> SynthesisOptions:
         kwargs["pruning"] = PruningLevel(doc["pruning"])
         if any(doc[name] != value for name, value in retired.items()):
             raise ValueError(f"retired options must read {retired}")
-    except (KeyError, ValueError) as exc:
+        return SynthesisOptions(**kwargs)
+    except (KeyError, ValueError, SynthesisError) as exc:
         raise BatchError(f"queue manifest: unusable options block: {exc!r}") from exc
-    return SynthesisOptions(**kwargs)
 
 
 def load_manifest(queue_dir: Union[str, Path]) -> Dict[str, Any]:

@@ -101,13 +101,15 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
-def _positive_jobs(text: str) -> int:
+def _positive_int(text: str) -> int:
+    """Counts and sizes (workers, queue limits, merge arity): zero or a
+    negative value is a usage error (exit 2), never a silent default."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive worker count, got {value}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "synthesize", help="synthesize a JSON instance", epilog=_EXIT_CODES_EPILOG
     )
     syn.add_argument("instance", help="instance file from repro.io.save_instance")
-    syn.add_argument("--max-arity", type=int, default=None, help="cap merge size K")
+    syn.add_argument("--max-arity", type=_positive_int, default=None, help="cap merge size K")
     syn.add_argument(
         "--pruning",
         choices=[l.value for l in PruningLevel],
@@ -172,15 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serves the best incumbent with a quality tag; 'fail' exits 3",
     )
     syn.add_argument(
-        "--jobs",
-        type=_positive_jobs,
-        default=None,
-        metavar="N",
-        help="worker processes for candidate generation (default: serial). "
-        "Results are identical to serial; with --deadline the budget is "
-        "enforced between parallel chunks",
-    )
-    syn.add_argument(
         "--checkpoint",
         metavar="FILE",
         help="record completed work units in a crash-tolerant journal at "
@@ -222,9 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="build/synthesize a bundled domain instance")
     demo.add_argument("name", choices=_DEMOS)
     demo.add_argument("--save", help="write the instance JSON here instead of synthesizing")
-    demo.add_argument("--max-arity", type=int, default=None)
-    demo.add_argument("--jobs", type=_positive_jobs, default=None, metavar="N",
-                      help="worker processes for candidate generation")
+    demo.add_argument("--max-arity", type=_positive_int, default=None)
     demo.add_argument("--trace", metavar="FILE",
                       help="write a Chrome trace-event JSON of the run here")
     demo.add_argument("--trace-summary", action="store_true",
@@ -243,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         "or a single instance file",
     )
     bat.add_argument(
-        "--jobs", type=_positive_jobs, default=None, metavar="N",
+        "--jobs", type=_positive_int, default=None, metavar="N",
         help="worker processes, one instance each (default: in-process serial)",
     )
     bat.add_argument(
@@ -290,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet's worst clock skew (default: %(default)s)",
     )
     bat.add_argument(
-        "--shard-size", type=_positive_jobs, default=1, metavar="N",
+        "--shard-size", type=_positive_int, default=1, metavar="N",
         help="instances per queue shard; smaller shards lose less work "
         "to a takeover, larger ones lease less often (default: %(default)s)",
     )
     bat.add_argument("--summary", metavar="FILE",
                      help="write the aggregate JSON summary here")
-    bat.add_argument("--max-arity", type=int, default=None, help="cap merge size K")
+    bat.add_argument("--max-arity", type=_positive_int, default=None, help="cap merge size K")
     bat.add_argument(
         "--pruning",
         choices=[l.value for l in PruningLevel],
@@ -330,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: hostname-pid)",
     )
     wrk.add_argument(
-        "--max-shards", type=_positive_jobs, default=None, metavar="N",
+        "--max-shards", type=_positive_int, default=None, metavar="N",
         help="exit after completing this many shards (default: work "
         "until the whole queue is done)",
     )
@@ -351,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=8349,
                      help="TCP port; 0 picks an ephemeral port and prints it "
                      "(default: %(default)s)")
-    srv.add_argument("--workers", type=_positive_jobs, default=2, metavar="N",
+    srv.add_argument("--workers", type=_positive_int, default=2, metavar="N",
                      help="solver worker processes = concurrent solves "
                      "(default: %(default)s)")
-    srv.add_argument("--queue-limit", type=_positive_jobs, default=64, metavar="N",
+    srv.add_argument("--queue-limit", type=_positive_int, default=64, metavar="N",
                      help="admission bound on queued requests; beyond it "
                      "submissions are shed with 429 + Retry-After "
                      "(default: %(default)s)")
-    srv.add_argument("--queue-limit-per-client", type=_positive_jobs, default=None,
+    srv.add_argument("--queue-limit-per-client", type=_positive_int, default=None,
                      metavar="N",
                      help="per-client queue bound (default: the global bound)")
     srv.add_argument("--default-deadline", type=_positive_seconds, default=None,
@@ -398,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lid.add_argument("--c-buffer", type=float, default=1.0)
     lid.add_argument("--c-relay", type=float, default=8.0)
-    lid.add_argument("--max-arity", type=int, default=4)
+    lid.add_argument("--max-arity", type=_positive_int, default=4)
 
     sim = sub.add_parser(
         "simulate",
@@ -409,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scale", type=float, nargs="+", default=[1.0],
                      help="demand multipliers to probe (default: 1.0)")
     sim.add_argument("--duration", type=float, default=100.0)
-    sim.add_argument("--max-arity", type=int, default=4)
+    sim.add_argument("--max-arity", type=_positive_int, default=4)
 
     par = sub.add_parser(
         "pareto",
@@ -419,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("instance")
     par.add_argument("--budgets", type=int, nargs="+", default=[0, 2, 4, 8],
                      help="hop budgets to sweep (an unconstrained point is always added)")
-    par.add_argument("--max-arity", type=int, default=4)
+    par.add_argument("--max-arity", type=_positive_int, default=4)
     par.add_argument("--svg", help="write the frontier chart here")
 
     tun = sub.add_parser(
@@ -458,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     tun.add_argument("--duration", type=float, default=200.0,
                      help="fluid simulation horizon in time units (default 200)")
     tun.add_argument("--max-iterations", type=int, default=8)
-    tun.add_argument("--max-arity", type=int, default=None, help="cap merge size K")
+    tun.add_argument("--max-arity", type=_positive_int, default=None, help="cap merge size K")
     tun.add_argument("--strategy", choices=STRATEGIES, default="auto")
     tun.add_argument("--out", help="write the tune/sweep JSON here "
                      "(run-invariant: identical runs are byte-identical)")
@@ -532,7 +523,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         max_arity=args.max_arity,
         validate_result=not args.no_validate,
         on_budget_exhausted=args.on_budget_exhausted,
-        jobs=args.jobs,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         strategy=args.strategy,
@@ -599,7 +589,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         save_instance(args.save, graph, library)
         print(f"instance '{args.name}' written to {args.save}")
         return 0
-    options = SynthesisOptions(max_arity=args.max_arity or default_arity, jobs=args.jobs)
+    max_arity = default_arity if args.max_arity is None else args.max_arity
+    options = SynthesisOptions(max_arity=max_arity)
     trace = bool(args.trace or args.trace_summary)
     result = synthesize(graph, library, options, trace=trace)
     print(synthesis_report(result, title=f"Demo: {args.name}"))

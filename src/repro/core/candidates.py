@@ -30,21 +30,16 @@ Pruning levels (the ablation axis):
 from __future__ import annotations
 
 import itertools
-import logging
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..obs import TracerLike, Tracer, TraceSnapshot, current_tracer, tracing
+from ..obs import TracerLike, current_tracer
 from ..runtime.budget import Budget, BudgetTracker, as_tracker
 from ..runtime.checkpoint import CheckpointJournal
-from ..runtime.pool import WorkerPool
-from .cache import current_persistent_cache
 from .constraint_graph import Arc, ConstraintGraph
 from .exceptions import BudgetExceeded, EnumerationLimitError, InfeasibleError
 from .library import CommunicationLibrary
@@ -52,13 +47,7 @@ from .matrices import ArcMatrices, IncrementalArcMatrices, compute_matrices
 from .merging import MergingPlan, build_merging_plans_batch
 from .mixed_segmentation import MixedChainPlan, best_mixed_segmentation
 from .point_to_point import PointToPointPlan, best_point_to_point
-from .pruning import (
-    lemma_3_2_not_mergeable,
-    lemma_3_2_not_mergeable_batch,
-    subset_pruned,
-    theorem_3_2_not_mergeable,
-    theorem_3_2_not_mergeable_batch,
-)
+from .pruning import lemma_3_2_not_mergeable_batch, theorem_3_2_not_mergeable_batch
 
 __all__ = [
     "PruningLevel",
@@ -86,19 +75,11 @@ MAX_ENUMERATED_SUBSETS = 2_000_000
 #: the budget-checkpoint granularity of the pruning pass.
 _PRUNE_CHUNK = 8192
 
-#: surviving subsets per planning task — small enough to keep every
-#: pool worker busy near a deadline and to bound what a crash or
-#: budget death can lose, large enough to amortize pickling.  The
-#: boundaries also key checkpoint journal records, so changing the
-#: width orphans journals written before.
+#: surviving subsets per checkpoint journal record — the unit a killed
+#: run loses at most and a resumed one replays.  The boundaries key the
+#: journal's chunk records, so changing the width orphans journals
+#: written before.
 _PLAN_CHUNK = 512
-
-_log = logging.getLogger(__name__)
-
-
-def _cpu_count() -> int:
-    """The machine's usable core count (module-level so tests can patch)."""
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -162,21 +143,9 @@ class GenerationStats:
     pruning_survivors_by_k: Dict[int, int] = field(default_factory=dict)
     #: arcs retired (Theorem 3.1) keyed by the arity at which they fell out.
     retired_at_k: Dict[str, int] = field(default_factory=dict)
-    #: pool workers that died (killed, segfault) and whose chunk was
-    #: re-dispatched — each recovery is one pool rebuild.  Candidates
-    #: and covering results are unaffected (ordering is preserved);
-    #: the count is surfaced on the DegradationReport of budgeted runs.
-    worker_recoveries: int = 0
     #: planning chunks replayed from a checkpoint journal instead of
     #: re-solved (resume runs only).
     chunks_replayed: int = 0
-    #: worker processes actually used (1 = in-process serial).  Requests
-    #: beyond the machine's core count are clamped — extra pool workers
-    #: on an oversubscribed machine only add dispatch overhead — so this
-    #: may be lower than the ``jobs`` argument; the clamp is logged.
-    #: Excluded from equality: execution metadata, not result content
-    #: (serial and parallel runs must compare stats-identical).
-    effective_jobs: int = field(default=1, compare=False)
 
     @property
     def total_mergings(self) -> int:
@@ -250,7 +219,6 @@ def generate_candidates(
     polish_placement: bool = True,
     hop_penalty: float = 0.0,
     budget: Union[Budget, BudgetTracker, None] = None,
-    jobs: Optional[int] = None,
     journal: Optional[CheckpointJournal] = None,
 ) -> CandidateSet:
     """Run Figure 2's candidate generation on ``graph`` over ``library``.
@@ -287,20 +255,8 @@ def generate_candidates(
     and ``stats.budget_truncated`` is set, preserving feasibility at
     the price of possible suboptimality.
 
-    ``jobs`` fans the per-survivor placement problems
-    (:func:`~repro.core.merging.build_merging_plan`) out over a process
-    pool of that many workers (``None``/``1`` = in-process serial).
-    Chunks are consumed in submission order, so a parallel run returns
-    candidates, costs and stats *identical* to a serial one; the
-    ``budget`` deadline is enforced between chunks, preserving the
-    ``budget_truncated`` semantics under parallelism.  A worker that
-    *dies* (killed, segfault, unpicklable crash) does not surface as
-    ``BrokenProcessPool``: the :class:`~repro.runtime.pool.WorkerPool`
-    is rebuilt and the lost chunk re-dispatched (in-process on a second
-    failure), preserving the serial-identical ordering; recoveries are
-    counted in ``stats.worker_recoveries`` and the
-    ``pool.worker_recoveries`` local obs counter, in-process rescues in
-    ``pool.inprocess_rescues``.
+    Every placement problem is solved in this process; parallelism
+    lives across instances (:func:`repro.batch.run_batch`).
 
     ``journal`` (a :class:`~repro.runtime.checkpoint.CheckpointJournal`)
     makes the expensive planning passes crash-tolerant: every completed
@@ -310,30 +266,15 @@ def generate_candidates(
     replayed chunks still feed the plan-outcome obs counters, so a
     resumed run reports the same deterministic totals as a fresh one.
     """
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be a positive worker count, got {jobs}")
     if hop_penalty < 0:
         raise ValueError(f"hop_penalty must be nonnegative, got {hop_penalty}")
-    if jobs is not None and jobs > 1:
-        cores = _cpu_count()
-        if jobs > cores:
-            _log.info(
-                "clamping jobs=%d to this machine's %d core(s): extra pool "
-                "workers only add dispatch overhead",
-                jobs, cores,
-            )
-            jobs = cores
     stats = GenerationStats()
-    stats.effective_jobs = jobs or 1
     tracker = as_tracker(budget)
     tracer = current_tracer()
     arcs = graph.arcs
     n = len(arcs)
 
-    with tracer.span(
-        "candidates.generate", arcs=n, pruning=pruning.value, jobs=jobs or 1
-    ) as gen_span:
-        tracer.gauge("candidates.effective_jobs", float(jobs or 1))
+    with tracer.span("candidates.generate", arcs=n, pruning=pruning.value) as gen_span:
         p2p_candidates: List[Candidate] = []
         with tracer.span("candidates.p2p", arcs=n):
             for arc in arcs:
@@ -345,27 +286,13 @@ def generate_candidates(
         limit: Optional[EnumerationLimitError] = None
         if n >= 2:
             matrices = IncrementalArcMatrices(graph)
-            pool: Optional[WorkerPool] = None
             try:
-                if jobs is not None and jobs > 1:
-                    store = current_persistent_cache()
-                    pool = WorkerPool(
-                        jobs, _pool_plan_chunk,
-                        cache_dir=str(store.directory) if store is not None else None,
-                        initializer=_stash_inputs,
-                        initargs=(graph, library, polish_placement, tracer.enabled),
-                        rescue=partial(_plan_chunk_here, graph, library, polish_placement),
-                    )
                 _enumerate_mergings(
                     graph, library, matrices, pruning, max_arity, stats, plans,
-                    polish_placement, tracker=tracker, pool=pool, journal=journal,
+                    polish_placement, tracker=tracker, journal=journal,
                 )
             except EnumerationLimitError as exc:
                 limit = exc  # raised below, carrying the arities it let finish
-            finally:
-                if pool is not None:
-                    stats.worker_recoveries = pool.recoveries
-                    pool.shutdown()
 
         mergings: List[Candidate] = []
         for merge_plan in plans:
@@ -386,76 +313,17 @@ def generate_candidates(
         return candidates
 
 
-#: per-worker state installed by the pool initializer — forked/spawned
-#: workers cost one (graph, library) pickle each instead of one per task.
-_POOL_STATE: Dict[str, object] = {}
-
-
-def _stash_inputs(
-    graph: ConstraintGraph,
-    library: CommunicationLibrary,
-    polish_placement: bool,
-    trace: bool,
-) -> None:
-    """Worker initializer: stash the shared synthesis inputs."""
-    _POOL_STATE["graph"] = graph
-    _POOL_STATE["library"] = library
-    _POOL_STATE["polish"] = polish_placement
-    _POOL_STATE["trace"] = trace
-
-
 def _record_plan_outcome(
     tracer: TracerLike, k: int, plan: Optional[MergingPlan]
 ) -> None:
-    """Count one placement solve — the *same* counter names whether the
-    solve ran in-process (serial) or in a pool worker, so serial and
-    parallel runs accumulate identical deterministic totals."""
+    """Count one placement solve, solved or replayed from the journal,
+    so fresh and resumed runs accumulate identical deterministic totals."""
     tracer.count("candidates.plans.built")
     if plan is None:
         tracer.count("candidates.plans.infeasible")
     else:
         tracer.count("candidates.plans.feasible")
         tracer.count(f"candidates.survivors.k{k}")
-
-
-def _plan_chunk_here(
-    graph: ConstraintGraph,
-    library: CommunicationLibrary,
-    polish: bool,
-    groups: Sequence[Tuple[str, ...]],
-) -> Tuple[List[Optional[MergingPlan]], None]:
-    """Solve one chunk in this process, counting every outcome in the
-    ambient tracer: the body of a worker task, and the pool's
-    in-process rescue of a twice-lost chunk."""
-    plans = build_merging_plans_batch(graph, groups, library, polish_placement=polish)
-    tracer = current_tracer()
-    for group, plan in zip(groups, plans):
-        _record_plan_outcome(tracer, len(group), plan)
-    return plans, None
-
-
-def _pool_plan_chunk(
-    groups: Sequence[Tuple[str, ...]],
-) -> Tuple[List[Optional[MergingPlan]], Optional[TraceSnapshot]]:
-    """Worker task: solve one chunk of placement problems, in order.
-
-    Returns one plan entry per subset (``None`` = infeasible plan) so
-    the parent can reassemble results and stats positionally,
-    bit-identical to the serial loop — plus, when the parent run is
-    traced, a :class:`~repro.obs.TraceSnapshot` of this chunk's spans
-    and counters for deterministic merging into the parent trace.
-    """
-    graph: ConstraintGraph = _POOL_STATE["graph"]  # type: ignore[assignment]
-    library: CommunicationLibrary = _POOL_STATE["library"]  # type: ignore[assignment]
-    polish: bool = _POOL_STATE["polish"]  # type: ignore[assignment]
-    if not _POOL_STATE.get("trace"):
-        return _plan_chunk_here(graph, library, polish, groups)
-    tracer = Tracer(label=f"worker-{os.getpid()}")
-    with tracing(tracer), tracer.span(
-        "candidates.plan.chunk", k=len(groups[0]) if groups else 0, size=len(groups)
-    ):
-        plans, _ = _plan_chunk_here(graph, library, polish, groups)
-    return plans, tracer.snapshot()
 
 
 def _prune_arity(
@@ -554,12 +422,12 @@ def _absorb_plans(
 
 
 def _chunked(groups: Sequence[Tuple[str, ...]]) -> List[List[Tuple[str, ...]]]:
-    """The canonical planning-chunk boundaries (shared by the serial
-    path, the pool dispatch, and the checkpoint journal keys)."""
+    """The canonical planning-chunk boundaries (the checkpoint journal
+    keys)."""
     return [list(groups[i:i + _PLAN_CHUNK]) for i in range(0, len(groups), _PLAN_CHUNK)]
 
 
-def _plan_arity_serial(
+def _plan_arity(
     graph: ConstraintGraph,
     library: CommunicationLibrary,
     names: Sequence[str],
@@ -571,13 +439,11 @@ def _plan_arity_serial(
     polish_placement: bool,
     journal: Optional[CheckpointJournal] = None,
 ) -> bool:
-    """Cost one arity's survivors in-process; False ⇒ budget truncated.
+    """Cost one arity's survivors; False ⇒ budget truncated.
 
-    Work proceeds in the same ``_PLAN_CHUNK`` boundaries the parallel
-    path dispatches, so journal records written serially replay under
-    ``jobs=N`` and vice versa.  Replayed chunks still feed the
-    plan-outcome counters (the totals stay deterministic across
-    fresh/resumed and serial/parallel runs).
+    Work proceeds in ``_PLAN_CHUNK`` boundaries, each one journal
+    record.  Replayed chunks still feed the plan-outcome counters (the
+    totals stay deterministic across fresh and resumed runs).
     """
     tracer = current_tracer()
     for index, chunk in enumerate(_chunked([tuple(names[i] for i in s) for s in survivors_k])):
@@ -623,68 +489,6 @@ def _plan_arity_serial(
     return True
 
 
-def _plan_arity_parallel(
-    pool: WorkerPool,
-    names: Sequence[str],
-    survivors_k: Sequence[Tuple[int, ...]],
-    k: int,
-    stats: GenerationStats,
-    feasible: List[MergingPlan],
-    tracker: BudgetTracker,
-    journal: Optional[CheckpointJournal] = None,
-) -> bool:
-    """Fan one arity's placement problems out over the worker pool.
-
-    Chunks are submitted eagerly and consumed strictly in submission
-    order, so candidates/stats come out identical to the serial loop;
-    the deadline is re-checked (forced clock read) before every chunk
-    is consumed, and on truncation the pending chunks are cancelled.
-
-    Chunks already present in ``journal`` are replayed without ever
-    reaching the pool.  Every dispatch consults the
-    ``pool.dispatch.k{k}`` fault site; a chunk whose worker dies is
-    recovered by the pool's ladder, so worker loss degrades
-    throughput, never the result.
-    """
-    tracer = current_tracer()
-    chunks = _chunked([tuple(names[i] for i in subset) for subset in survivors_k])
-
-    cached: Dict[int, List[Optional[MergingPlan]]] = {}
-    if journal is not None:
-        for index, chunk in enumerate(chunks):
-            plans = journal.get_chunk(k, index, chunk)
-            if plans is not None:
-                cached[index] = plans
-
-    pool.site = f"pool.dispatch.k{k}"
-    for index, chunk in enumerate(chunks):
-        if index not in cached:
-            pool.submit(index, chunk)
-
-    for pos in range(len(chunks)):
-        try:
-            tracker.checkpoint("candidates.plan", force=True)
-        except BudgetExceeded:
-            pool.cancel()
-            stats.budget_truncated = True
-            return False
-        if pos in cached:
-            plans: List[Optional[MergingPlan]] = cached[pos]
-            stats.chunks_replayed += 1
-            for plan in plans:
-                _record_plan_outcome(tracer, k, plan)
-        else:
-            plans, snapshot = pool.result(pos)
-            if snapshot is not None:
-                # Plan-outcome counters were accumulated in the worker;
-                # the absorbed snapshots sum to exactly the serial totals.
-                tracer.absorb(snapshot)
-            if journal is not None:
-                journal.record_chunk(k, pos, chunks[pos], plans)
-        _absorb_plans(plans, k, stats, feasible)
-    return True
-
-
 def _enumerate_mergings(
     graph: ConstraintGraph,
     library: CommunicationLibrary,
@@ -695,16 +499,14 @@ def _enumerate_mergings(
     feasible: List[MergingPlan],
     polish_placement: bool = True,
     tracker: Optional[BudgetTracker] = None,
-    pool: Optional[WorkerPool] = None,
     journal: Optional[CheckpointJournal] = None,
 ) -> None:
     """The main loop of Figure 2: increasing K, shrinking active set.
 
     Each arity runs a vectorized pruning pass (:func:`_prune_arity`) and
-    solves every survivor's placement, in-process or fanned out over
-    ``pool`` when one is given.  The loop ends after the first arity
-    without survivors.  Theorem 3.1 retirement then physically removes
-    every arc in no surviving subset
+    solves every survivor's placement (:func:`_plan_arity`).  The loop
+    ends after the first arity without survivors.  Theorem 3.1
+    retirement then physically removes every arc in no surviving subset
     (:meth:`~repro.core.matrices.IncrementalArcMatrices.remove_arcs` —
     exact entry copies, no recomputation), so later arities gather from
     ever-smaller matrices.  Appends the feasible plans to ``feasible``,
@@ -743,16 +545,10 @@ def _enumerate_mergings(
             if not survivors_k:
                 break
             with tracer.span("candidates.plan", k=k, survivors=len(survivors_k)):
-                if pool is not None:
-                    completed = _plan_arity_parallel(
-                        pool, names, survivors_k, k, stats, feasible, tracker,
-                        journal=journal,
-                    )
-                else:
-                    completed = _plan_arity_serial(
-                        graph, library, names, survivors_k, k, stats, feasible,
-                        tracker, polish_placement, journal=journal,
-                    )
+                completed = _plan_arity(
+                    graph, library, names, survivors_k, k, stats, feasible,
+                    tracker, polish_placement, journal=journal,
+                )
             arity_span.set("generated", stats.survivors_by_k[k])
             if not completed:
                 arity_span.set("budget_truncated", True)

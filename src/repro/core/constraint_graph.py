@@ -13,18 +13,20 @@ the graph's norm; :meth:`ConstraintGraph.add_channel` computes it, while
 :meth:`ConstraintGraph.add_arc` accepts an explicit value and verifies
 consistency (Definition 2.1's requirement).
 
-The class wraps a :class:`networkx.MultiDiGraph` (several parallel
-channels between the same pair of ports are legal — "a module may
-communicate with another module through multiple unidirectional
-channels") while exposing a typed, paper-faithful API.
+Several parallel channels between the same pair of ports are legal ("a
+module may communicate with another module through multiple
+unidirectional channels"); :meth:`ConstraintGraph.to_networkx` exports
+the graph as a :class:`networkx.MultiDiGraph` and
+:meth:`ConstraintGraph.from_networkx` imports one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 from .exceptions import ModelError
 from .geometry import EUCLIDEAN, Norm, Point, bounding_box
@@ -112,7 +114,6 @@ class ConstraintGraph:
         self.name = name
         self._ports: Dict[str, Port] = {}
         self._arcs: Dict[str, Arc] = {}
-        self._nx = nx.MultiDiGraph()
 
     # ------------------------------------------------------------------
     # construction
@@ -134,7 +135,6 @@ class ConstraintGraph:
                 )
             return existing
         self._ports[name] = port
-        self._nx.add_node(name, port=port)
         return port
 
     def add_channel(
@@ -187,7 +187,6 @@ class ConstraintGraph:
         if arc.name in self._arcs:
             raise ModelError(f"duplicate arc name {arc.name!r}")
         self._arcs[arc.name] = arc
-        self._nx.add_edge(arc.source.name, arc.target.name, key=arc.name, arc=arc)
         return arc
 
     def _require_port(self, name: str) -> Port:
@@ -259,8 +258,17 @@ class ConstraintGraph:
         return bounding_box(p.position for p in self._ports.values())
 
     def to_networkx(self) -> nx.MultiDiGraph:
-        """A *copy* of the underlying networkx multigraph."""
-        return self._nx.copy()
+        """Export to a :class:`networkx.MultiDiGraph` (fresh copy): one
+        node per port (attribute ``port``), one edge per arc keyed by
+        its name (attribute ``arc``), both in insertion order."""
+        import networkx as nx
+
+        g = nx.MultiDiGraph()
+        for port in self._ports.values():
+            g.add_node(port.name, port=port)
+        for arc in self._arcs.values():
+            g.add_edge(arc.source.name, arc.target.name, key=arc.name, arc=arc)
+        return g
 
     @classmethod
     def from_networkx(

@@ -11,11 +11,11 @@ uses, so its optimality claim inherits the lemmas' soundness
 **Cluster decomposition** (``strategy="decompose"``)
     Partition the arcs into clusters such that every cluster-spanning
     merging subset is *certifiably* pruned, synthesize each cluster
-    independently (reusing the self-healing planning pool), and
-    assemble the per-cluster covers.  The certificate (below)
-    makes the decomposition lossless: the union of the per-cluster
-    candidate universes equals the exact pipeline's universe, so the
-    assembled cover is globally optimal and the reported
+    independently (the same candidate generation, budget checkpoints
+    and journal replay), and assemble the per-cluster covers.  The
+    certificate (below) makes the decomposition lossless: the union of
+    the per-cluster candidate universes equals the exact pipeline's
+    universe, so the assembled cover is globally optimal and the reported
     ``gap_bound`` is a certified ``0.0``.
 
     *Certificate.*  Write ``m(a, b) = Δ(a, b) − Γ(a, b)`` (the Lemma
@@ -97,10 +97,6 @@ __all__ = [
     "certified_partition",
     "synthesize_decomposed",
 ]
-
-#: per-cluster worker pools only pay off past this many arcs; smaller
-#: clusters plan in-process even when ``options.jobs`` asks for a pool.
-MIN_CLUSTER_ARCS_FOR_POOL = 12
 
 
 # ----------------------------------------------------------------------
@@ -252,9 +248,7 @@ def _merge_stats(master: GenerationStats, part: GenerationStats) -> None:
     for k, v in part.pruning_survivors_by_k.items():
         master.pruning_survivors_by_k[k] = master.pruning_survivors_by_k.get(k, 0) + v
     master.retired_at_k.update(part.retired_at_k)
-    master.worker_recoveries += part.worker_recoveries
     master.chunks_replayed += part.chunks_replayed
-    master.effective_jobs = max(master.effective_jobs, part.effective_jobs)
 
 
 # ----------------------------------------------------------------------
@@ -273,10 +267,9 @@ def synthesize_decomposed(
     """The ``strategy="decompose"`` pipeline (see the module docstring).
 
     Per-cluster candidate generation reuses :func:`generate_candidates`
-    wholesale — including the self-healing worker pool (clusters of at
-    least :data:`MIN_CLUSTER_ARCS_FOR_POOL` arcs when ``options.jobs``
-    asks for one), budget checkpoints, and journal chunk replay (chunk
-    keys carry a group digest, so per-cluster records never collide).
+    wholesale — including budget checkpoints and journal chunk replay
+    (chunk keys carry a group digest, so per-cluster records never
+    collide).
     Each per-component covering solve runs the budgeted chain of
     :func:`~repro.core.synthesis._budgeted_cover` under the same
     budget; the report carries the worst block tag.
@@ -307,16 +300,10 @@ def synthesize_decomposed(
         for ci, idxs in enumerate(clusters):
             names = [matrices.arc_names[i] for i in idxs]
             sub = graph.subgraph(names)
-            cluster_jobs = (
-                options.jobs
-                if options.jobs is not None and len(names) >= MIN_CLUSTER_ARCS_FOR_POOL
-                else None
-            )
             with tracer.span("decompose.cluster", index=ci, arcs=len(names)):
                 try:
                     cs, cap = _generate_cluster(
-                        sub, library, options,
-                        budget=tracker, jobs=cluster_jobs, journal=journal,
+                        sub, library, options, budget=tracker, journal=journal
                     )
                 except BudgetExceeded:
                     # The budget died inside this cluster's (mandatory)

@@ -113,10 +113,6 @@ class SynthesisOptions:
     #: hops`` to every candidate's weight.  total_cost then reports the
     #: penalized objective; implementation.cost() stays monetary.
     hop_penalty: float = 0.0
-    #: worker processes for candidate generation's placement solves
-    #: (None/1 = serial).  Parallel runs return byte-identical
-    #: candidates, costs, and selections; see generate_candidates(jobs=).
-    jobs: Optional[int] = None
     validate_result: bool = True
     #: budgeted runs only: on budget exhaustion either serve the best
     #: incumbent with an honest quality tag (``"degrade"``, default) or
@@ -153,13 +149,31 @@ class SynthesisOptions:
     #: this at 0 to avoid double-scaling.
     demand_margin: float = 0.0
 
+    def __post_init__(self) -> None:
+        """Refuse values no driver can honour, before any work starts."""
+        if self.max_arity is not None and self.max_arity < 1:
+            raise SynthesisError(
+                f"max_arity must be a positive merge size (or None), got {self.max_arity}"
+            )
+        if self.on_budget_exhausted not in ("degrade", "fail"):
+            raise SynthesisError(
+                f"unknown on_budget_exhausted {self.on_budget_exhausted!r} "
+                f"(use 'degrade' or 'fail')"
+            )
+        if self.strategy not in STRATEGIES:
+            raise SynthesisError(
+                f"unknown strategy {self.strategy!r} (use one of {', '.join(STRATEGIES)})"
+            )
+        if not (self.demand_margin >= 0.0):
+            raise SynthesisError(f"demand_margin must be >= 0, got {self.demand_margin}")
+
     def result_shaping(self) -> Dict[str, Any]:
         """The options that can change *what* a synthesis returns.
 
         The one list behind every "same answer?" key: checkpoint
         fingerprints, batch resume keys and queue manifests.  Execution
-        knobs (``jobs``, ``validate_result``, budget policy,
-        checkpointing) are left out, so a resume may change them.
+        knobs (``validate_result``, budget policy, checkpointing) are
+        left out, so a resume may change them.
         """
         return {
             "pruning": self.pruning.value,
@@ -300,8 +314,8 @@ def synthesize(
     Returns the minimum-cost implementation graph together with the
     intermediate artifacts (candidate set, covering instance, cover).
     Raises :class:`~repro.core.exceptions.InfeasibleError` when some arc
-    has no implementation, :class:`SynthesisError` on configuration
-    mistakes.
+    has no implementation, :class:`SynthesisError` on an empty graph
+    (:class:`SynthesisOptions` refuses bad option values when built).
 
     With a ``budget`` the run is *supervised*: every hot loop gains
     cooperative checkpoints against the wall-clock/node budget, and the
@@ -323,19 +337,6 @@ def synthesize(
     options = options or SynthesisOptions()
     if len(graph) == 0:
         raise SynthesisError("constraint graph has no arcs — nothing to synthesize")
-    if options.on_budget_exhausted not in ("degrade", "fail"):
-        raise SynthesisError(
-            f"unknown on_budget_exhausted {options.on_budget_exhausted!r} "
-            f"(use 'degrade' or 'fail')"
-        )
-    if options.strategy not in STRATEGIES:
-        raise SynthesisError(
-            f"unknown strategy {options.strategy!r} (use one of {', '.join(STRATEGIES)})"
-        )
-    if not (options.demand_margin >= 0.0):
-        raise SynthesisError(
-            f"demand_margin must be >= 0, got {options.demand_margin}"
-        )
     library.validate()
 
     if trace is True:
@@ -470,8 +471,7 @@ def _synthesize_exact(
     budget, by the width-picked engine alone without one."""
     tracer = current_tracer()
     candidates = generate_candidates(
-        graph, library, **options.candidate_args(),
-        budget=tracker, jobs=options.jobs, journal=journal,
+        graph, library, **options.candidate_args(), budget=tracker, journal=journal
     )
 
     def solve(
@@ -719,7 +719,6 @@ def _cover_and_assemble(
     elapsed = time.perf_counter() - start
     if report is not None:
         report.elapsed_s = elapsed  # account materialization + validation too
-        report.worker_recoveries = candidates.stats.worker_recoveries
         report.chunks_replayed = candidates.stats.chunks_replayed
     return SynthesisResult(
         implementation=impl,

@@ -78,7 +78,7 @@ def greedy_cover(
                     # but their ratio is infinite — incomparable among
                     # themselves.  Pin the tie-break to the lowest column
                     # index so selection order never depends on iteration
-                    # order (serial and jobs=N must stay byte-identical).
+                    # order (equal inputs must give byte-identical covers).
                     idx = problem.column_index(name)
                     if best_zero is None or idx < best_zero[0]:
                         best_zero = (idx, name)

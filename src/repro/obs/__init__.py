@@ -1,9 +1,8 @@
 """repro.obs — structured observability for the synthesis pipeline.
 
-A hierarchical span tracer (wall + CPU time, nestable, thread- and
-process-safe) plus named counters and gauges, threaded through
-candidate generation, the process-pool workers, the covering solvers
-and the supervised runtime; exporters for a human-readable text
+A hierarchical span tracer (wall + CPU time, nestable, thread-safe)
+plus named counters and gauges, threaded through candidate
+generation, the covering solvers and the supervised runtime; exporters for a human-readable text
 summary, JSON metrics, and the Chrome trace-event format
 (Perfetto / ``chrome://tracing``).
 
@@ -22,10 +21,10 @@ Design contract:
 
 - **zero-cost when disabled** — the ambient default is
   :data:`NULL_TRACER`; every instrumentation point is one no-op call;
-- **deterministic counters** — serial and ``jobs=N`` runs of the same
-  input accumulate identical :attr:`Tracer.counters` totals (worker
-  snapshots merge associatively); process-local statistics (memo hit
-  rates, LP wall time) live in :attr:`Tracer.local_counters` instead;
+- **deterministic counters** — every run on the same input, fresh or
+  resumed from a journal, accumulates identical :attr:`Tracer.counters`
+  totals; process-local statistics (memo hit rates, LP wall time, pool
+  recoveries) live in :attr:`Tracer.local_counters` instead;
 - **well-formed spans** — every span exit must match the innermost
   open span of its thread, enforced at runtime.
 """
@@ -46,7 +45,6 @@ from .tracer import (  # noqa: F401
     SpanRecord,
     Tracer,
     TracerLike,
-    TraceSnapshot,
     current_tracer,
     tracing,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "TracerLike",
-    "TraceSnapshot",
     "current_tracer",
     "tracing",
     "format_trace_summary",

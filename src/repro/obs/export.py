@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
-from .tracer import SpanRecord, Tracer, TraceSnapshot
+from .tracer import SpanRecord, Tracer
 
 __all__ = [
     "metrics_dict",
@@ -35,9 +35,8 @@ __all__ = [
 def span_aggregates(tracer: Tracer) -> List[Dict[str, Any]]:
     """Per-name span statistics: calls, wall/CPU totals, shallowest depth.
 
-    Aggregates across the parent process and every absorbed worker
-    snapshot, ordered by first appearance (parent records first), which
-    matches pipeline order closely enough to read top-down.
+    Ordered by first appearance, which matches pipeline order closely
+    enough to read top-down.
     """
     order: List[str] = []
     agg: Dict[str, Dict[str, Any]] = {}
@@ -57,23 +56,16 @@ def span_aggregates(tracer: Tracer) -> List[Dict[str, Any]]:
 def metrics_dict(tracer: Tracer) -> Dict[str, Any]:
     """JSON-safe metrics block for result summaries.
 
-    ``counters`` carries the deterministic totals (identical between
-    serial and ``jobs=N`` runs of the same input); ``local_counters``
-    the process-local/timing statistics (memo hit rates, LP wall time)
-    excluded from that guarantee; ``spans`` the per-name aggregates;
-    ``workers`` one deterministic-counter dict per absorbed worker
-    snapshot, so per-worker accounting survives into the export.
+    ``counters`` carries the deterministic totals (identical across
+    runs of the same input); ``local_counters`` the process-local/timing
+    statistics (memo hit rates, LP wall time) excluded from that
+    guarantee; ``spans`` the per-name aggregates.
     """
-    merged = tracer.merged()
     return {
-        "counters": dict(sorted(merged.counters.items())),
-        "local_counters": dict(sorted(merged.local_counters.items())),
-        "gauges": dict(sorted(merged.gauges.items())),
+        "counters": dict(sorted(tracer.counters.items())),
+        "local_counters": dict(sorted(tracer.local_counters.items())),
+        "gauges": dict(sorted(tracer.gauges.items())),
         "spans": span_aggregates(tracer),
-        "workers": [
-            {"pid": snap.pid, "label": snap.label, "counters": dict(sorted(snap.counters.items()))}
-            for snap in tracer.worker_snapshots
-        ],
     }
 
 
@@ -98,27 +90,20 @@ def format_trace_summary(tracer: Tracer, title: str = "trace summary") -> str:
                 f"{label:<{width}}  {s['count']:>7} {s['wall_s'] * 1e3:>10.2f} "
                 f"{s['cpu_s'] * 1e3:>10.2f}"
             )
-    merged = tracer.merged()
-    if merged.counters:
-        lines.append("counters:")
-        for name, value in sorted(merged.counters.items()):
-            lines.append(f"  {name} = {_format_number(value)}")
-    if merged.local_counters:
-        lines.append("local counters (process/timing dependent):")
-        for name, value in sorted(merged.local_counters.items()):
-            lines.append(f"  {name} = {_format_number(value)}")
-    if merged.gauges:
-        lines.append("gauges:")
-        for name, value in sorted(merged.gauges.items()):
-            lines.append(f"  {name} = {_format_number(value)}")
-    if tracer.worker_snapshots:
-        lines.append(f"workers: {len(tracer.worker_snapshots)} snapshot(s) merged")
+    for title, values in (
+        ("counters:", tracer.counters),
+        ("local counters (process/timing dependent):", tracer.local_counters),
+        ("gauges:", tracer.gauges),
+    ):
+        if values:
+            lines.append(title)
+            for name, value in sorted(values.items()):
+                lines.append(f"  {name} = {_format_number(value)}")
     return "\n".join(lines)
 
 
 def _span_event(rec: SpanRecord, epoch_ns: int) -> Dict[str, Any]:
-    # Chrome trace timestamps are microseconds; clamp at 0 for records
-    # whose process clock started marginally before the root epoch.
+    # Chrome trace timestamps are microseconds, clamped at 0.
     ts_us = max(0.0, (rec.start_ns - epoch_ns) / 1e3)
     return {
         "name": rec.name,
@@ -140,19 +125,10 @@ def to_chrome_trace(tracer: Tracer) -> Dict[str, Any]:
     ``chrome://tracing`` and validated by
     :func:`repro.obs.validate_chrome_trace`.
     """
-    events: List[Dict[str, Any]] = []
-    seen_procs: Dict[int, str] = {}
-
-    snap = tracer.snapshot()
-    seen_procs[snap.pid] = tracer.label or "synthesis"
-    for worker in tracer.worker_snapshots:
-        seen_procs.setdefault(worker.pid, worker.label or f"worker-{worker.pid}")
-
-    for pid, name in sorted(seen_procs.items()):
-        events.append(
-            {"name": "process_name", "ph": "M", "ts": 0, "pid": pid, "tid": 0,
-             "args": {"name": name}}
-        )
+    events: List[Dict[str, Any]] = [
+        {"name": "process_name", "ph": "M", "ts": 0, "pid": tracer.pid, "tid": 0,
+         "args": {"name": tracer.label or "synthesis"}}
+    ]
 
     end_ns = tracer.epoch_ns
     for rec in tracer.records:
@@ -161,18 +137,13 @@ def to_chrome_trace(tracer: Tracer) -> Dict[str, Any]:
 
     # Final counter totals as one counter event per series, stamped at
     # the end of the trace (counters are cumulative run totals).
-    merged = tracer.merged()
     final_ts = max(0.0, (end_ns - tracer.epoch_ns) / 1e3)
-    for name, value in sorted(merged.counters.items()):
-        events.append(
-            {"name": name, "ph": "C", "ts": final_ts, "pid": snap.pid, "tid": 0,
-             "args": {"value": value}}
-        )
-    for name, value in sorted(merged.local_counters.items()):
-        events.append(
-            {"name": name, "ph": "C", "ts": final_ts, "pid": snap.pid, "tid": 0,
-             "args": {"value": value}}
-        )
+    for values in (tracer.counters, tracer.local_counters):
+        for name, value in sorted(values.items()):
+            events.append(
+                {"name": name, "ph": "C", "ts": final_ts, "pid": tracer.pid, "tid": 0,
+                 "args": {"value": value}}
+            )
 
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 

@@ -9,19 +9,13 @@ run:
   every exit must match the innermost open span of its thread, so a
   recorded trace is always well-formed.
 - **counters** — named monotone accumulators (:meth:`Tracer.count`).
-  Counters are *deterministic by contract*: on the same input, a serial
-  run and a ``jobs=N`` run accumulate identical totals (worker-process
-  counters are merged back into the parent).  Statistics that are
-  inherently process-local or timing-dependent — memo hit rates, LP
-  wall time — go through :meth:`Tracer.count_local` instead and are
-  reported separately, outside the determinism guarantee.
-- **gauges** — last-value-wins measurements (:meth:`Tracer.gauge`);
-  across merges the *maximum* is kept, so merging stays associative.
-
-Process-pool workers build their own :class:`Tracer`, return a
-picklable :class:`TraceSnapshot`, and the parent folds it in with
-:meth:`Tracer.absorb` — counter merging is associative and
-order-independent (addition), so chunk scheduling cannot change totals.
+  Counters are *deterministic by contract*: every run on the same
+  input accumulates identical totals, fresh or resumed from a
+  checkpoint journal.  Statistics that are inherently process-local or
+  timing-dependent — memo hit rates, LP wall time, pool recoveries —
+  go through :meth:`Tracer.count_local` instead and are reported
+  separately, outside the determinism guarantee.
+- **gauges** — last-value-wins measurements (:meth:`Tracer.gauge`).
 
 The *ambient* tracer (:func:`current_tracer` / :func:`tracing`) lets
 deep call sites — pruning predicates, covering solvers, cache lookups —
@@ -37,14 +31,13 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "ObsError",
     "SpanRecord",
     "Span",
-    "TraceSnapshot",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -60,13 +53,11 @@ class ObsError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One finished span.  Frozen and picklable (snapshot payload).
+    """One finished span.  Frozen and picklable.
 
-    Timestamps are absolute ``time.perf_counter_ns()`` readings — on
-    Linux that clock is system-wide monotonic, so records from worker
-    processes line up with the parent's on a shared timeline.  ``args``
-    is a sorted tuple of ``(key, value)`` pairs for deterministic
-    serialization.
+    Timestamps are absolute ``time.perf_counter_ns()`` readings.
+    ``args`` is a sorted tuple of ``(key, value)`` pairs for
+    deterministic serialization.
     """
 
     name: str
@@ -136,50 +127,12 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-@dataclass(frozen=True)
-class TraceSnapshot:
-    """Picklable, immutable state of one tracer — the merge unit.
-
-    Worker processes ship one of these back per chunk; ``merge`` is
-    associative (counters add, gauges take the max, span tuples
-    concatenate), so folding snapshots in any grouping yields the same
-    totals.
-    """
-
-    counters: Dict[str, Union[int, float]] = field(default_factory=dict)
-    local_counters: Dict[str, Union[int, float]] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
-    spans: Tuple[SpanRecord, ...] = ()
-    pid: int = 0
-    label: str = ""
-
-    def merge(self, other: "TraceSnapshot") -> "TraceSnapshot":
-        """Associative combination of two snapshots."""
-        counters = dict(self.counters)
-        for name, value in other.counters.items():
-            counters[name] = counters.get(name, 0) + value
-        local = dict(self.local_counters)
-        for name, value in other.local_counters.items():
-            local[name] = local.get(name, 0) + value
-        gauges = dict(self.gauges)
-        for name, value in other.gauges.items():
-            gauges[name] = max(gauges[name], value) if name in gauges else value
-        return TraceSnapshot(
-            counters=counters,
-            local_counters=local,
-            gauges=gauges,
-            spans=self.spans + other.spans,
-            pid=self.pid,
-            label=self.label or other.label,
-        )
-
-
 class Tracer:
     """Live observability state for one run.  Thread-safe.
 
     Span stacks are per-thread (each thread nests independently);
     counter/gauge/record updates take one lock.  ``label`` names the
-    tracer in exports (worker tracers carry their worker identity).
+    tracer in exports.
     """
 
     enabled = True
@@ -194,7 +147,6 @@ class Tracer:
         self._local_counters: Dict[str, Union[int, float]] = {}
         self._gauges: Dict[str, float] = {}
         self._stacks = threading.local()
-        self._absorbed: List[TraceSnapshot] = []
 
     # ------------------------------------------------------------------
     # spans
@@ -266,9 +218,9 @@ class Tracer:
 
         Counters are monotone: a negative increment raises
         :class:`ObsError`.  Only put quantities here that are identical
-        across serial and ``jobs=N`` runs of the same input — search
-        nodes, pruning verdicts, plans built.  Timing- or
-        process-dependent statistics belong in :meth:`count_local`.
+        across every run of the same input — search nodes, pruning
+        verdicts, plans built.  Timing- or process-dependent statistics
+        belong in :meth:`count_local`.
         """
         if value < 0:
             raise ObsError(f"counter {name!r}: negative increment {value} (counters are monotone)")
@@ -279,9 +231,9 @@ class Tracer:
         """Add ``value`` (>= 0) to the *process-local* counter ``name``.
 
         Same monotonicity contract as :meth:`count`, but these totals
-        are excluded from the serial-vs-parallel determinism guarantee:
-        cache hit rates and solver wall-time accumulators legitimately
-        vary with process layout and machine load.
+        are excluded from the determinism guarantee: cache hit rates,
+        solver wall-time accumulators and pool recoveries legitimately
+        vary with cache state, process layout and machine load.
         """
         if value < 0:
             raise ObsError(f"counter {name!r}: negative increment {value} (counters are monotone)")
@@ -289,75 +241,41 @@ class Tracer:
             self._local_counters[name] = self._local_counters.get(name, 0) + value
 
     def gauge(self, name: str, value: float) -> None:
-        """Record a point-in-time measurement (last write wins; merges keep the max)."""
+        """Record a point-in-time measurement (last write wins)."""
         with self._lock:
             self._gauges[name] = value
 
     # ------------------------------------------------------------------
-    # snapshots and merging
+    # reads (copies, taken under the lock)
     # ------------------------------------------------------------------
-    def snapshot(self) -> TraceSnapshot:
-        """Immutable copy of this tracer's own state (absorbed snapshots excluded)."""
-        with self._lock:
-            return TraceSnapshot(
-                counters=dict(self._counters),
-                local_counters=dict(self._local_counters),
-                gauges=dict(self._gauges),
-                spans=tuple(self._records),
-                pid=self.pid,
-                label=self.label,
-            )
-
-    def absorb(self, snapshot: TraceSnapshot) -> None:
-        """Fold a worker's snapshot into this tracer.
-
-        The snapshot is also retained verbatim in
-        :attr:`worker_snapshots` so per-worker accounting stays
-        auditable (the counter-drift regression tests sum them).
-        """
-        with self._lock:
-            self._absorbed.append(snapshot)
-
-    @property
-    def worker_snapshots(self) -> List[TraceSnapshot]:
-        """Snapshots absorbed from workers, in absorption order."""
-        with self._lock:
-            return list(self._absorbed)
-
-    # ------------------------------------------------------------------
-    # merged views (own state + absorbed workers)
-    # ------------------------------------------------------------------
-    def merged(self) -> TraceSnapshot:
-        """One snapshot combining this tracer and everything absorbed."""
-        snap = self.snapshot()
-        for worker in self.worker_snapshots:
-            snap = snap.merge(worker)
-        return snap
-
     @property
     def counters(self) -> Dict[str, Union[int, float]]:
-        """Merged deterministic counter totals."""
-        return self.merged().counters
+        """Deterministic counter totals."""
+        with self._lock:
+            return dict(self._counters)
 
     @property
     def local_counters(self) -> Dict[str, Union[int, float]]:
-        """Merged process-local counter totals."""
-        return self.merged().local_counters
+        """Process-local counter totals."""
+        with self._lock:
+            return dict(self._local_counters)
 
     @property
     def gauges(self) -> Dict[str, float]:
-        """Merged gauges (max across sources)."""
-        return self.merged().gauges
+        """Last value of every gauge."""
+        with self._lock:
+            return dict(self._gauges)
 
     @property
     def records(self) -> List[SpanRecord]:
-        """All finished spans: this process's, then absorbed workers'."""
-        return list(self.merged().spans)
+        """All finished spans, in the order they closed."""
+        with self._lock:
+            return list(self._records)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Tracer(label={self.label!r}, spans={len(self._records)}, "
-            f"counters={len(self._counters)}, workers={len(self._absorbed)})"
+            f"counters={len(self._counters)})"
         )
 
 
@@ -371,7 +289,6 @@ class NullTracer:
 
     enabled = False
     label = ""
-    worker_snapshots: List[TraceSnapshot] = []
 
     def begin(self, name: str, **args: Any) -> _NullSpan:
         return _NULL_SPAN
@@ -393,15 +310,6 @@ class NullTracer:
 
     def gauge(self, name: str, value: float) -> None:
         pass
-
-    def snapshot(self) -> TraceSnapshot:
-        return TraceSnapshot()
-
-    def absorb(self, snapshot: TraceSnapshot) -> None:
-        pass
-
-    def merged(self) -> TraceSnapshot:
-        return TraceSnapshot()
 
     counters: Dict[str, Union[int, float]] = {}
     local_counters: Dict[str, Union[int, float]] = {}

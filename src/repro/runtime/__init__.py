@@ -16,8 +16,8 @@
   codec, shared by the journal, the persistent cache and the result
   streams;
 - :mod:`repro.runtime.pool` — :class:`~repro.runtime.pool.WorkerPool`,
-  the one self-healing process pool, shared by candidate generation,
-  batch mode and the server (imported from its module: it builds on
+  the one self-healing process pool, shared by batch mode and the
+  server (imported from its module: it builds on
   :mod:`repro.core.cache`, which this package must not load eagerly).
 """
 

@@ -7,8 +7,8 @@ pre-empted container) is the common case.  The :class:`CheckpointJournal`
 makes completed work survive the process:
 
 - **chunk records** — one per completed candidate-generation planning
-  chunk (the same ``_PLAN_CHUNK`` boundaries ``generate_candidates``
-  dispatches to its worker pool), carrying the chunk's solved
+  chunk (``generate_candidates``' ``_PLAN_CHUNK`` boundaries),
+  carrying the chunk's solved
   :class:`~repro.core.merging.MergingPlan` list so a resume replays it
   instead of re-solving the placements;
 - **incumbent records** — every strict improvement found by the
@@ -37,8 +37,8 @@ objective.  Resuming against a different instance raises
 code 6).
 
 Plans inside chunk records are the codec's pickle+base64 payloads
-(they are arbitrary plan objects; the same representation already
-crosses the worker-pool boundary).  The CRC guards against corruption;
+(they are arbitrary plan objects; the same representation the
+persistent cache stores).  The CRC guards against corruption;
 the journal is a local, same-trust-boundary file — do not resume
 journals from untrusted sources.
 """
@@ -79,7 +79,7 @@ def instance_fingerprint(graph, library, options=None) -> str:
     Includes the full constraint graph and library (their canonical
     JSON dict forms) plus
     :meth:`~repro.core.synthesis.SynthesisOptions.result_shaping`, so a
-    resume may use a different worker count or deadline.
+    resume may use a different deadline or validation setting.
     """
     from ..io.json_io import constraint_graph_to_dict, library_to_dict
 

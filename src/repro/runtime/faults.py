@@ -47,10 +47,10 @@ __all__ = [
 #: ``node_budget`` — raises :class:`BudgetExceeded` (reason ``injected-node-budget``);
 #: ``error`` — raises a plain :class:`SynthesisError` (a stage failure);
 #: ``worker_crash`` — raises :class:`WorkerCrashFault` at a pool
-#: *dispatch* site (``"pool.dispatch.k2"``, ...): the dispatcher marks
-#: the chunk so the worker process that picks it up dies abruptly
-#: (``os._exit``) mid-chunk, exercising the pool-recovery path exactly
-#: as a segfault or OOM kill would;
+#: *dispatch* site (``"batch.dispatch"``, ``"serve.dispatch"``): the
+#: dispatcher marks the task so the worker process that picks it up
+#: dies abruptly (``os._exit``) mid-task, exercising the pool-recovery
+#: path exactly as a segfault or OOM kill would;
 #: ``stall`` — raises nothing: the injector itself blocks for
 #: ``stall_s`` seconds (via its injectable ``sleep``) before letting the
 #: site proceed, so deadline-overrun, watchdog and admission-control
@@ -81,7 +81,7 @@ FAULT_KINDS = (
 class WorkerCrashFault(Exception):
     """Fired by a ``worker_crash`` :class:`FaultSpec` at a pool dispatch
     site.  Deliberately *not* a :class:`~repro.core.exceptions.SynthesisError`:
-    only the pool dispatcher catches it (to poison the outgoing chunk);
+    only the pool dispatcher catches it (to poison the outgoing task);
     anywhere else it is a loud test-harness bug."""
 
 

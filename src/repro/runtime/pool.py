@@ -3,8 +3,8 @@
 ``ProcessPoolExecutor`` is fail-stop: one worker that dies abruptly
 (segfault, OOM kill, ``os._exit``) breaks the whole executor and every
 pending future raises ``BrokenProcessPool``.  :class:`WorkerPool` owns
-the executor and turns that into one recovery ladder for candidate
-generation, the batch ``PoolTransport`` and ``repro serve``:
+the executor and turns that into one recovery ladder for the batch
+``PoolTransport`` and ``repro serve``:
 
 1. The first loss seen in a broken executor rebuilds it (one rebuild
    per broken generation: :attr:`~WorkerPool.recoveries`, local obs
@@ -82,7 +82,7 @@ class WorkerPool:
 
     Tasks are keyed by the caller.  :meth:`submit` dispatches one and
     :meth:`result` blocks for it through the whole ladder, solving a
-    twice-lost task here with ``rescue`` (default ``fn``).  An
+    twice-lost task here with ``fn``.  An
     asynchronous caller awaits :meth:`future` itself and reports each
     :data:`WorkerLost` to :meth:`lost`.  The executor is built on the
     first submission after construction or a rebuild.
@@ -97,7 +97,6 @@ class WorkerPool:
         cache_dir: Optional[str] = None,
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple = (),
-        rescue: Optional[Callable[..., Any]] = None,
     ) -> None:
         self.workers = workers
         #: fault site consulted on every submission (None = none).
@@ -105,7 +104,6 @@ class WorkerPool:
         #: executor rebuilds, one per broken generation.
         self.recoveries = 0
         self._fn = fn
-        self._rescue = rescue if rescue is not None else fn
         self._initargs = (cache_dir, initializer, initargs)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._tasks: Dict[Hashable, _Task] = {}
@@ -172,7 +170,7 @@ class WorkerPool:
                 value = future.result()  # type: ignore[union-attr]
             except BrokenProcessPool:
                 if self.lost(key, future):  # type: ignore[arg-type]
-                    return self._rescue(*task.args)
+                    return self._fn(*task.args)
                 continue
             del self._tasks[key]
             return value

@@ -64,11 +64,6 @@ class DegradationReport:
     deadline_s: Optional[float] = None
     elapsed_s: float = 0.0
     nodes_used: int = 0
-    #: pool workers that died during candidate generation and whose
-    #: chunks were transparently re-dispatched (0 = no crashes).  The
-    #: result is unaffected; nonzero values mean the run survived real
-    #: worker loss and may have run slower than provisioned.
-    worker_recoveries: int = 0
     #: planning chunks replayed from a checkpoint journal (resume runs).
     chunks_replayed: int = 0
 
@@ -80,11 +75,7 @@ class DegradationReport:
     def summary(self) -> str:
         """One line for CLI reports and logs."""
         chain = " -> ".join(f"{a.stage}:{a.outcome}" for a in self.attempts)
-        extra = ""
-        if self.worker_recoveries:
-            extra += f" worker_recoveries={self.worker_recoveries}"
-        if self.chunks_replayed:
-            extra += f" chunks_replayed={self.chunks_replayed}"
+        extra = f" chunks_replayed={self.chunks_replayed}" if self.chunks_replayed else ""
         return (
             f"quality={self.quality.value} via {self.source_stage} "
             f"[{chain}] elapsed={self.elapsed_s:.3f}s nodes={self.nodes_used}{extra}"
@@ -100,7 +91,6 @@ class DegradationReport:
             "deadline_s": self.deadline_s,
             "elapsed_s": self.elapsed_s,
             "nodes_used": self.nodes_used,
-            "worker_recoveries": self.worker_recoveries,
             "chunks_replayed": self.chunks_replayed,
             "attempts": [
                 {

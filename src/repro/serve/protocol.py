@@ -224,7 +224,7 @@ def _opt_bool(doc: Dict[str, Any], key: str, default: bool = False) -> bool:
 def _parse_options(doc: Any) -> SynthesisOptions:
     """The client-settable :class:`SynthesisOptions` subset.
 
-    Execution knobs (jobs, checkpointing, budget policy) belong to the
+    Execution knobs (checkpointing, budget policy) belong to the
     server, so a client can shape *what* is computed but never *how*
     the service spends its resources.
     """

@@ -16,24 +16,6 @@ from repro import (
 from repro.domains import wan_example, wan_constraint_graph, wan_library
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _unclamp_jobs():
-    """Disable the jobs -> cpu_count clamp for the whole suite.
-
-    The pool-path tests (worker recovery, parallel/serial identity,
-    worker trace accounting) request ``jobs=2``/``jobs=4`` and must keep
-    exercising *real* worker processes even on a single-core CI machine,
-    where the production clamp would silently serialize them.  The clamp
-    itself has dedicated tests that patch ``_cpu_count`` the other way.
-    """
-    from repro.core import candidates
-
-    original = candidates._cpu_count
-    candidates._cpu_count = lambda: 64
-    yield
-    candidates._cpu_count = original
-
-
 @pytest.fixture(scope="session")
 def wan_graph() -> ConstraintGraph:
     """The paper's Example 1 constraint graph (8 arcs, 5 nodes)."""

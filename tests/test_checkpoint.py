@@ -18,6 +18,7 @@ from repro import (
     CheckpointIncompatibleError,
     CheckpointJournal,
     SynthesisOptions,
+    generate_candidates,
     instance_fingerprint,
     synthesize,
 )
@@ -241,7 +242,7 @@ def test_fingerprint_covers_result_shaping_options(wan):
     assert base == instance_fingerprint(graph, library, SynthesisOptions())
     # execution knobs must NOT change the fingerprint
     assert base == instance_fingerprint(
-        graph, library, SynthesisOptions(jobs=4, validate_result=False)
+        graph, library, SynthesisOptions(validate_result=False)
     )
     # result-shaping knobs MUST change it
     for options in (
@@ -263,10 +264,15 @@ def test_wan_fingerprint_is_pinned(wan):
     assert instance_fingerprint(graph, library, SynthesisOptions()) == WAN_DEFAULT_FINGERPRINT
 
 
-def test_removed_kernels_option_is_a_type_error():
-    for name, value in (("kernels", "numpy"), ("ucp_solver", "bnb"), ("drop_dominated", False)):
+def test_removed_kernels_option_is_a_type_error(wan):
+    for name, value in (
+        ("kernels", "numpy"), ("ucp_solver", "bnb"), ("drop_dominated", False), ("jobs", 2)
+    ):
         with pytest.raises(TypeError, match=name):
             SynthesisOptions(**{name: value})
+    graph, library = wan
+    with pytest.raises(TypeError, match="jobs"):
+        generate_candidates(graph, library, jobs=2)
 
 
 # ----------------------------------------------------------------------
@@ -314,11 +320,11 @@ def test_resume_may_change_jobs_and_budget(wan, tmp_path):
 
     graph, library = wan
     path = str(tmp_path / "j.ckpt")
-    first = synthesize(graph, library, SynthesisOptions(checkpoint_path=path, jobs=2))
+    first = synthesize(graph, library, SynthesisOptions(checkpoint_path=path))
     resumed = synthesize(
         graph,
         library,
-        SynthesisOptions(checkpoint_path=path, resume=True),  # serial this time
+        SynthesisOptions(checkpoint_path=path, resume=True),
         budget=Budget(deadline_s=60.0),  # supervised this time
     )
     assert _result_key(first) == _result_key(resumed)

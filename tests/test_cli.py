@@ -209,8 +209,8 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("argv", [
         ["synthesize", "x.json", "--deadline", "0"],
         ["synthesize", "x.json", "--deadline", "-1.5"],
-        ["synthesize", "x.json", "--jobs", "0"],
-        ["synthesize", "x.json", "--jobs", "-2"],
+        ["synthesize", "x.json", "--max-arity", "0"],
+        ["synthesize", "x.json", "--max-arity", "-2"],
         ["batch", "corpus", "--deadline-per-instance", "0"],
         ["batch", "corpus", "--deadline-per-instance", "-3"],
         ["batch", "corpus", "--jobs", "0"],
@@ -219,6 +219,10 @@ class TestArgumentValidation:
         ["serve", "--default-deadline", "0"],
         ["serve", "--max-deadline", "-2"],
         ["serve", "--drain-grace", "-1"],
+        ["demo", "wan", "--max-arity", "0"],
+        ["demo", "wan", "--max-arity", "-2"],
+        ["batch", "corpus", "--max-arity", "0"],
+        ["batch", "corpus", "--max-arity", "-2"],
     ])
     def test_nonpositive_values_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -229,7 +233,7 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize("argv", [
         ["synthesize", "x.json", "--deadline", "soon"],
-        ["synthesize", "x.json", "--jobs", "many"],
+        ["synthesize", "x.json", "--max-arity", "many"],
     ])
     def test_non_numeric_values_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -247,21 +251,23 @@ class TestArgumentValidation:
 
     def test_removed_kernels_flag_is_a_usage_error(self, capsys):
         for command, flag, value in (
-            ("synthesize", "--kernels", "numpy"),
-            ("synthesize", "--solver", "bnb"),
-            ("batch", "--solver", "bnb"),
-            ("synthesize", "--max-cluster-arcs", "4"),
+            (["synthesize", "x.json"], "--kernels", "numpy"),
+            (["synthesize", "x.json"], "--solver", "bnb"),
+            (["batch", "x.json"], "--solver", "bnb"),
+            (["synthesize", "x.json"], "--max-cluster-arcs", "4"),
+            (["synthesize", "x.json"], "--jobs", "2"),
+            (["demo", "wan"], "--jobs", "2"),
         ):
             with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args([command, "x.json", flag, value])
+                build_parser().parse_args(command + [flag, value])
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
 
     def test_valid_values_still_accepted(self):
         args = build_parser().parse_args(
-            ["synthesize", "x.json", "--deadline", "2.5", "--jobs", "4"]
+            ["synthesize", "x.json", "--deadline", "2.5", "--max-arity", "4"]
         )
-        assert args.deadline == 2.5 and args.jobs == 4
+        assert args.deadline == 2.5 and args.max_arity == 4
 
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve"])

@@ -44,7 +44,6 @@ def _synthesize_args(instance, journal, out):
     return (
         "synthesize", str(instance),
         "--max-arity", "3",
-        "--jobs", "2",
         "--checkpoint", str(journal),
         "--resume",
         "--quiet",

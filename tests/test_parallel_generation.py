@@ -1,8 +1,7 @@
-"""Parallel candidate generation and the hot-path correctness fixes.
+"""Vectorized candidate generation and the hot-path correctness fixes.
 
-Covers the parallel/vectorized pipeline's identity guarantee (jobs=N is
-byte-identical to serial) plus regression tests for four bugs fixed in
-the same change:
+Covers the batched pruning predicates' agreement with the scalar ones,
+plus regression tests for four bugs fixed in the same change:
 
 1. ``_Search.run`` recursed twice per node — RecursionError on covering
    instances a few hundred columns wide (now an explicit stack);
@@ -25,17 +24,11 @@ import numpy as np
 import pytest
 
 from repro import (
-    Budget,
     CommunicationLibrary,
-    FaultInjector,
-    FaultSpec,
     Link,
     NodeKind,
     NodeSpec,
-    PruningLevel,
-    SynthesisOptions,
     generate_candidates,
-    synthesize,
 )
 from repro.core.matrices import compute_matrices
 from repro.core.merging import stage_cost
@@ -49,55 +42,6 @@ from repro.core.pruning import (
 from repro.covering.bnb import SolverOptions, solve_cover
 from repro.covering.matrix import Column, CoveringProblem
 from repro.netgen import parallel_channels_graph
-
-
-def _candidate_fingerprint(cs):
-    """Everything observable about a candidate set, in order."""
-    return [(c.arc_names, c.label(), c.cost, c.plan) for c in cs.all]
-
-
-class TestParallelIdentity:
-    """jobs=N must reproduce the serial pipeline byte for byte."""
-
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_wan_candidates_identical(self, wan_graph, wan_lib, jobs):
-        serial = generate_candidates(wan_graph, wan_lib)
-        par = generate_candidates(wan_graph, wan_lib, jobs=jobs)
-        assert _candidate_fingerprint(par) == _candidate_fingerprint(serial)
-        assert par.stats == serial.stats
-
-    def test_wan_synthesis_identical(self, wan_graph, wan_lib):
-        serial = synthesize(wan_graph, wan_lib)
-        par = synthesize(wan_graph, wan_lib, SynthesisOptions(jobs=2))
-        assert par.total_cost == serial.total_cost
-        assert [c.label() for c in par.selected] == [c.label() for c in serial.selected]
-        assert par.cover.column_names == serial.cover.column_names
-
-    def test_parallel_with_pruning_none(self, wan_graph, wan_lib):
-        """The unpruned path fans out far more plans — still identical."""
-        serial = generate_candidates(
-            wan_graph, wan_lib, pruning=PruningLevel.NONE, max_arity=3
-        )
-        par = generate_candidates(
-            wan_graph, wan_lib, pruning=PruningLevel.NONE, max_arity=3, jobs=2
-        )
-        assert _candidate_fingerprint(par) == _candidate_fingerprint(serial)
-        assert par.stats == serial.stats
-
-    def test_jobs_must_be_positive(self, wan_graph, wan_lib):
-        with pytest.raises(ValueError, match="jobs"):
-            generate_candidates(wan_graph, wan_lib, jobs=0)
-
-    def test_parallel_budget_truncation(self, wan_graph, wan_lib):
-        """A deadline expiring during merging enumeration truncates the
-        parallel run cleanly between chunks: point-to-point candidates
-        complete, truncation flagged, no hang, pool torn down."""
-        with FaultInjector([FaultSpec(site="candidates.subset", kind="timeout")]):
-            cs = generate_candidates(
-                wan_graph, wan_lib, jobs=2, budget=Budget(deadline_s=30.0)
-            )
-        assert cs.stats.budget_truncated
-        assert len(cs.point_to_point) == 8
 
 
 class TestBnbExplicitStack:
@@ -273,98 +217,3 @@ class TestLibraryDerivedCaches:
         assert best_point_to_point(50.0, 10.0, clone).cost == pytest.approx(
             best_point_to_point(50.0, 10.0, lib).cost
         )
-
-
-class TestWorkerCounterAccounting:
-    """Every exported count must equal the sum of per-worker obs
-    counters — drift between the stats a run reports and the work its
-    workers actually did would make both untrustworthy."""
-
-    @pytest.fixture(scope="class")
-    def traced_parallel(self, wan_graph, wan_lib):
-        from repro.obs import Tracer, tracing
-
-        tracer = Tracer(label="accounting")
-        with tracing(tracer):
-            candidates = generate_candidates(wan_graph, wan_lib, jobs=4)
-        return candidates, tracer
-
-    def test_workers_reported(self, traced_parallel):
-        _, tracer = traced_parallel
-        assert tracer.worker_snapshots
-        for snap in tracer.worker_snapshots:
-            assert snap.label.startswith("worker-")
-            assert snap.counters["candidates.plans.built"] > 0
-
-    def test_survivor_counts_equal_worker_sums(self, traced_parallel):
-        candidates, tracer = traced_parallel
-        workers = tracer.worker_snapshots
-        for k, survivors in candidates.stats.survivors_by_k.items():
-            worker_sum = sum(
-                snap.counters.get(f"candidates.survivors.k{k}", 0) for snap in workers
-            )
-            assert worker_sum == survivors, f"k={k} drifted"
-
-    def test_built_counts_balance(self, traced_parallel):
-        _, tracer = traced_parallel
-        for snap in tracer.worker_snapshots:
-            built = snap.counters["candidates.plans.built"]
-            feasible = snap.counters.get("candidates.plans.feasible", 0)
-            infeasible = snap.counters.get("candidates.plans.infeasible", 0)
-            assert built == feasible + infeasible
-
-    def test_merged_totals_equal_stats(self, traced_parallel):
-        candidates, tracer = traced_parallel
-        c = tracer.counters
-        total_plans = sum(candidates.stats.pruning_survivors_by_k.values())
-        assert c["candidates.plans.built"] == total_plans
-        assert c["candidates.plans.feasible"] == sum(
-            candidates.stats.survivors_by_k.values()
-        )
-
-    def test_parallel_counters_match_serial(self, wan_graph, wan_lib, traced_parallel):
-        from repro.obs import Tracer, tracing
-
-        _, parallel_tracer = traced_parallel
-        serial_tracer = Tracer(label="serial")
-        with tracing(serial_tracer):
-            generate_candidates(wan_graph, wan_lib, jobs=None)
-        assert serial_tracer.counters == parallel_tracer.counters
-
-
-class TestJobsClamp:
-    """jobs above the machine's core count are clamped, and the clamp is
-    observable (stats.effective_jobs) without perturbing stats equality."""
-
-    def test_jobs_clamped_to_cpu_count(self, wan_graph, wan_lib, monkeypatch, caplog):
-        import logging
-
-        from repro.core import candidates as cand_mod
-
-        monkeypatch.setattr(cand_mod, "_cpu_count", lambda: 2)
-        with caplog.at_level(logging.INFO, logger=cand_mod.__name__):
-            cs = generate_candidates(wan_graph, wan_lib, jobs=8)
-        assert cs.stats.effective_jobs == 2
-        assert any("clamping jobs=8" in r.message for r in caplog.records)
-
-    def test_jobs_under_count_untouched(self, wan_graph, wan_lib, monkeypatch):
-        from repro.core import candidates as cand_mod
-
-        monkeypatch.setattr(cand_mod, "_cpu_count", lambda: 4)
-        cs = generate_candidates(wan_graph, wan_lib, jobs=3)
-        assert cs.stats.effective_jobs == 3
-
-    def test_serial_effective_jobs_is_one(self, wan_graph, wan_lib):
-        assert generate_candidates(wan_graph, wan_lib).stats.effective_jobs == 1
-        assert generate_candidates(wan_graph, wan_lib, jobs=1).stats.effective_jobs == 1
-
-    def test_clamp_does_not_perturb_stats_equality(self, wan_graph, wan_lib, monkeypatch):
-        # effective_jobs is compare=False metadata: a clamped parallel
-        # run and a serial run still report equal GenerationStats
-        from repro.core import candidates as cand_mod
-
-        serial = generate_candidates(wan_graph, wan_lib)
-        monkeypatch.setattr(cand_mod, "_cpu_count", lambda: 2)
-        clamped = generate_candidates(wan_graph, wan_lib, jobs=16)
-        assert clamped.stats.effective_jobs == 2
-        assert clamped.stats == serial.stats

@@ -1,12 +1,11 @@
-"""Pool-worker failure recovery: a dead worker never kills synthesis.
+"""Pool-worker failure recovery: a dead worker never loses a task.
 
 The ``worker_crash`` fault kind makes a pool worker die abruptly
-(``os._exit``) mid-chunk — the same observable behaviour as a segfault
+(``os._exit``) mid-task — the same observable behaviour as a segfault
 or an OOM kill.  ``ProcessPoolExecutor`` is fail-stop (one dead worker
-breaks the whole pool), so the dispatcher must rebuild the pool,
-re-dispatch the lost chunks, and still produce the byte-identical
-candidate set, with the recovery visible in the stats and the
-degradation report.
+breaks the whole pool), so :class:`~repro.runtime.pool.WorkerPool`
+must rebuild it and re-dispatch the lost tasks.  Batch mode and the
+server build on it (``test_batch.py``, ``test_serve_chaos.py``).
 """
 
 from __future__ import annotations
@@ -22,113 +21,18 @@ from pathlib import Path
 
 import pytest
 
-from repro import (
-    Budget,
-    FaultInjector,
-    FaultSpec,
-    SynthesisOptions,
-    WorkerCrashFault,
-    generate_candidates,
-    synthesize,
-)
+from repro import FaultInjector, FaultSpec, WorkerCrashFault
 from repro.runtime import fault_point
-from repro.domains import mpeg4_example
-from repro.domains.mpeg4 import MPEG4_MAX_ARITY
-from repro.obs import Tracer, tracing
 from repro.runtime.pool import WorkerLost, WorkerPool
 
 
-@pytest.fixture(scope="module")
-def mpeg4():
-    return mpeg4_example()
-
-
-def _candidate_key(cs):
-    return [(c.arc_names, c.label(), c.cost) for c in cs.all]
-
-
 def test_worker_crash_fault_kind_raises_worker_crash_fault():
-    spec = FaultSpec(site="pool.dispatch.k2", kind="worker_crash")
-    exc = spec.build_exception("pool.dispatch.k2")
+    spec = FaultSpec(site="batch.dispatch", kind="worker_crash")
+    exc = spec.build_exception("batch.dispatch")
     assert isinstance(exc, WorkerCrashFault)
     with FaultInjector([spec]):
         with pytest.raises(WorkerCrashFault):
-            fault_point("pool.dispatch.k2")
-
-
-@pytest.mark.parametrize("arity", [2, 3])
-def test_crash_during_arity_k_recovers_identically(mpeg4, arity):
-    graph, library = mpeg4
-    clean = generate_candidates(graph, library, max_arity=MPEG4_MAX_ARITY, jobs=2)
-    spec = FaultSpec(site=f"pool.dispatch.k{arity}", kind="worker_crash", times=1)
-    with FaultInjector([spec], seed=11):
-        crashed = generate_candidates(graph, library, max_arity=MPEG4_MAX_ARITY, jobs=2)
-    assert _candidate_key(clean) == _candidate_key(crashed)
-    assert crashed.stats.worker_recoveries >= 1
-    assert clean.stats.worker_recoveries == 0
-
-
-def test_repeated_crashes_fall_back_to_serial_solve(mpeg4):
-    """A chunk whose re-dispatch dies again is solved in-process."""
-    graph, library = mpeg4
-    clean = generate_candidates(graph, library, max_arity=MPEG4_MAX_ARITY, jobs=2)
-    spec = FaultSpec(site="pool.dispatch.*", kind="worker_crash")  # every dispatch
-    tracer = Tracer(label="rescue")
-    with tracing(tracer), FaultInjector([spec], seed=0):
-        crashed = generate_candidates(graph, library, max_arity=MPEG4_MAX_ARITY, jobs=2)
-    assert _candidate_key(clean) == _candidate_key(crashed)
-    assert crashed.stats.worker_recoveries >= 1
-    assert tracer.local_counters.get("pool.inprocess_rescues", 0) >= 1
-
-
-def test_recoveries_reach_the_degradation_report(mpeg4, tmp_path):
-    graph, library = mpeg4
-    options = SynthesisOptions(max_arity=MPEG4_MAX_ARITY, jobs=2)
-    spec = FaultSpec(site="pool.dispatch.k2", kind="worker_crash", times=1)
-    with FaultInjector([spec], seed=5):
-        result = synthesize(graph, library, options, budget=Budget(deadline_s=120.0))
-    assert result.degradation is not None
-    assert result.degradation.worker_recoveries >= 1
-    assert f"worker_recoveries={result.degradation.worker_recoveries}" in (
-        result.degradation.summary()
-    )
-    assert result.degradation.to_dict()["worker_recoveries"] >= 1
-
-
-def test_recoveries_are_counted_locally_in_the_tracer(mpeg4):
-    graph, library = mpeg4
-    tracer = Tracer(label="crash")
-    spec = FaultSpec(site="pool.dispatch.k2", kind="worker_crash", times=1)
-    with tracing(tracer):
-        with FaultInjector([spec], seed=5):
-            generate_candidates(graph, library, max_arity=MPEG4_MAX_ARITY, jobs=2)
-    # local (process-dependent) counter, so serial-vs-parallel counter
-    # identity assertions elsewhere stay valid
-    assert tracer.local_counters.get("pool.worker_recoveries", 0) >= 1
-    assert "pool.worker_recoveries" not in tracer.counters
-
-
-def test_crash_with_checkpoint_journal_composes(mpeg4, tmp_path):
-    """Crash recovery and the journal are orthogonal: a crashed run's
-    journal resumes to the identical result."""
-    graph, library = mpeg4
-    path = str(tmp_path / "j.ckpt")
-    options = SynthesisOptions(
-        max_arity=MPEG4_MAX_ARITY, jobs=2, checkpoint_path=path
-    )
-    spec = FaultSpec(site="pool.dispatch.k2", kind="worker_crash", times=1)
-    with FaultInjector([spec], seed=9):
-        crashed = synthesize(graph, library, options)
-    resumed = synthesize(
-        graph,
-        library,
-        SynthesisOptions(max_arity=MPEG4_MAX_ARITY, checkpoint_path=path, resume=True),
-    )
-    assert sorted(c.label() for c in crashed.selected) == sorted(
-        c.label() for c in resumed.selected
-    )
-    assert crashed.total_cost == resumed.total_cost
-    assert resumed.candidates.stats.chunks_replayed >= 1
+            fault_point("batch.dispatch")
 
 
 def test_worker_crash_fault_is_not_a_synthesis_error():

@@ -143,6 +143,22 @@ def test_manifest_with_a_retired_option_value_is_refused(tmp_path, key, value):
         QueueWorker(qdir)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("max_arity", 0), ("strategy", "colgen"), ("demand_margin", -1.0)]
+)
+def test_manifest_with_an_invalid_option_value_is_refused(tmp_path, key, value):
+    """A value SynthesisOptions refuses fails the worker up front, as a
+    BatchError, instead of solving every shard into the same error."""
+    corpus = discover_corpus(_make_corpus(tmp_path / "corpus", count=1))
+    qdir = tmp_path / "q"
+    enqueue(qdir, _tasks(corpus, SynthesisOptions()), SynthesisOptions(), None, QueueConfig())
+    doc = load_manifest(qdir)
+    doc["options"][key] = value
+    _Paths(qdir).manifest.write_text(canonical_json(doc))
+    with pytest.raises(BatchError, match=key):
+        QueueWorker(qdir)
+
+
 def test_enqueue_shards_in_corpus_order(tmp_path):
     qdir, _, tasks, _ = _enqueued(tmp_path, count=5, shard_size=2)
     doc = load_manifest(qdir)

@@ -79,6 +79,22 @@ class TestDriverBehaviour:
                 budget=Budget(deadline_s=60.0) if budgeted else None,
             )
 
+    @pytest.mark.parametrize("driver", ["synthesize", "incremental", "lid"])
+    @pytest.mark.parametrize("max_arity", [0, -1])
+    def test_nonpositive_max_arity_rejected(self, wan_graph, wan_lib, driver, max_arity):
+        # below 1 no merging exists: every driver used to serve the
+        # point-to-point baseline silently
+        from repro.core.incremental import IncrementalSynthesizer
+        from repro.domains.lid import lid_aware_synthesize
+
+        run = {
+            "synthesize": lambda o: synthesize(wan_graph, wan_lib, o),
+            "incremental": lambda o: IncrementalSynthesizer(wan_graph, wan_lib, o).solve(),
+            "lid": lambda o: lid_aware_synthesize(wan_graph, wan_lib, l_clock=2.0, options=o),
+        }[driver]
+        with pytest.raises(SynthesisError, match="max_arity"):
+            run(SynthesisOptions(max_arity=max_arity))
+
     def test_infeasible_arc_raises(self, wan_graph):
         from repro import CommunicationLibrary, Link
 
