@@ -13,6 +13,7 @@ with the other benchmark records).
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from repro.batch import discover_corpus, run_batch, stable_result_dict
@@ -77,6 +78,7 @@ def test_bench_batch_warm_cache(tmp_path, benchmark):
 
     doc = {
         "corpus_size": CORPUS_SIZE,
+        "nproc": os.cpu_count(),
         "cold_s": cold.elapsed_s,
         "warm_s": warm.elapsed_s,
         "speedup": speedup,

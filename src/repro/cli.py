@@ -191,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         metavar="DIR",
         help="persistent cross-run cache directory: derived results "
-        "(point-to-point plans, merging placements) are reused across "
-        "runs over the same library (see repro.core.cache)",
+        "(merging placements, mixed chains) are reused across runs "
+        "over the same library (see repro.core.cache)",
     )
     syn.add_argument("--out", help="write a JSON result summary here")
     syn.add_argument("--svg", help="write an SVG drawing of the architecture here")

@@ -5,16 +5,19 @@ libraries and floorplans, the sensitivity/Pareto analyses, batch runs
 over instance corpora — re-solve near-identical instances where most
 derived results are shared.  This module gives those results a home
 that outlives the process: a versioned, CRC-checked on-disk store
-memoizing
+memoizing two spaces of results,
 
-- **point-to-point plans** — :func:`~repro.core.point_to_point.best_point_to_point`
-  results keyed by ``(library fingerprint, distance, bandwidth)``; the
-  per-arc segmentation/duplication structures of Definition 2.7;
-- **mixed chains** — heterogeneous segmentations keyed the same way;
-- **merging plans** — :func:`~repro.core.merging.build_merging_plan`
+- ``merge`` — **merging plans**: :func:`~repro.core.merging.build_merging_plan`
   placement solves keyed by ``(library fingerprint, norm, polish flag,
-  group geometry + bandwidths)`` — the dominant recomputation when a
-  sweep re-solves the same groups.
+  group geometry + bandwidths)``, the dominant recomputation when a
+  sweep re-solves the same groups;
+- ``mixed`` — **mixed chains**: heterogeneous segmentations keyed by
+  ``(library fingerprint, distance, bandwidth)``.
+
+Point-to-point plans (Definition 2.7) are not stored: one costs about
+as much to compute as to decode from a record, and the first lookup in
+a space decodes that space's whole file.  They keep the in-process memo
+of :func:`~repro.core.point_to_point.best_point_to_point`.
 
 Correctness model
 -----------------
@@ -35,8 +38,8 @@ loses the torn records.  The store is a local, same-trust-boundary
 file set (values are pickled) — do not point it at untrusted data.
 
 The cache is *ambient*: install one with :func:`persistent_cache`
-around any synthesis code and the hot paths consult it on their
-in-memory memo misses::
+around any synthesis code and the hot paths consult it before they
+recompute::
 
     from repro.core.cache import PersistentCache, persistent_cache
 
@@ -161,8 +164,8 @@ class PersistentCache:
 
     One instance owns one cache *directory*; entry files inside it are
     named ``{space}-v{CACHE_VERSION}-{fp16}.jsonl`` where ``space`` is
-    the result family (``p2p``, ``mixed``, ``merge``) and ``fp16`` the
-    library fingerprint prefix.  Safe to share the directory between
+    the result family (``merge``, ``mixed``) and ``fp16`` the library
+    fingerprint prefix.  Safe to share the directory between
     concurrent processes (appends are atomic-enough lines; corrupted
     interleavings are CRC-discarded).  Not thread-safe within one
     process — one handle per worker.

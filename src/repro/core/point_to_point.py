@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..obs import current_tracer
-from .cache import current_persistent_cache
 from .constraint_graph import Arc, ConstraintGraph
 from .exceptions import AssumptionViolation, InfeasibleError, LibraryError
 from .geometry import Point
@@ -181,7 +180,9 @@ def best_point_to_point(
     version-keyed :meth:`~repro.core.library.CommunicationLibrary.derived_cache`
     — every merging plan makes ``2K + 1`` calls with heavily repeated
     arguments, and the memo is dropped automatically when the library
-    mutates.  Plans are frozen, so sharing one instance is safe.
+    mutates.  Plans are frozen, so sharing one instance is safe.  The
+    persistent cache (:mod:`repro.core.cache`) does not store them: a
+    plan costs about as much to compute as to decode from a record.
     """
     cache = library.derived_cache("p2p_plans")
     key = (distance, bandwidth)
@@ -192,15 +193,6 @@ def best_point_to_point(
         current_tracer().count_local("cache.p2p.hit")
         return cached
     current_tracer().count_local("cache.p2p.miss")
-    # cross-run persistent store (repro.core.cache), consulted only on
-    # an in-memory memo miss; a hit is the pickled original plan, so
-    # cached and recomputed runs are byte-identical.
-    store = current_persistent_cache()
-    if store is not None:
-        found, stored = store.lookup("p2p", library, [distance, bandwidth])
-        if found and stored is not None:
-            cache[key] = stored
-            return stored
     library.validate()
     plans = [
         plan
@@ -214,8 +206,6 @@ def best_point_to_point(
             f"mux/demux the library does not provide"
         )
     best = min(plans, key=lambda p: (p.cost, p.link_count, p.link.name))
-    if store is not None:
-        store.put("p2p", library, [distance, bandwidth], best)
     cache[key] = best
     return best
 
