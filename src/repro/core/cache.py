@@ -78,9 +78,10 @@ __all__ = [
 
 #: bump on any incompatible change to the record schema or to the
 #: answers of the solvers whose results are stored (version 2: merge
-#: placement); entry files are version-suffixed, so a bump orphans old
-#: files instead of misreading them.
-CACHE_VERSION = 2
+#: placement; version 3: the certified placement of a pinned side);
+#: entry files are version-suffixed, so a bump orphans old files
+#: instead of misreading them.
+CACHE_VERSION = 3
 
 
 def library_fingerprint(library: CommunicationLibrary) -> str:

@@ -20,7 +20,6 @@ descriptions) and can materialize them into an implementation graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,19 +30,18 @@ from .geometry import Norm, Point
 from .implementation import ImplementationGraph, Path
 from .library import CommunicationLibrary, NodeKind, NodeSpec
 from .mux_trees import tree_node_count
-from .placement import StageCost, optimize_two_points
+from .placement import optimize_two_points
 # perfbench traces the placement layer under this module's names
 from .placement import optimize_two_points_batch  # noqa: F401
 from .point_to_point import (
     PointToPointPlan,
     best_point_to_point,
-    make_cost_oracle,
     materialize_plan,
+    stage_cost,
 )
 
 __all__ = [
     "MergingPlan",
-    "stage_cost",
     "build_merging_plan",
     "build_merging_plans_batch",
     "materialize_merging",
@@ -98,42 +96,6 @@ class MergingPlan:
             hops = (fplan.segments - 1) + 1 + trunk_hops + 1 + (dplan.segments - 1)
             worst = max(worst, hops)
         return worst
-
-
-def stage_cost(bandwidth: float, library: CommunicationLibrary) -> StageCost:
-    """The cost-versus-length function of one pipeline stage.
-
-    Uses the fast algebraic oracle
-    (:func:`repro.core.point_to_point.make_cost_oracle`) at fixed
-    bandwidth; results are cached on the library (one closure per
-    bandwidth value — merged candidates reuse the same arc bandwidths
-    heavily).  The cache is keyed on the library's mutation counter via
-    :meth:`~repro.core.library.CommunicationLibrary.derived_cache`, so
-    adding a link or node after a run can never reuse stale costs.
-    Linearity is detected by sampling (cost(0) = 0 and proportional
-    growth at three probe lengths); when linear, the slope unlocks the
-    fast Weiszfeld placement path.  Detection only affects *where* the
-    optimizer searches — final costs are always exact evaluations.
-    """
-    cache = library.derived_cache("stage_cost")
-    cached = cache.get(bandwidth)
-    if cached is not None:
-        return cached
-
-    oracle = make_cost_oracle(bandwidth, library)
-
-    def fn(d: float) -> float:
-        return oracle(max(d, 0.0))
-
-    at_zero = fn(0.0)
-    probes = (0.7, 1.3, 2.6)
-    base = fn(1.0)
-    is_linear = at_zero == 0.0 and all(
-        math.isclose(fn(p), base * p, rel_tol=1e-9, abs_tol=1e-12) for p in probes
-    )
-    result = StageCost(fn=fn, is_linear=is_linear, slope=base if is_linear else 0.0)
-    cache[bandwidth] = result
-    return result
 
 
 def _merge_cache_key(

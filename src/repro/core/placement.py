@@ -29,7 +29,11 @@ Two regimes:
 Degenerate anchors are honoured: when every source coincides the merge
 point is pinned there (no feeders), and symmetrically for the split
 point — this is exactly the paper's Example 1, where a4, a5, a6 all
-terminate on node D and the demux degenerates into D itself.
+terminate on node D and the demux degenerates into D itself.  The free
+point is then a single-facility Fermat–Weber problem, solved by the same
+certified descent.  Linearity is the stage cost's own verdict
+(:func:`repro.core.point_to_point.stage_cost`), read off the library's
+link structures.
 """
 
 from __future__ import annotations
@@ -341,54 +345,29 @@ def weiszfeld(
 ) -> Tuple[Point, int]:
     """Weighted Fermat–Weber point: argmin_s Σ w_i ||x_i - s||_2.
 
-    Classic Weiszfeld iteration with ε-smoothing, after an exact
-    anchor-optimality shortcut; stops once a step moves less than
-    ``1e-9`` of the anchor spread and returns the point and the number
-    of iterations used.  Zero-weight anchors are ignored; a single
-    effective anchor returns that anchor directly.
+    Runs :func:`_fermat_weber` (the exact anchor-optimality test, then
+    the damped Newton / Weiszfeld descent to a certified gap) from
+    ``start``, the weighted centroid by default, in coordinates relative
+    to the first anchor, so precision follows the anchors' spread rather
+    than their distance from the origin; an answer on an anchor returns
+    that anchor exactly.  Returns the point and the number of iterations
+    used.  Zero-weight anchors are ignored; a single effective anchor
+    returns that anchor directly.
     """
-    pts = [(p.x, p.y, w) for p, w in zip(anchors, weights) if w > 0]
+    pts = [(p, w) for p, w in zip(anchors, weights) if w > 0]
     if not pts:
         raise ValueError("weiszfeld needs at least one positively weighted anchor")
     if len(pts) == 1:
-        return Point(pts[0][0], pts[0][1]), 0
-    i = _optimal_anchor(pts)
-    if i is not None:
-        return Point(pts[i][0], pts[i][1]), 0
+        return pts[0][0], 0
     if start is None:
-        total = sum(w for _, _, w in pts)
-        start = Point(sum(x * w for x, _, w in pts) / total, sum(y * w for _, y, w in pts) / total)
-    cx, cy = start.x, start.y
-    # the step tolerance and smoothing scale with the anchor spread, so
-    # km-scale and mm-scale instances behave identically
-    xs = [a[0] for a in pts]
-    ys = [a[1] for a in pts]
-    spread = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-    tol = 1e-9 * spread
-    smoothing = (1e-12 * spread) ** 2
-    iterations = 0
-    for iterations in range(1, _WEISZFELD_MAX_ITER + 1):
-        num_x = num_y = den = 0.0
-        for ax, ay, aw in pts:
-            dx = ax - cx
-            dy = ay - cy
-            d2 = dx * dx + dy * dy
-            if d2 == 0.0:
-                # an anchor on the iterate exerts no directional pull
-                continue
-            coef = aw / math.sqrt(d2 + smoothing)
-            num_x += coef * ax
-            num_y += coef * ay
-            den += coef
-        if den == 0.0:
-            break  # every anchor coincides with the iterate: nothing pulls
-        nx = num_x / den
-        ny = num_y / den
-        moved = max(abs(nx - cx), abs(ny - cy))
-        cx, cy = nx, ny
-        if moved < tol:
-            break
-    return Point(cx, cy), iterations
+        total = sum(w for _, w in pts)
+        start = Point(sum(p.x * w for p, w in pts) / total, sum(p.y * w for p, w in pts) / total)
+    ox, oy = pts[0][0]
+    exact = {(p.x - ox, p.y - oy): p for p, _ in pts}
+    x, y, iterations = _fermat_weber(
+        [(p.x - ox, p.y - oy, w) for p, w in pts], start.x - ox, start.y - oy
+    )
+    return exact.get((x, y)) or Point(x + ox, y + oy), iterations
 
 
 def _discs_meet(discs: Sequence[Tuple[float, float, float]], slack: float) -> bool:
@@ -591,39 +570,28 @@ def _linear_placement(
     feeder_costs: Sequence[StageCost],
     trunk_cost: StageCost,
     distributor_costs: Sequence[StageCost],
-    F: Callable[[Point, Point], float],
     pinned_s: Optional[Point],
     pinned_t: Optional[Point],
 ) -> Tuple[Point, Point, int]:
     """(s, t, iterations) minimizing the linear objective, the free
     points started at their sides' centroids.
 
-    With one point pinned the other solves a single-facility problem:
-    :func:`weiszfeld` is repeated from its last answer until ``F`` (the
-    exact objective) stops improving.
+    With one point pinned the other is the Fermat–Weber point of its
+    side's anchors plus the pinned point, weighted by the trunk
+    (:func:`weiszfeld`).
     """
     s = pinned_s if pinned_s is not None else centroid(list(sources))
     t = pinned_t if pinned_t is not None else centroid(list(sinks))
     w = trunk_cost.slope
-    if pinned_s is not None or pinned_t is not None:
-        if pinned_s is not None:
-            anchors = list(sinks) + [s]
-            weights = [c.slope for c in distributor_costs] + [w]
-        else:
-            anchors = list(sources) + [t]
-            weights = [c.slope for c in feeder_costs] + [w]
-        iterations = 0
-        prev = F(s, t)
-        for _ in range(60):
-            if pinned_s is not None:
-                t, used = weiszfeld(anchors, weights, start=t)
-            else:
-                s, used = weiszfeld(anchors, weights, start=s)
-            iterations += used
-            cur = F(s, t)
-            if prev - cur < 1e-12 * max(1.0, abs(prev)):
-                break
-            prev = cur
+    if pinned_s is not None:
+        t, iterations = weiszfeld(
+            list(sinks) + [s], [c.slope for c in distributor_costs] + [w], start=t
+        )
+        return s, t, iterations
+    if pinned_t is not None:
+        s, iterations = weiszfeld(
+            list(sources) + [t], [c.slope for c in feeder_costs] + [w], start=s
+        )
         return s, t, iterations
     # Solve in coordinates relative to one anchor, so precision follows
     # the anchors' spread rather than their distance from the origin;
@@ -687,7 +655,7 @@ def optimize_two_points(
     )
     if all_linear and norm.name == "euclidean":
         s, t, iterations = _linear_placement(
-            sources, sinks, feeder_costs, trunk_cost, distributor_costs, F, pinned_s, pinned_t
+            sources, sinks, feeder_costs, trunk_cost, distributor_costs, pinned_s, pinned_t
         )
         current_tracer().count("placement.iterations", iterations)
         return PlacementResult(s, t, F(s, t), iterations, "weiszfeld")
@@ -702,7 +670,6 @@ def optimize_two_points(
         [_linearize(c, scale) for c in feeder_costs],
         _linearize(trunk_cost, scale),
         [_linearize(c, scale) for c in distributor_costs],
-        F,
         pinned_s,
         pinned_t,
     )

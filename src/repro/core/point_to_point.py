@@ -14,6 +14,9 @@ library link type ``l``:
    when both fail;
 
 and returns the cheapest feasible plan as a :class:`PointToPointPlan`.
+One formula prices every structure (:class:`_StageModel`); at fixed
+bandwidth it is also the placement objective's cost of one stage
+(:func:`stage_cost`), whose linearity is read off the structures.
 Plans are pure descriptions — materializing one into an
 :class:`~repro.core.implementation.ImplementationGraph` is
 :func:`materialize_plan`'s job, so candidate generation can cost
@@ -37,15 +40,21 @@ from .exceptions import AssumptionViolation, InfeasibleError, LibraryError
 from .geometry import Point
 from .implementation import ArcImplementationKind, ImplementationGraph, Path
 from .library import CommunicationLibrary, Link, NodeKind, NodeSpec
+from .placement import StageCost
 
 __all__ = [
     "PointToPointPlan",
     "best_point_to_point",
     "point_to_point_cost",
-    "make_cost_oracle",
+    "stage_cost",
     "materialize_plan",
     "check_assumption",
 ]
+
+#: relative slack of the linearity verdict's bounds: far above the
+#: rounding of their few terms, far below any cost difference that
+#: matters.
+_LINEAR_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -112,56 +121,116 @@ class PointToPointPlan:
         return hops
 
 
-def _plan_for_link(
-    link: Link,
-    distance: float,
-    bandwidth: float,
-    library: CommunicationLibrary,
-) -> Optional[PointToPointPlan]:
-    """Best plan using only ``link``; ``None`` when structurally infeasible
-    (a needed repeater or mux/demux type is absent from the library)."""
-    if distance < 0 or bandwidth <= 0:
-        raise InfeasibleError(f"degenerate requirement d={distance}, b={bandwidth}")
+class _StageModel:
+    """Every structure that carries one bandwidth over a library, priced
+    by one formula: ``M`` parallel chains of one link type, behind the
+    cheapest mux/demux pair (costing ``o``) when ``M >= 2``, each chain
+    ``K = 1`` segment within the link's reach ``L`` and ``ceil(d / L)``
+    past it, joined by ``K - 1`` repeaters::
 
-    if distance == 0.0 or link.can_span(distance):
-        segments = 1
-    else:
-        if math.isinf(link.max_length):  # pragma: no cover - can_span(inf) is always true
-            segments = 1
-        else:
-            segments = int(math.ceil(distance / link.max_length - 1e-12))
+        f(d) = M·(K·c_fixed + c_unit·d + (K - 1)·c_rep) + o
+    """
 
-    if link.can_carry(bandwidth):
-        branches = 1
-    else:
-        branches = int(math.ceil(bandwidth / link.bandwidth - 1e-12))
+    __slots__ = ("structures", "repeater", "mux", "demux", "stage")
 
-    repeater = library.cheapest_node(NodeKind.REPEATER) if segments > 1 else None
-    if segments > 1 and repeater is None:
-        return None
-    mux = library.cheapest_node(NodeKind.MUX) if branches > 1 else None
-    demux = library.cheapest_node(NodeKind.DEMUX) if branches > 1 else None
-    if branches > 1 and (mux is None or demux is None):
-        return None
+    def __init__(self, bandwidth: float, library: CommunicationLibrary) -> None:
+        library.validate()
+        self.repeater = library.cheapest_node(NodeKind.REPEATER)
+        self.mux = library.cheapest_node(NodeKind.MUX)
+        self.demux = library.cheapest_node(NodeKind.DEMUX)
+        # (M, o, c_fixed, c_unit, L or None when unbounded, link)
+        structures = []
+        for link in library.links:
+            reach = None if math.isinf(link.max_length) else link.max_length
+            if link.can_carry(bandwidth):
+                branches, overhead = 1, 0.0
+            elif self.mux is not None and self.demux is not None:
+                branches = int(math.ceil(bandwidth / link.bandwidth - 1e-12))
+                overhead = self.mux.cost + self.demux.cost
+            else:
+                continue
+            structures.append(
+                (branches, overhead, link.cost_fixed, link.cost_per_unit, reach, link)
+            )
+        self.structures = tuple(structures)
+        slope = self._linear_slope()
+        self.stage = StageCost(fn=self.cost, is_linear=slope is not None, slope=slope or 0.0)
 
-    per_chain = segments * link.cost_of(distance / segments)
-    if repeater is not None:
-        per_chain += (segments - 1) * repeater.cost
-    cost = branches * per_chain
-    if branches > 1:
-        cost += mux.cost + demux.cost
+    def cheapest(self, distance: float) -> Optional[Tuple[float, int, int, Link]]:
+        """``(cost, segments, branches, link)`` of the cheapest structure
+        at ``distance``; ties break toward fewer link instances, then
+        link name.  None when every structure needs an absent repeater."""
+        rep = None if self.repeater is None else self.repeater.cost
+        best = None
+        best_cost = math.inf
+        for branches, overhead, cf, cu, reach, link in self.structures:
+            if reach is None or distance <= reach * (1 + 1e-12):
+                segments = 1
+            elif rep is None:
+                continue
+            else:
+                segments = int(math.ceil(distance / reach - 1e-12))
+            chain = segments * cf + cu * distance
+            if segments > 1:
+                chain += (segments - 1) * rep
+            cost = branches * chain + overhead
+            if cost < best_cost or (
+                cost == best_cost
+                and best is not None
+                and (branches * segments, link.name) < (best[2] * best[1], best[3].name)
+            ):
+                best_cost = cost
+                best = (cost, segments, branches, link)
+        return best
 
-    return PointToPointPlan(
-        link=link,
-        segments=segments,
-        branches=branches,
-        distance=distance,
-        bandwidth=bandwidth,
-        repeater=repeater,
-        mux=mux,
-        demux=demux,
-        cost=cost,
-    )
+    def cost(self, distance: float) -> float:
+        """The stage's cost at ``distance`` (negative lengths clamp to 0)."""
+        best = self.cheapest(max(distance, 0.0))
+        if best is None:
+            raise InfeasibleError(f"no link structure spans distance {distance}")
+        return best[0]
+
+    def _linear_slope(self) -> Optional[float]:
+        """The ``c`` with ``f(d) = c·d`` at every length, or None
+        (docs/THEORY.md §4).  ``c`` is the least ``M·c_unit`` of the
+        structures that cost exactly that (no fixed cost, no overhead,
+        no paid repeater).  Every structure cheaper per unit needs a
+        finite reach, and its excess over ``c·d``, least at the end of
+        each reach interval, must be nonnegative at ``d = L`` and not
+        fall per extra reach.  The bounds take a relative slack of
+        ``_LINEAR_RTOL``, so exact ties stay linear through rounding.
+        """
+        rep = None if self.repeater is None else self.repeater.cost
+        slopes = [
+            branches * cu
+            for branches, overhead, cf, cu, reach, _ in self.structures
+            if cf == 0.0 and overhead == 0.0 and (reach is None or rep == 0.0)
+        ]
+        if not slopes:
+            return None
+        c = min(slopes)
+        for branches, overhead, cf, cu, reach, _ in self.structures:
+            if branches * cu >= c:
+                continue
+            if reach is None:
+                return None
+            excess = branches * cf + (branches * cu - c) * reach
+            slack = -_LINEAR_RTOL * c * reach
+            if excess + overhead < slack or (
+                rep is not None and excess + branches * rep < slack
+            ):
+                return None
+        return c
+
+
+def _stage_model(bandwidth: float, library: CommunicationLibrary) -> _StageModel:
+    """The structure table of ``bandwidth``, memoized until the library
+    mutates."""
+    models = library.derived_cache("stage_model")
+    model = models.get(bandwidth)
+    if model is None:
+        model = models[bandwidth] = _StageModel(bandwidth, library)
+    return model
 
 
 def best_point_to_point(
@@ -193,21 +262,30 @@ def best_point_to_point(
         current_tracer().count_local("cache.p2p.hit")
         return cached
     current_tracer().count_local("cache.p2p.miss")
-    library.validate()
-    plans = [
-        plan
-        for plan in (_plan_for_link(l, distance, bandwidth, library) for l in library.links)
-        if plan is not None
-    ]
-    if not plans:
+    model = _stage_model(bandwidth, library)
+    if distance < 0 or bandwidth <= 0:
+        raise InfeasibleError(f"degenerate requirement d={distance}, b={bandwidth}")
+    best = model.cheapest(distance)
+    if best is None:
         raise InfeasibleError(
             f"library {library.name!r} cannot implement a channel with "
             f"d={distance}, b={bandwidth}: every link type needs a repeater or "
             f"mux/demux the library does not provide"
         )
-    best = min(plans, key=lambda p: (p.cost, p.link_count, p.link.name))
-    cache[key] = best
-    return best
+    cost, segments, branches, link = best
+    plan = PointToPointPlan(
+        link=link,
+        segments=segments,
+        branches=branches,
+        distance=distance,
+        bandwidth=bandwidth,
+        repeater=model.repeater if segments > 1 else None,
+        mux=model.mux if branches > 1 else None,
+        demux=model.demux if branches > 1 else None,
+        cost=cost,
+    )
+    cache[key] = plan
+    return plan
 
 
 def point_to_point_cost(distance: float, bandwidth: float, library: CommunicationLibrary) -> float:
@@ -215,66 +293,24 @@ def point_to_point_cost(distance: float, bandwidth: float, library: Communicatio
     return best_point_to_point(distance, bandwidth, library).cost
 
 
-def make_cost_oracle(bandwidth: float, library: CommunicationLibrary):
-    """A fast ``cost(distance)`` closure at fixed bandwidth.
+def stage_cost(bandwidth: float, library: CommunicationLibrary) -> StageCost:
+    """The cost-versus-length function of one pipeline stage at fixed
+    bandwidth: ``fn(d)`` equals ``best_point_to_point(d, bandwidth,
+    library).cost`` bit for bit, without building plans (the placement
+    objective evaluates it thousands of times per candidate).
 
-    Algebraically equivalent to
-    ``best_point_to_point(d, bandwidth, library).cost`` — note that a
-    K-segment chain of an affine-cost link costs
-    ``K·cost_fixed + cost_per_unit·d + (K-1)·c(repeater)`` — but avoids
-    constructing plan objects, which matters inside the placement
-    optimizer's objective (thousands of evaluations per candidate).
-    Raises :class:`InfeasibleError` immediately when no link type can
-    serve the bandwidth at any distance.
+    ``is_linear`` and ``slope`` are read off the link structures, not
+    sampled: when true, ``fn(d) == slope * d`` at every length.  One
+    object per bandwidth is memoized until the library mutates.  Raises
+    :class:`InfeasibleError` when no link type can carry ``bandwidth``
+    at any distance.
     """
-    library.validate()
-    repeater = library.cheapest_node(NodeKind.REPEATER)
-    mux = library.cheapest_node(NodeKind.MUX)
-    demux = library.cheapest_node(NodeKind.DEMUX)
-    rep_cost = None if repeater is None else repeater.cost
-    muxdemux = None if (mux is None or demux is None) else mux.cost + demux.cost
-
-    # (branches M, duplication overhead, cost_fixed, cost_per_unit,
-    #  max_length or None, feasible-without-repeater) per link.
-    params = []
-    for link in library.links:
-        if link.can_carry(bandwidth):
-            branches = 1
-            overhead = 0.0
-        else:
-            if muxdemux is None:
-                continue
-            branches = int(math.ceil(bandwidth / link.bandwidth - 1e-12))
-            overhead = muxdemux
-        max_len = None if math.isinf(link.max_length) else link.max_length
-        params.append((branches, overhead, link.cost_fixed, link.cost_per_unit, max_len))
-    if not params:
+    model = _stage_model(bandwidth, library)
+    if not model.structures:
         raise InfeasibleError(
             f"library {library.name!r} cannot carry bandwidth {bandwidth} at any distance"
         )
-
-    def cost(distance: float) -> float:
-        best = math.inf
-        for branches, overhead, cf, cu, max_len in params:
-            if max_len is None or distance <= max_len * (1 + 1e-12):
-                segments = 1
-            else:
-                if rep_cost is None:
-                    continue
-                segments = int(math.ceil(distance / max_len - 1e-12))
-            per_chain = segments * cf + cu * distance
-            if segments > 1:
-                per_chain += (segments - 1) * rep_cost
-            total = branches * per_chain + overhead
-            if total < best:
-                best = total
-        if math.isinf(best):
-            raise InfeasibleError(
-                f"no link structure spans distance {distance} at bandwidth {bandwidth}"
-            )
-        return best
-
-    return cost
+    return model.stage
 
 
 def materialize_plan(

@@ -31,6 +31,16 @@ from .reductions import ReducedState, reduce_to_fixpoint
 
 __all__ = ["SolverOptions", "solve_cover", "greedy_cover"]
 
+#: cost ties with the incumbent, relative to it: a node whose bound
+#: reaches ``best`` within this fraction cannot improve it, whatever
+#: the cost scale.
+_TIE_RTOL = 1e-12
+
+
+def _within_tie(cost: float, best: float) -> bool:
+    """Whether ``cost`` reaches ``best`` up to a relative cost tie."""
+    return cost >= best - _TIE_RTOL * max(1.0, abs(best))
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -166,7 +176,7 @@ class _Search:
                 bound = best_lower_bound(
                     state, use_lp=self.options.use_lp_bound, lp_row_limit=self.options.lp_row_limit
                 )
-                if state.cost + bound >= self.best_cost - 1e-12:
+                if _within_tie(state.cost + bound, self.best_cost):
                     self.pruned_bound += 1
                     continue
 
@@ -279,7 +289,7 @@ def solve_cover(
         tracker.checkpoint("bnb.start")
         incumbent = greedy_cover(problem, budget=tracker, site="bnb.seed")
         seed = _journal_seed(problem, journal)
-        if seed is not None and seed.weight < incumbent.weight - 1e-12:
+        if seed is not None and not _within_tie(seed.weight, incumbent.weight):
             incumbent = seed
         search = _Search(
             problem=problem,

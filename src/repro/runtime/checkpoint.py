@@ -69,8 +69,10 @@ __all__ = [
     "instance_fingerprint",
 ]
 
-#: bump on any incompatible change to the record schema.
-JOURNAL_VERSION = 1
+#: bump on any incompatible change to the record schema or to the
+#: answers stored in its chunk records (version 2: the certified
+#: placement of a pinned side), so a resume never replays stale plans.
+JOURNAL_VERSION = 2
 
 
 def instance_fingerprint(graph, library, options=None) -> str:

@@ -13,7 +13,9 @@ program itself no longer calls:
 - bnb with a linprog-backed bound and with the new one explores the
   same nodes and serves the same columns on seeded netgen covers and
   the paper's WAN example, including covers whose relaxation ties the
-  incumbent.
+  incumbent;
+- bnb prunes those ties relative to the incumbent, so they prune the
+  same way on covers whose costs sit near 4·10^6.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.core.synthesis import build_covering_problem
 from repro.covering import Column, CoveringProblem, ReducedState, lp_lower_bound, solve_cover
 from repro.covering.bounds import _row_prices
 from repro.covering.reductions import screen_dominated
-from repro.domains.wan import wan_example
+from repro.domains.wan import wan_example, wan_library
 from repro.netgen import clustered_graph, two_tier_library
 
 
@@ -192,12 +194,11 @@ def _cover(spec) -> CoveringProblem:
 
 #: unscreened covers whose root relaxation ties the greedy incumbent
 #: (an integral LP optimum): linprog prunes the root, and so must a
-#: certified bound, so it may not fall more than bnb's 1e-12 prune
-#: tolerance short of the relaxation's value
+#: certified bound, so it may not fall more than bnb's prune tolerance
+#: (1e-12 of the incumbent) short of the relaxation's value
 ROOT_TIES = [(8, 2), (8, 4), (9, 2), (9, 4), (10, 4), (11, 4)]
 
-#: the WAN cover's ties sit near 440,000, where one ulp (5.8e-11) is
-#: already past that tolerance: the prices must be accurate to the ulp
+#: the WAN cover's ties sit near 440,000
 COVERS = (
     [(n, s, True) for n in (8, 10, 12, 14, 16) for s in range(4)]
     + [(n, s, False) for n, s in ROOT_TIES]
@@ -216,3 +217,31 @@ def test_bnb_explores_the_same_tree_as_with_linprog(monkeypatch, spec):
     assert ours.stats["nodes"] == reference.stats["nodes"]
     assert ours.column_names == reference.column_names
     assert ours.weight == reference.weight
+
+
+def test_ties_prune_relative_to_the_incumbent():
+    """On a cover whose costs sit near 4·10^6 (one ulp is 4.7e-10) a
+    node whose certified bound ties the incumbent is pruned: an
+    absolute 1e-12 tolerance left that prune to the bound's last bit,
+    and this search took 13 nodes instead of 11."""
+    graph = clustered_graph(
+        n_clusters=2, ports_per_cluster=5, n_arcs=9, separation=500.0,
+        cluster_spread=5.0, seed=0,
+    )
+    library = wan_library()
+    problem = screen_dominated(
+        build_covering_problem(graph, generate_candidates(graph, library, max_arity=3))
+    )
+    solution = solve_cover(problem)
+    assert solution.stats["nodes"] == 11
+    reference = optimize.milp(
+        [c.weight for c in problem.columns],
+        constraints=optimize.LinearConstraint(
+            [[1.0 if row in c.rows else 0.0 for c in problem.columns] for row in problem.rows],
+            lb=1.0,
+        ),
+        integrality=1,
+        bounds=optimize.Bounds(0.0, 1.0),
+    )
+    chosen = sorted(c.name for c, x in zip(problem.columns, reference.x) if x > 0.5)
+    assert sorted(solution.column_names) == chosen

@@ -148,13 +148,13 @@ class TestPruneTolerance:
 
 class TestZeroLengthStageCost:
     def test_oracle_at_zero(self, per_unit_library):
-        from repro.core.point_to_point import make_cost_oracle
+        from repro.core.point_to_point import stage_cost
 
-        oracle = make_cost_oracle(10.0, per_unit_library)
+        oracle = stage_cost(10.0, per_unit_library).fn
         assert oracle(0.0) == 0.0
 
     def test_fixed_cost_at_zero(self, simple_library):
-        from repro.core.point_to_point import make_cost_oracle
+        from repro.core.point_to_point import stage_cost
 
-        oracle = make_cost_oracle(5.0, simple_library)
+        oracle = stage_cost(5.0, simple_library).fn
         assert oracle(0.0) == 5.0  # cheapest fixed cost

@@ -54,7 +54,8 @@ from repro.core.matrices import (
     compute_matrices,
 )
 from repro.core.exceptions import InfeasibleError
-from repro.core.merging import build_merging_plan, build_merging_plans_batch, stage_cost
+from repro.core.merging import build_merging_plan, build_merging_plans_batch
+from repro.core.point_to_point import stage_cost
 from repro.core.pruning import (
     PRUNE_TOL,
     lemma_3_2_not_mergeable_batch,
@@ -316,10 +317,11 @@ def test_batched_placement_equals_solo_placement(seed):
 #: relative to the anchors' spread, is taken to sit on it.
 COINCIDE_RTOL = 1e-9
 #: the least subgradient of F at the placement, relative to the total
-#: stage weight Σa + w + Σb, must be below this.  The solver stops on a
-#: certified optimality gap of 1e-10 relative (single-facility
-#: problems on a step size of 1e-9 of the spread), far inside it.
-RESIDUAL_RTOL = 1e-6
+#: stage weight Σa + w + Σb, must be below this.  Every linear
+#: placement, a pinned side's single facility included, stops on a
+#: certified optimality gap of 1e-10 relative or on an exact kink test,
+#: which bounds the subgradient the same way.
+RESIDUAL_RTOL = 1e-10
 
 
 def _side_terms(point, anchors, weights, eps):

@@ -153,7 +153,7 @@ class TestCommunicationLibrary:
             CommunicationLibrary().validate()
 
     def test_stage_cost_cache_invalidated_on_mutation(self):
-        from repro.core.merging import stage_cost
+        from repro.core.point_to_point import stage_cost
 
         lib = CommunicationLibrary()
         lib.add_link(Link("slow", bandwidth=10, cost_per_unit=5.0))

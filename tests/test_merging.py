@@ -12,7 +12,8 @@ from repro import (
     Point,
     build_merging_plan,
 )
-from repro.core.merging import materialize_merging, stage_cost
+from repro.core.merging import materialize_merging
+from repro.core.point_to_point import stage_cost
 from repro.core.validation import validate_structure
 
 

@@ -31,8 +31,7 @@ from repro import (
     generate_candidates,
 )
 from repro.core.matrices import compute_matrices
-from repro.core.merging import stage_cost
-from repro.core.point_to_point import best_point_to_point
+from repro.core.point_to_point import best_point_to_point, stage_cost
 from repro.core.pruning import (
     lemma_3_2_not_mergeable,
     lemma_3_2_not_mergeable_batch,

@@ -18,7 +18,7 @@ from repro import (
     point_to_point_cost,
 )
 from repro.core.geometry import EUCLIDEAN
-from repro.core.point_to_point import check_assumption, make_cost_oracle, materialize_plan
+from repro.core.point_to_point import check_assumption, materialize_plan, stage_cost
 
 
 class TestMatching:
@@ -134,15 +134,15 @@ class TestCostOracle:
     @pytest.mark.parametrize("distance", [0.0, 0.5, 8.0, 10.0, 25.0, 90.0, 250.0])
     @pytest.mark.parametrize("bandwidth", [1.0, 10.0, 25.0, 150.0])
     def test_oracle_matches_plan_cost(self, simple_library, distance, bandwidth):
-        oracle = make_cost_oracle(bandwidth, simple_library)
+        oracle = stage_cost(bandwidth, simple_library).fn
         expected = best_point_to_point(distance, bandwidth, simple_library).cost
-        assert oracle(distance) == pytest.approx(expected)
+        assert oracle(distance) == expected
 
     def test_oracle_rejects_impossible_bandwidth(self):
         lib = CommunicationLibrary()
         lib.add_link(Link("tiny", bandwidth=1.0, max_length=10, cost_fixed=1))
         with pytest.raises(InfeasibleError):
-            make_cost_oracle(5.0, lib)
+            stage_cost(5.0, lib)
 
 
 class TestMaterialize:

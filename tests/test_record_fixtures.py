@@ -1,8 +1,8 @@
 """Record files written by an earlier build still load, byte for byte.
 
 ``tests/fixtures/records/`` holds one of each durable record file,
-written at ``CACHE_VERSION`` 2 and ``JOURNAL_VERSION`` 1 by the code as
-it stood before the record codec and the worker pool were shared:
+written at ``CACHE_VERSION`` 3 and ``JOURNAL_VERSION`` 2 by
+``python tools/regenerate_results.py --records``:
 
 - ``cache/`` — the persistent cache of a batch over ``wan.json`` and
   ``broken.json`` (a file that is not an instance) at ``max_arity`` 3;
@@ -14,7 +14,8 @@ it stood before the record codec and the worker pool were shared:
 They are the on-disk compatibility gate.  While those versions stand,
 every line must decode and re-encode to the same bytes, the journal
 must resume, and the cache must serve a warm batch.  A change that
-breaks them must bump the version and regenerate the files.
+breaks them must bump the version and regenerate the files with that
+command.
 """
 
 from __future__ import annotations

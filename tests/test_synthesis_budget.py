@@ -170,9 +170,13 @@ def _two_island():
 
 
 #: the two-island optimum, and the cover greedy (and bnb's greedy-seeded
-#: incumbent) serves on it.
+#: incumbent) serves on it.  merge(a2+a4) and its mirror merge(a4+a9)
+#: cost exactly the same (13,089.866272006308, both certified optimal
+#: placements; a pinned side's placement used to leave the first one
+#: ulp higher), and greedy breaks equal ratios by name, so it takes the
+#: a2+a4 path.  The optimum does not depend on that tie.
 ISLAND_OPTIMUM = 117985.38071054274
-ISLAND_GREEDY = 122003.75134562215
+ISLAND_GREEDY = 123715.36139731051
 
 
 @pytest.mark.parametrize("strategy", ["exact", "decompose"])

@@ -8,6 +8,7 @@ from the code:
 
     python tools/regenerate_results.py            # writes docs/RESULTS.md
     python tools/regenerate_results.py --fast     # skips the slow MPEG-4 run
+    python tools/regenerate_results.py --records  # rewrites tests/fixtures/records/
 
 Everything here reuses public APIs only; the script is itself smoke-
 tested by tests/test_tools.py.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro import SynthesisOptions, compute_matrices, synthesize
@@ -169,6 +171,55 @@ def regenerate_conformance(out: Path) -> None:
     print(f"wrote {out}")
 
 
+def regenerate_records(directory: Path) -> None:
+    """Rewrite the on-disk record fixtures from the current code.
+
+    ``tests/test_record_fixtures.py`` holds every durable record file
+    to these bytes; run this after bumping ``CACHE_VERSION`` or
+    ``JOURNAL_VERSION`` and commit the files with the bump.  Writes, in
+    ``directory`` (which holds ``wan.json``, ``broken.json`` and
+    ``mpeg4.json``):
+
+    - ``cache/`` and ``results.jsonl``: the persistent cache and results
+      stream of a ``max_arity`` 3 batch over ``wan.json`` and
+      ``broken.json``;
+    - ``journal.ckpt``: the journal of a ``max_arity`` 3 checkpointed
+      solve of ``mpeg4.json`` (header, chunk, incumbent and solution
+      records).
+
+    Runs inside ``directory`` so the results stream records the
+    instance paths relative to it.
+    """
+    import os
+    import shutil
+
+    from repro import run_batch
+    from repro.batch import InstanceRef
+    from repro.io import load_instance
+
+    options = SynthesisOptions(max_arity=3)
+    shutil.rmtree(directory / "cache", ignore_errors=True)
+    for name in ("results.jsonl", "journal.ckpt"):
+        (directory / name).unlink(missing_ok=True)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        summary = run_batch(
+            [InstanceRef("wan", Path("wan.json")), InstanceRef("broken", Path("broken.json"))],
+            options=options, cache_dir="cache", results_path="results.jsonl",
+        )
+        graph, library = load_instance("mpeg4.json")
+        synthesize(graph, library, replace(options, checkpoint_path="journal.ckpt"))
+    finally:
+        os.chdir(cwd)
+    print(f"  batch: {[(r['name'], r['status']) for r in summary.records]}")
+    for path in sorted(directory.glob("cache/*")) + [
+        directory / "results.jsonl", directory / "journal.ckpt",
+    ]:
+        print(f"  {path.relative_to(directory)}: {path.stat().st_size:,} bytes")
+    print(f"wrote {directory}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true", help="skip the MPEG-4 run")
@@ -180,10 +231,19 @@ def main(argv=None) -> int:
         "fixture (tests/fixtures/conformance.json) that "
         "tests/test_conformance.py pins",
     )
+    parser.add_argument(
+        "--records",
+        action="store_true",
+        help="instead of RESULTS.md, rewrite the on-disk record fixtures "
+        "(tests/fixtures/records/) that tests/test_record_fixtures.py pins",
+    )
     args = parser.parse_args(argv)
 
     if args.conformance:
         regenerate_conformance(ROOT / "tests" / "fixtures" / "conformance.json")
+        return 0
+    if args.records:
+        regenerate_records(ROOT / "tests" / "fixtures" / "records")
         return 0
 
     t0 = time.perf_counter()
