@@ -14,6 +14,7 @@ Run:  python examples/backplane_board.py        (~30 s)
 
 from repro import SynthesisOptions, synthesize
 from repro.analysis import latency_sweep, pareto_front, synthesis_report
+from repro.core.merging import stage_plans
 from repro.domains import multichip_example
 
 graph, library = multichip_example()
@@ -24,7 +25,7 @@ print()
 for group in result.merged_groups:
     merge = next(c for c in result.selected if c.arc_names == group)
     print(f"shared lane: {', '.join(group)}  "
-          f"(trunk {merge.plan.trunk_plan.link.name}, "
+          f"(trunk {stage_plans(graph, merge.plan, library).trunk.link.name}, "
           f"{merge.plan.trunk_bandwidth / 1e9:.0f} Gbps, "
           f"{merge.plan.max_hops} hops worst-case)")
 print()

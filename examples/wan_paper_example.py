@@ -20,6 +20,7 @@ from repro.analysis import (
     render_implementation_svg,
     synthesis_report,
 )
+from repro.core.merging import stage_plans
 from repro.domains import wan_example
 
 graph, library = wan_example()
@@ -39,7 +40,7 @@ print()
 # The paper's Figure 4 narrative, asserted:
 assert result.merged_groups == [("a4", "a5", "a6")], result.merged_groups
 merge = next(c for c in result.selected if c.is_merging)
-assert merge.plan.trunk_plan.link.name == "optical"
+assert stage_plans(graph, merge.plan, library).trunk.link.name == "optical"
 assert result.candidates.stats.survivors_by_k[2] == 13
 assert result.candidates.stats.retired_at_k["a8"] == 2
 print("Paper claims verified: a4+a5+a6 merged on an optical trunk,")

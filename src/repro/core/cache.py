@@ -10,7 +10,10 @@ memoizing two spaces of results,
 - ``merge`` — **merging plans**: :func:`~repro.core.merging.build_merging_plan`
   placement solves keyed by ``(library fingerprint, norm, polish flag,
   group geometry + bandwidths)``, the dominant recomputation when a
-  sweep re-solves the same groups;
+  sweep re-solves the same groups.  The stored value is the lean
+  :class:`~repro.core.merging.MergingPlan` (placement, exact cost, hop
+  count, mux/demux counts), without stage plans, links or nodes, so a
+  record line stays under 1 KB and a warm run decodes little;
 - ``mixed`` — **mixed chains**: heterogeneous segmentations keyed by
   ``(library fingerprint, distance, bandwidth)``.
 
@@ -78,10 +81,11 @@ __all__ = [
 
 #: bump on any incompatible change to the record schema or to the
 #: answers of the solvers whose results are stored (version 2: merge
-#: placement; version 3: the certified placement of a pinned side);
-#: entry files are version-suffixed, so a bump orphans old files
-#: instead of misreading them.
-CACHE_VERSION = 3
+#: placement; version 3: the certified placement of a pinned side;
+#: version 4: the lean merging plan, without stage plans); entry files
+#: are version-suffixed, so a bump orphans old files instead of
+#: misreading them.
+CACHE_VERSION = 4
 
 
 def library_fingerprint(library: CommunicationLibrary) -> str:

@@ -14,19 +14,25 @@ the merge point, or all arcs sharing a sink so the demux collapses onto
 it — fall out naturally as zero-length stages whose cost is the link
 family's fixed cost (zero for per-unit-priced links).
 
-The module produces :class:`MergingPlan` objects (pure costed
-descriptions) and can materialize them into an implementation graph.
+Candidate generation plans thousands of mergings and the cover selects
+few, so a :class:`MergingPlan` is lean: the placement, the exact cost
+and the hop count, priced through the stage-cost model without building
+a stage plan.  :func:`stage_plans` builds the ``2K + 1`` concrete
+:class:`~repro.core.point_to_point.PointToPointPlan` stages and picks
+the mux/demux of a plan on demand, and :func:`materialize_merging`
+instantiates them into an implementation graph — for selected mergings
+only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cache import current_persistent_cache
 from .constraint_graph import Arc, ConstraintGraph
 from .exceptions import InfeasibleError
-from .geometry import Norm, Point
+from .geometry import Point
 from .implementation import ImplementationGraph, Path
 from .library import CommunicationLibrary, NodeKind, NodeSpec
 from .mux_trees import tree_node_count
@@ -37,18 +43,18 @@ from .point_to_point import (
     PointToPointPlan,
     best_point_to_point,
     materialize_plan,
+    price_stage,
     stage_cost,
 )
 
 __all__ = [
     "MergingPlan",
+    "MergingStages",
     "build_merging_plan",
     "build_merging_plans_batch",
+    "stage_plans",
     "materialize_merging",
 ]
-
-#: distances below this are treated as "the stage collapsed onto a point".
-_ZERO_LENGTH = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,22 +63,25 @@ class MergingPlan:
 
     ``cost`` is the full architecture cost of the merged implementation
     (feeders + trunk + distributors + mux + demux), i.e. the column
-    weight this candidate contributes to the covering problem.
+    weight this candidate contributes to the covering problem.  The
+    plan holds no stage plan, link or node: :func:`stage_plans` derives
+    them from the placement and the library.
     """
 
     arc_names: Tuple[str, ...]
     merge_point: Point
     split_point: Point
-    feeder_plans: Tuple[PointToPointPlan, ...]
-    trunk_plan: PointToPointPlan
-    distributor_plans: Tuple[PointToPointPlan, ...]
-    mux: NodeSpec
-    demux: NodeSpec
+    #: bandwidth the common path must sustain (Σ b(a_i)).
+    trunk_bandwidth: float
     #: instances of mux/demux needed — exceeds 1 when the node's
     #: max_degree forces a multi-level reduction tree (repro.core.mux_trees).
     mux_count: int
     demux_count: int
     cost: float
+    #: worst-case communication vertices on any merged arc's path:
+    #: feeder repeaters + mux + trunk repeaters + demux + distributor
+    #: repeaters — a latency proxy for hop-constrained synthesis.
+    max_hops: int
     placement_method: str
 
     @property
@@ -80,22 +89,15 @@ class MergingPlan:
         """The merging's arity (number of merged constraint arcs)."""
         return len(self.arc_names)
 
-    @property
-    def trunk_bandwidth(self) -> float:
-        """Bandwidth the common path must sustain (Σ b(a_i))."""
-        return self.trunk_plan.bandwidth
 
-    @property
-    def max_hops(self) -> int:
-        """Worst-case communication vertices on any merged arc's path:
-        feeder repeaters + mux + trunk repeaters + demux + distributor
-        repeaters — a latency proxy for hop-constrained synthesis."""
-        trunk_hops = self.trunk_plan.segments - 1
-        worst = 0
-        for fplan, dplan in zip(self.feeder_plans, self.distributor_plans):
-            hops = (fplan.segments - 1) + 1 + trunk_hops + 1 + (dplan.segments - 1)
-            worst = max(worst, hops)
-        return worst
+class MergingStages(NamedTuple):
+    """The concrete stages of one :class:`MergingPlan`, in build order."""
+
+    feeders: Tuple[PointToPointPlan, ...]
+    trunk: PointToPointPlan
+    distributors: Tuple[PointToPointPlan, ...]
+    mux: NodeSpec
+    demux: NodeSpec
 
 
 def _merge_cache_key(
@@ -133,8 +135,10 @@ def build_merging_plan(
     Infeasible means the library offers no mux or demux node, or some
     stage cannot be implemented point-to-point at all.  This is the
     paper's "simple nonlinear optimization problem" solved per
-    candidate: positions of the communication nodes plus the exact
-    structure and cost of every stage.
+    candidate: positions of the communication nodes, then each of the
+    ``2K + 1`` stages priced once by the stage-cost model
+    (:func:`~repro.core.point_to_point.price_stage`), which gives the
+    exact cost and hop count without building a stage plan.
     """
     if len(arc_names) < 2:
         raise ValueError("a merging involves at least two arcs")
@@ -173,39 +177,35 @@ def build_merging_plan(
         )
         s, t = placement.merge_point, placement.split_point
 
-        feeder_plans = tuple(
-            best_point_to_point(graph.norm.distance(a.source.position, s), a.bandwidth, library)
-            for a in arcs
-        )
-        trunk_plan = best_point_to_point(graph.norm.distance(s, t), total_bw, library)
-        distributor_plans = tuple(
-            best_point_to_point(graph.norm.distance(t, a.target.position), a.bandwidth, library)
-            for a in arcs
-        )
+        distance = graph.norm.distance
+        feeders = [price_stage(distance(a.source.position, s), a.bandwidth, library) for a in arcs]
+        trunk_price, trunk_segments = price_stage(distance(s, t), total_bw, library)
+        distributors = [
+            price_stage(distance(t, a.target.position), a.bandwidth, library) for a in arcs
+        ]
     except InfeasibleError:
         if store is not None:
             store.put("merge", library, cache_key, None)
         return None
 
     cost = (
-        sum(p.cost for p in feeder_plans)
-        + trunk_plan.cost
-        + sum(p.cost for p in distributor_plans)
+        sum(c for c, _ in feeders)
+        + trunk_price
+        + sum(c for c, _ in distributors)
         + mux_count * mux.cost
         + demux_count * demux.cost
     )
+    # segments - 1 repeaters per stage, plus the mux and the demux
+    max_hops = max(f + trunk_segments + d for (_, f), (_, d) in zip(feeders, distributors)) - 1
     plan = MergingPlan(
         arc_names=tuple(arc_names),
         merge_point=s,
         split_point=t,
-        feeder_plans=feeder_plans,
-        trunk_plan=trunk_plan,
-        distributor_plans=distributor_plans,
-        mux=mux,
-        demux=demux,
+        trunk_bandwidth=total_bw,
         mux_count=mux_count,
         demux_count=demux_count,
         cost=cost,
+        max_hops=max_hops,
         placement_method=placement.method,
     )
     if store is not None:
@@ -227,6 +227,32 @@ def build_merging_plans_batch(
     ]
 
 
+def stage_plans(
+    graph: ConstraintGraph, plan: MergingPlan, library: CommunicationLibrary
+) -> MergingStages:
+    """The ``2K + 1`` point-to-point stage plans of ``plan`` (feeders,
+    trunk, distributors, by :func:`best_point_to_point` at the placed
+    stage lengths) and the library's cheapest mux and demux.  Their
+    costs, summed in that order, plus ``mux_count`` muxes and
+    ``demux_count`` demuxes, are ``plan.cost`` exactly."""
+    arcs = [graph.arc(name) for name in plan.arc_names]
+    s, t = plan.merge_point, plan.split_point
+    distance = graph.norm.distance
+    return MergingStages(
+        feeders=tuple(
+            best_point_to_point(distance(a.source.position, s), a.bandwidth, library)
+            for a in arcs
+        ),
+        trunk=best_point_to_point(distance(s, t), plan.trunk_bandwidth, library),
+        distributors=tuple(
+            best_point_to_point(distance(t, a.target.position), a.bandwidth, library)
+            for a in arcs
+        ),
+        mux=library.cheapest_node(NodeKind.MUX),
+        demux=library.cheapest_node(NodeKind.DEMUX),
+    )
+
+
 def materialize_merging(
     impl: ImplementationGraph,
     graph: ConstraintGraph,
@@ -234,31 +260,33 @@ def materialize_merging(
 ) -> Dict[str, List[Path]]:
     """Instantiate a merging plan into ``impl``.
 
-    Adds the mux and demux vertices, materializes every stage, and
+    Builds the plan's stages from ``impl.library`` (:func:`stage_plans`),
+    adds the mux and demux vertices, materializes every stage, and
     returns, per merged constraint arc, the list of end-to-end paths
     (every feeder branch × trunk branch × distributor branch
     combination — contiguous by construction through the shared mux and
     demux vertices).
     """
-    mux_v = impl.add_communication_vertex(plan.mux, plan.merge_point)
-    demux_v = impl.add_communication_vertex(plan.demux, plan.split_point)
+    stages = stage_plans(graph, plan, impl.library)
+    mux_v = impl.add_communication_vertex(stages.mux, plan.merge_point)
+    demux_v = impl.add_communication_vertex(stages.demux, plan.split_point)
     # extra reduction-tree levels (bounded fan-in): cost-carrying node
     # instances co-located with the merge/split points.
     for _ in range(plan.mux_count - 1):
-        impl.add_communication_vertex(plan.mux, plan.merge_point)
+        impl.add_communication_vertex(stages.mux, plan.merge_point)
     for _ in range(plan.demux_count - 1):
-        impl.add_communication_vertex(plan.demux, plan.split_point)
+        impl.add_communication_vertex(stages.demux, plan.split_point)
 
     for name in plan.arc_names:
         arc = graph.arc(name)
         impl.add_computational_vertex(arc.source)
         impl.add_computational_vertex(arc.target)
 
-    trunk_paths = materialize_plan(impl, plan.trunk_plan, mux_v.name, demux_v.name)
+    trunk_paths = materialize_plan(impl, stages.trunk, mux_v.name, demux_v.name)
 
     result: Dict[str, List[Path]] = {}
     for arc, fplan, dplan in zip(
-        [graph.arc(n) for n in plan.arc_names], plan.feeder_plans, plan.distributor_plans
+        [graph.arc(n) for n in plan.arc_names], stages.feeders, stages.distributors
     ):
         feeder_paths = materialize_plan(impl, fplan, arc.source.name, mux_v.name)
         dist_paths = materialize_plan(impl, dplan, demux_v.name, arc.target.name)

@@ -20,7 +20,9 @@ bandwidth it is also the placement objective's cost of one stage
 Plans are pure descriptions — materializing one into an
 :class:`~repro.core.implementation.ImplementationGraph` is
 :func:`materialize_plan`'s job, so candidate generation can cost
-thousands of alternatives without building graphs.
+thousands of alternatives without building graphs; :func:`price_stage`
+gives a plan's cost and segment count without building the plan, which
+is how merge candidates price their stages.
 
 The module also hosts :func:`check_assumption`, the Assumption 2.1
 verifier (cost positive and monotone nondecreasing in ``(d, b)`` over
@@ -45,6 +47,7 @@ from .placement import StageCost
 __all__ = [
     "PointToPointPlan",
     "best_point_to_point",
+    "price_stage",
     "point_to_point_cost",
     "stage_cost",
     "materialize_plan",
@@ -233,6 +236,24 @@ def _stage_model(bandwidth: float, library: CommunicationLibrary) -> _StageModel
     return model
 
 
+def _cheapest(
+    distance: float, bandwidth: float, library: CommunicationLibrary
+) -> Tuple[_StageModel, Tuple[float, int, int, Link]]:
+    """The stage model of ``bandwidth`` and its cheapest structure at
+    ``distance``; :class:`InfeasibleError` when there is none."""
+    model = _stage_model(bandwidth, library)
+    if distance < 0 or bandwidth <= 0:
+        raise InfeasibleError(f"degenerate requirement d={distance}, b={bandwidth}")
+    best = model.cheapest(distance)
+    if best is None:
+        raise InfeasibleError(
+            f"library {library.name!r} cannot implement a channel with "
+            f"d={distance}, b={bandwidth}: every link type needs a repeater or "
+            f"mux/demux the library does not provide"
+        )
+    return model, best
+
+
 def best_point_to_point(
     distance: float,
     bandwidth: float,
@@ -247,11 +268,12 @@ def best_point_to_point(
 
     Results are memoized per ``(distance, bandwidth)`` on the library's
     version-keyed :meth:`~repro.core.library.CommunicationLibrary.derived_cache`
-    — every merging plan makes ``2K + 1`` calls with heavily repeated
-    arguments, and the memo is dropped automatically when the library
-    mutates.  Plans are frozen, so sharing one instance is safe.  The
-    persistent cache (:mod:`repro.core.cache`) does not store them: a
-    plan costs about as much to compute as to decode from a record.
+    — singleton candidates and the stages of materialized mergings
+    repeat arguments, and the memo is dropped automatically when the
+    library mutates.  Plans are frozen, so sharing one instance is
+    safe.  The persistent cache (:mod:`repro.core.cache`) does not
+    store them: a plan costs about as much to compute as to decode from
+    a record.
     """
     cache = library.derived_cache("p2p_plans")
     key = (distance, bandwidth)
@@ -262,17 +284,7 @@ def best_point_to_point(
         current_tracer().count_local("cache.p2p.hit")
         return cached
     current_tracer().count_local("cache.p2p.miss")
-    model = _stage_model(bandwidth, library)
-    if distance < 0 or bandwidth <= 0:
-        raise InfeasibleError(f"degenerate requirement d={distance}, b={bandwidth}")
-    best = model.cheapest(distance)
-    if best is None:
-        raise InfeasibleError(
-            f"library {library.name!r} cannot implement a channel with "
-            f"d={distance}, b={bandwidth}: every link type needs a repeater or "
-            f"mux/demux the library does not provide"
-        )
-    cost, segments, branches, link = best
+    model, (cost, segments, branches, link) = _cheapest(distance, bandwidth, library)
     plan = PointToPointPlan(
         link=link,
         segments=segments,
@@ -286,6 +298,17 @@ def best_point_to_point(
     )
     cache[key] = plan
     return plan
+
+
+def price_stage(
+    distance: float, bandwidth: float, library: CommunicationLibrary
+) -> Tuple[float, int]:
+    """``(cost, segments)`` of ``best_point_to_point(distance,
+    bandwidth, library)``, bit for bit, without building or memoizing
+    the plan: merge candidates price their ``2K + 1`` stages through
+    this, and only the mergings a cover selects build stage plans."""
+    _, best = _cheapest(distance, bandwidth, library)
+    return best[0], best[1]
 
 
 def point_to_point_cost(distance: float, bandwidth: float, library: CommunicationLibrary) -> float:

@@ -150,11 +150,23 @@ def _apply_row_dominance(state: ReducedState) -> bool:
 
 
 def _apply_column_dominance(state: ReducedState) -> bool:
-    """Delete weight-dominated columns; True if any were removed."""
+    """Delete weight-dominated columns; True if any were removed.
+
+    A column's possible dominators are the available columns covering
+    every one of its active rows: the intersection of those rows'
+    entries in a row → columns index built once per call.
+    """
     changed = False
     cols = sorted(state.columns)
-    active_rows: Dict[str, FrozenSet[str]] = {c: state.active_rows_of(c) for c in cols}
+    live = frozenset(state.rows)
+    active_rows: Dict[str, FrozenSet[str]] = {
+        c: state.problem.column(c).rows & live for c in cols
+    }
     weights = {c: state.problem.column(c).weight for c in cols}
+    covering: Dict[str, Set[str]] = {}
+    for c in cols:
+        for row in active_rows[c]:
+            covering.setdefault(row, set()).add(c)
     for c1 in cols:
         if c1 not in state.columns:
             continue
@@ -164,16 +176,15 @@ def _apply_column_dominance(state: ReducedState) -> bool:
             state.exclude(c1)
             changed = True
             continue
-        for c2 in cols:
-            if c2 == c1 or c2 not in state.columns or c1 not in state.columns:
+        supersets = set.intersection(*(covering[row] for row in r1))
+        for c2 in supersets:
+            if c2 == c1 or c2 not in state.columns or weights[c2] > weights[c1]:
                 continue
-            r2 = active_rows[c2]
-            if r1 <= r2 and weights[c2] <= weights[c1]:
-                if r1 == r2 and weights[c1] == weights[c2] and c1 < c2:
-                    continue  # identical twins: keep the smaller name (c1)
-                state.exclude(c1)
-                changed = True
-                break
+            if active_rows[c2] == r1 and weights[c1] == weights[c2] and c1 < c2:
+                continue  # identical twins: keep the smaller name (c1)
+            state.exclude(c1)
+            changed = True
+            break
     return changed
 
 

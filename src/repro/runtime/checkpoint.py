@@ -71,8 +71,9 @@ __all__ = [
 
 #: bump on any incompatible change to the record schema or to the
 #: answers stored in its chunk records (version 2: the certified
-#: placement of a pinned side), so a resume never replays stale plans.
-JOURNAL_VERSION = 2
+#: placement of a pinned side; version 3: the lean merging plan), so a
+#: resume never replays stale plans.
+JOURNAL_VERSION = 3
 
 
 def instance_fingerprint(graph, library, options=None) -> str:

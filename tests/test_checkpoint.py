@@ -256,8 +256,8 @@ def test_fingerprint_covers_result_shaping_options(wan):
 
 #: WAN's fingerprint under default options.  Journals already on disk
 #: carry it, so it must not move while the journal version stays (it
-#: hashes ``JOURNAL_VERSION``; re-pinned at version 2).
-WAN_DEFAULT_FINGERPRINT = "a94b77f3289007d882e71e22798fc685027eea4bac1c8a996d696dc5d75ea44d"
+#: hashes ``JOURNAL_VERSION``; re-pinned at version 3).
+WAN_DEFAULT_FINGERPRINT = "26a7fa6fcb7a6725831d0457e381a14bfd2c1ecf19dcb9a27a7d0f7e96e80f87"
 
 
 def test_wan_fingerprint_is_pinned(wan):

@@ -1,9 +1,12 @@
 """Unit tests for repro.covering.reductions."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.exceptions import CoveringError
 from repro.covering import Column, CoveringProblem, ReducedState, reduce_to_fixpoint
+from repro.covering.reductions import _apply_column_dominance
 
 
 def col(name, rows, weight=1.0):
@@ -87,6 +90,83 @@ class TestColumnDominance:
 
         _apply_column_dominance(state)
         assert "useful" not in state.columns
+
+
+def _all_pairs_column_dominance(state):
+    """The reference rule: test every ordered pair of available columns."""
+    changed = False
+    cols = sorted(state.columns)
+    active_rows = {c: state.active_rows_of(c) for c in cols}
+    weights = {c: state.problem.column(c).weight for c in cols}
+    for c1 in cols:
+        if c1 not in state.columns:
+            continue
+        r1 = active_rows[c1]
+        if not r1:
+            state.exclude(c1)
+            changed = True
+            continue
+        for c2 in cols:
+            if c2 == c1 or c2 not in state.columns or c1 not in state.columns:
+                continue
+            r2 = active_rows[c2]
+            if r1 <= r2 and weights[c2] <= weights[c1]:
+                if r1 == r2 and weights[c1] == weights[c2] and c1 < c2:
+                    continue
+                state.exclude(c1)
+                changed = True
+                break
+    return changed
+
+
+class _RecordingState(ReducedState):
+    """A copy of a state that logs its exclusions in order."""
+
+    @classmethod
+    def of(cls, state):
+        copy = cls(state.problem, set(state.rows), set(state.columns), list(state.selected))
+        copy.excluded = []
+        return copy
+
+    def exclude(self, column_name):
+        self.excluded.append(column_name)
+        super().exclude(column_name)
+
+
+@st.composite
+def reduced_states(draw):
+    """Partly reduced covers with duplicate columns, few distinct
+    weights, and columns whose rows are all already covered."""
+    rows = [f"r{i}" for i in range(draw(st.integers(min_value=1, max_value=7)))]
+    columns = []
+    for j in range(draw(st.integers(min_value=1, max_value=14))):
+        if columns and draw(st.booleans()):
+            twin = draw(st.sampled_from(columns))
+            columns.append(Column(f"c{j}", twin.rows, twin.weight))
+            continue
+        members = draw(st.lists(st.sampled_from(rows), min_size=1, unique=True))
+        weight = draw(st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.0]))
+        columns.append(Column(f"c{j}", frozenset(members), weight))
+    problem = CoveringProblem(rows, columns)
+    names = [c.name for c in columns]
+    state = ReducedState.initial(problem)
+    for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            state.select(name)
+            if draw(st.booleans()):
+                state.columns.add(name)  # a column covering nothing left
+        else:
+            state.exclude(name)
+    return state
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_states())
+def test_column_dominance_matches_the_all_pairs_rule(state):
+    fast, reference = _RecordingState.of(state), _RecordingState.of(state)
+    assert _apply_column_dominance(fast) == _all_pairs_column_dominance(reference)
+    assert fast.excluded == reference.excluded
+    assert fast.columns == reference.columns
 
 
 class TestState:

@@ -12,7 +12,7 @@ from repro import (
     Point,
     build_merging_plan,
 )
-from repro.core.merging import materialize_merging
+from repro.core.merging import materialize_merging, stage_plans
 from repro.core.point_to_point import stage_cost
 from repro.core.validation import validate_structure
 
@@ -40,7 +40,7 @@ class TestBuildMergingPlan:
         plan = build_merging_plan(wan_graph, ["a4", "a5", "a6"], wan_lib)
         assert plan is not None
         assert plan.k == 3
-        assert plan.trunk_plan.link.name == "optical"
+        assert stage_plans(wan_graph, plan, wan_lib).trunk.link.name == "optical"
         assert plan.trunk_bandwidth == pytest.approx(30e6)
         # the demux degenerates onto D (all three arcs end there)
         assert plan.split_point.is_close(Point(-2, -97))
@@ -76,10 +76,11 @@ class TestBuildMergingPlan:
         lib.add_node(NodeSpec("demux", NodeKind.DEMUX, cost=9.0))
         plan = build_merging_plan(two_arc_graph, ["a1", "a2"], lib)
         assert plan is not None
+        stages = stage_plans(two_arc_graph, plan, lib)
         stage_total = (
-            sum(p.cost for p in plan.feeder_plans)
-            + plan.trunk_plan.cost
-            + sum(p.cost for p in plan.distributor_plans)
+            sum(p.cost for p in stages.feeders)
+            + stages.trunk.cost
+            + sum(p.cost for p in stages.distributors)
         )
         assert plan.cost == pytest.approx(stage_total + 16.0)
 
@@ -94,7 +95,7 @@ class TestBuildMergingPlan:
         # costs ~1.2*100 + tiny feeders ≈ 122
         assert plan is not None
         assert plan.cost < 200.0
-        assert plan.trunk_plan.link.name == "fast"
+        assert stage_plans(two_arc_graph, plan, lib).trunk.link.name == "fast"
 
 
 class TestMaterializeMerging:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import SynthesisOptions, synthesize
 from repro.analysis import ParetoPoint, latency_sweep, pareto_front
+from repro.core.merging import stage_plans
 from repro.core.validation import validate
 from repro.domains import multichip_constraint_graph, multichip_example, multichip_library
 
@@ -43,13 +44,16 @@ class TestSynthesis:
         """Any merged trunk above the trace bandwidth must ride a SerDes
         lane; 8 Gbps-and-under groups may legitimately chain traces."""
         r, g = result
-        for c in r.selected:
-            if c.is_merging and c.plan.trunk_bandwidth > 8e9:
-                assert c.plan.trunk_plan.link.name == "serdes-lane"
-        assert any(
-            c.is_merging and c.plan.trunk_plan.link.name == "serdes-lane"
+        library = multichip_library()
+        trunks = [
+            (c.plan.trunk_bandwidth, stage_plans(g, c.plan, library).trunk.link.name)
             for c in r.selected
-        )
+            if c.is_merging
+        ]
+        for bandwidth, link in trunks:
+            if bandwidth > 8e9:
+                assert link == "serdes-lane"
+        assert any(link == "serdes-lane" for _, link in trunks)
 
     def test_validates(self, result):
         r, g = result

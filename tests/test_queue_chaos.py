@@ -45,10 +45,30 @@ def _env():
     return env
 
 
-def _spawn_worker(queue_dir, host_id):
+#: ``repro batch-worker`` under a ``stall`` fault before every solve
+#: but the first (argv: stall seconds, then the CLI arguments).
+_STALLED_WORKER = """
+import sys
+from repro.cli import main
+from repro.runtime.faults import FaultInjector, FaultSpec
+stall = FaultSpec(site="queue.solve", kind="stall", stall_s=float(sys.argv[1]), after=1)
+with FaultInjector([stall]):
+    sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _spawn_worker(queue_dir, host_id, solve_stall_s=None):
+    """A ``repro batch-worker`` host process.  With ``solve_stall_s``
+    every solve after the first waits that long first, so a signal sent
+    once the first record lands finds the host mid-shard however fast
+    the instances solve."""
+    argv = ["batch-worker", str(queue_dir), "--host-id", host_id]
+    if solve_stall_s is None:
+        command = [sys.executable, "-m", "repro", *argv]
+    else:
+        command = [sys.executable, "-c", _STALLED_WORKER, str(solve_stall_s), *argv]
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", "batch-worker", str(queue_dir),
-         "--host-id", host_id],
+        command,
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
@@ -162,7 +182,9 @@ def test_sigstop_zombie_past_ttl_has_late_records_fenced(corpus_dir, solo_stable
     must reject every one of them — and even when the zombie notices the
     fence before writing, the merged corpus equals the solo run."""
     paths = _enqueue(corpus_dir, tmp_path / "q", lease_ttl_s=1.0, shard_size=4)
-    zombie = _spawn_worker(tmp_path / "q", "zombie")
+    # the stall keeps the freeze from landing after the shard's last
+    # record, where the zombie has nothing late left to write
+    zombie = _spawn_worker(tmp_path / "q", "zombie", solve_stall_s=0.5)
     stopped = False
     try:
         if _wait_for_records(paths, zombie, 1):

@@ -1,7 +1,7 @@
 """Record files written by an earlier build still load, byte for byte.
 
 ``tests/fixtures/records/`` holds one of each durable record file,
-written at ``CACHE_VERSION`` 3 and ``JOURNAL_VERSION`` 2 by
+written at ``CACHE_VERSION`` 4 and ``JOURNAL_VERSION`` 3 by
 ``python tools/regenerate_results.py --records``:
 
 - ``cache/`` — the persistent cache of a batch over ``wan.json`` and
@@ -13,9 +13,10 @@ written at ``CACHE_VERSION`` 3 and ``JOURNAL_VERSION`` 2 by
 
 They are the on-disk compatibility gate.  While those versions stand,
 every line must decode and re-encode to the same bytes, the journal
-must resume, and the cache must serve a warm batch.  A change that
-breaks them must bump the version and regenerate the files with that
-command.
+must resume, the cache must serve a warm batch, and a cold batch must
+write the cache file again byte for byte (so a change to the stored
+answers cannot keep the version).  A change that breaks them must bump
+the version and regenerate the files with that command.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro import (
 )
 from repro.batch import InstanceRef, ResultStream, load_stream_records
 from repro.batch.stream import canonical_json, record_crc
-from repro.core.cache import PersistentCache
+from repro.core.cache import CACHE_VERSION, PersistentCache
 from repro.io import load_instance
 
 FIXTURES = Path(__file__).parent / "fixtures" / "records"
@@ -128,3 +129,17 @@ def test_batch_over_the_fixture_cache_has_no_misses(tmp_path):
     assert [(r["status"], canonical_json(r.get("result"))) for r in summary.records] == [
         (r["status"], canonical_json(r.get("result"))) for r in stored
     ]
+
+
+def test_a_cold_batch_writes_the_fixture_cache_byte_for_byte(tmp_path):
+    run_batch(
+        [InstanceRef(name="wan", path=FIXTURES / "wan.json")], options=OPTIONS,
+        cache_dir=tmp_path / "cache", results_path=tmp_path / "results.jsonl",
+    )
+    (fixture,) = sorted(FIXTURES.glob("cache/merge-v*.jsonl"))
+    written = tmp_path / "cache" / fixture.name
+    assert written.exists() and written.read_bytes() == fixture.read_bytes(), (
+        f"a cold batch no longer writes {fixture.name}: the stored merge answers "
+        f"changed, so bump CACHE_VERSION (now {CACHE_VERSION}) in repro/core/cache.py "
+        f"and run `python tools/regenerate_results.py --records`"
+    )

@@ -11,6 +11,7 @@ from repro import (
     synthesize,
 )
 from repro.core.constraint_graph import ConstraintGraph
+from repro.core.merging import stage_plans
 from repro.covering import solve_ilp
 from repro.netgen import parallel_channels_graph, star_graph, two_tier_library
 
@@ -36,9 +37,9 @@ class TestWanFigure4:
             assert c.plan.link.name == "radio"
             assert c.plan.kind.value == "matching"
 
-    def test_trunk_is_optical(self, result):
+    def test_trunk_is_optical(self, result, wan_graph, wan_lib):
         merge = next(c for c in result.selected if c.is_merging)
-        assert merge.plan.trunk_plan.link.name == "optical"
+        assert stage_plans(wan_graph, merge.plan, wan_lib).trunk.link.name == "optical"
 
     def test_costs(self, result):
         assert result.point_to_point_cost == pytest.approx(644935.0, rel=1e-4)
