@@ -10,6 +10,7 @@ Iterations-to-convergence, front size, and wall time land in
 """
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -79,6 +80,7 @@ def test_bench_loop_wan_margin_sweep(benchmark):
             max(p.latency for p in points),
         ],
         "deterministic_rerun": True,
+        "nproc": os.cpu_count(),
     }
     atomic_write(RESULT_PATH, json.dumps(record, indent=2, sort_keys=True) + "\n")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import threading
 import time
 from pathlib import Path
@@ -158,6 +159,7 @@ def test_bench_serve_concurrent_load(tmp_path, benchmark):
         "client_retries": retries[0],
         "cache": stats["cache"],
         "identical_to_solo": True,
+        "nproc": os.cpu_count(),
     }
     atomic_write(RESULT_PATH, json.dumps(doc, indent=2, sort_keys=True))
 

@@ -278,13 +278,16 @@ class CommunicationLibrary:
         """The cheapest node type able to act as ``role``; ``None`` when
         the library offers no such node (then the corresponding graph
         transformation — segmentation, duplication, merging — is simply
-        unavailable)."""
-        candidates = [n for n in self._nodes.values() if n.kind.can_act_as(role)]
-        if not candidates:
-            return None
-        # On cost ties prefer the exact-kind node (an inverter should
-        # repeat before a demux is drafted into the role).
-        return min(candidates, key=lambda n: (n.cost, n.kind is not role, n.name))
+        unavailable).  Memoized per role until the library mutates."""
+        nodes = self.derived_cache("cheapest_node")
+        if role not in nodes:
+            candidates = [n for n in self._nodes.values() if n.kind.can_act_as(role)]
+            # On cost ties prefer the exact-kind node (an inverter should
+            # repeat before a demux is drafted into the role).
+            nodes[role] = min(
+                candidates, key=lambda n: (n.cost, n.kind is not role, n.name), default=None
+            )
+        return nodes[role]
 
     def node_cost(self, role: NodeKind) -> Optional[float]:
         """Cost of the cheapest node playing ``role``; ``None`` if absent."""

@@ -17,6 +17,7 @@ map, so callers never juggle raw indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -83,23 +84,41 @@ def compute_gamma(graph: ConstraintGraph) -> np.ndarray:
     return d[:, None] + d[None, :]
 
 
+#: the Euclidean fill's numpy set-up costs about 20 µs, so the pair loop
+#: is faster on fewer arcs (2-core box: 11 against 23 µs at 8 arcs, 42
+#: against 38 µs at 16, 166 against 96 µs at 32).
+_HYPOT_FILL_MIN_ARCS = 16
+
+
 def compute_delta(graph: ConstraintGraph) -> np.ndarray:
     """``ComputeMergingDistanceSumMatrix(G)`` —
     Δ(a_i, a_j) = ||p(u_i) - p(u_j)|| + ||p(v_i) - p(v_j)||.
 
-    Manhattan and Chebyshev distances are pure ``abs``/``max``/``+``,
-    so they fill vectorized with the scalar loop's exact doubles; the
-    Euclidean norm runs the scalar pair loop because its distance is
-    ``math.hypot``, which ``np.hypot`` does not reproduce bitwise.
+    The built-in norms fill vectorized with the scalar pair loop's exact
+    doubles: numpy subtracts the coordinates exactly as the loop does,
+    Manhattan and Chebyshev are then pure ``abs``/``max``/``+``, and the
+    Euclidean distances are ``math.hypot`` (the norm's own distance,
+    which ``np.hypot`` does not reproduce bitwise) mapped over the
+    upper triangle's differences.  Other norms, and Euclidean graphs
+    under :data:`_HYPOT_FILL_MIN_ARCS` arcs, run the pair loop.
     """
     arcs = graph.arcs
     n = len(arcs)
     norm = graph.norm
-    if n >= 2 and norm.name in ("manhattan", "chebyshev"):
+    euclidean = norm.name == "euclidean" and n >= _HYPOT_FILL_MIN_ARCS
+    if euclidean or (n >= 2 and norm.name in ("manhattan", "chebyshev")):
         sx = np.array([a.source.position.x for a in arcs])
         sy = np.array([a.source.position.y for a in arcs])
         tx = np.array([a.target.position.x for a in arcs])
         ty = np.array([a.target.position.y for a in arcs])
+        if euclidean:
+            iu, ju = np.triu_indices(n, 1)
+            du = map(math.hypot, (sx[iu] - sx[ju]).tolist(), (sy[iu] - sy[ju]).tolist())
+            dv = map(math.hypot, (tx[iu] - tx[ju]).tolist(), (ty[iu] - ty[ju]).tolist())
+            out = np.zeros((n, n), dtype=float)
+            out[iu, ju] = np.fromiter(du, float, len(iu)) + np.fromiter(dv, float, len(iu))
+            out[ju, iu] = out[iu, ju]
+            return out
         combine = np.add if norm.name == "manhattan" else np.maximum
         du = combine(np.abs(sx[:, None] - sx[None, :]), np.abs(sy[:, None] - sy[None, :]))
         dv = combine(np.abs(tx[:, None] - tx[None, :]), np.abs(ty[:, None] - ty[None, :]))

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -155,20 +154,31 @@ def _optimal_anchor(anchors: Sequence[_Anchor]) -> Optional[int]:
     faster and exact.
     """
     for i, (ax, ay, _) in enumerate(anchors):
-        far = max(math.hypot(bx - ax, by - ay) for bx, by, _ in anchors)
+        far = 0.0
+        for bx, by, _ in anchors:
+            d = math.hypot(bx - ax, by - ay)
+            if d > far:
+                far = d
         here, px, py = _pull(anchors, ax, ay, 1e-15 * max(1.0, far))
         if math.hypot(px, py) <= here * (1 + _KINK_RTOL):
             return i
     return None
 
 
-def _fermat_weber_terms(
-    anchors: Sequence[_Anchor], x: float, y: float
-) -> Tuple[float, float, float, float, float, float, float]:
-    """``(cost, den, px, py, hxx, hxy, hyy)`` of ``Σ w |a - x|`` at
-    ``(x, y)``: the Weiszfeld weight sum ``Σ w / |a - x|``, the pull
-    (minus the gradient) and the Hessian.  An anchor on ``(x, y)`` is
-    skipped; its subgradient ball is centred on the rest's gradient."""
+# A descent state is a plain tuple: ``(cost, |pull|², *point, ...)``
+# followed by what its step needs.  ``*_terms(data, point)`` evaluates
+# the objective there (value, pull and Hessian); ``*_step(state, μ)``
+# returns the trial point of damping μ, or None when that step's system
+# is singular.
+
+
+def _single_terms(anchors: Sequence[_Anchor], z: Tuple[float, float]) -> tuple:
+    """State of ``Σ w |a - x|`` at ``z = (x, y)``: ``(cost, |pull|², x,
+    y, den, px, py, hxx, hxy, hyy)`` with the Weiszfeld weight sum
+    ``den = Σ w / |a - x|``, the pull (minus the gradient) and the
+    Hessian.  An anchor on ``z`` is skipped; its subgradient ball is
+    centred on the rest's gradient."""
+    x, y = z
     cost = den = px = py = hxx = hxy = hyy = 0.0
     for ax, ay, aw in anchors:
         dx = ax - x
@@ -186,48 +196,37 @@ def _fermat_weber_terms(
         hxx += c * dy * dy
         hxy -= c * dx * dy
         hyy += c * dx * dx
-    return cost, den, px, py, hxx, hxy, hyy
+    return cost, px * px + py * py, x, y, den, px, py, hxx, hxy, hyy
 
 
-def _single_state(anchors: Sequence[_Anchor], z: List[float]) -> tuple:
-    """``(cost, pull, step)`` of one facility at ``z``; ``step(μ)`` solves
-    ``((1 - μ) H + μ · den · I) Δ = pull``: Newton at μ = 0, the
-    Weiszfeld step at μ = 1."""
-    cost, den, px, py, hxx, hxy, hyy = _fermat_weber_terms(anchors, z[0], z[1])
-
-    def step(mu: float) -> Optional[List[float]]:
-        axx = (1.0 - mu) * hxx + mu * den
-        axy = (1.0 - mu) * hxy
-        ayy = (1.0 - mu) * hyy + mu * den
-        det = axx * ayy - axy * axy
-        if not det > 0.0:
-            return None
-        return [(ayy * px - axy * py) / det, (axx * py - axy * px) / det]
-
-    return cost, [px, py], step
+def _single_step(state: tuple, mu: float) -> Optional[Tuple[float, float]]:
+    """The trial point ``z + Δ`` for ``((1 - μ) H + μ · den · I) Δ =
+    pull``: Newton at μ = 0, the Weiszfeld step at μ = 1."""
+    _, _, x, y, den, px, py, hxx, hxy, hyy = state
+    axx = (1.0 - mu) * hxx + mu * den
+    axy = (1.0 - mu) * hxy
+    ayy = (1.0 - mu) * hyy + mu * den
+    det = axx * ayy - axy * axy
+    if not det > 0.0:
+        return None
+    return x + (ayy * px - axy * py) / det, y + (axx * py - axy * px) / det
 
 
-def _joint_state(
-    src: Sequence[_Anchor], snk: Sequence[_Anchor], w: float, z: List[float]
+def _joint_terms(
+    data: Tuple[Sequence[_Anchor], Sequence[_Anchor], float],
+    z: Tuple[float, float, float, float],
 ) -> Optional[tuple]:
-    """``(cost, pull, step)`` of F at ``z = (s, t)``, or None at s = t,
-    where the trunk term has no gradient.
-
-    ``step(μ)`` solves ``((1 - μ) H + μ M) Δ = pull`` for F's Hessian
-    ``H`` and the Weiszfeld majorizer's ``M = [[A + W, -W], [-W, B + W]]
-    ⊗ I``: Newton at μ = 0, the joint Weiszfeld step at μ = 1.  The
-    trunk's Hessian is ``k n nᵀ`` with ``n ⊥ t - s``, so the system is
-    ``[[P, -C], [-C, Q]]`` with ``C = (1 - μ) k n nᵀ + μ W I``;
-    eliminating t leaves the 2×2 Schur complement ``P - C Q⁻¹ C``.
-    """
+    """State of F at ``z = (s, t)`` for ``data = (src, snk, w)``, or None
+    at s = t, where the trunk term has no gradient."""
+    src, snk, w = data
     sx, sy, tx, ty = z
     dx = tx - sx
     dy = ty - sy
     r2 = dx * dx + dy * dy
     if r2 == 0.0:
         return None
-    s_cost, a, psx, psy, sxx, sxy, syy = _fermat_weber_terms(src, sx, sy)
-    t_cost, b, ptx, pty, txx, txy, tyy = _fermat_weber_terms(snk, tx, ty)
+    s_cost, _, _, _, a, psx, psy, sxx, sxy, syy = _single_terms(src, (sx, sy))
+    t_cost, _, _, _, b, ptx, pty, txx, txy, tyy = _single_terms(snk, (tx, ty))
     r = math.sqrt(r2)
     wr = w / r
     k = wr / r2
@@ -235,39 +234,56 @@ def _joint_state(
     lsy = psy + wr * dy
     ltx = ptx - wr * dx
     lty = pty - wr * dy
+    return (
+        s_cost + t_cost + w * r, lsx * lsx + lsy * lsy + ltx * ltx + lty * lty,
+        sx, sy, tx, ty, a, b, sxx, sxy, syy, txx, txy, tyy, k, wr, dx, dy,
+        lsx, lsy, ltx, lty,
+    )
 
-    def step(mu: float) -> Optional[List[float]]:
-        nu = 1.0 - mu
-        cxx = nu * k * dy * dy + mu * wr
-        cxy = -nu * k * dx * dy
-        cyy = nu * k * dx * dx + mu * wr
-        qxx = nu * txx + mu * b + cxx
-        qxy = nu * txy + cxy
-        qyy = nu * tyy + mu * b + cyy
-        det = qxx * qyy - qxy * qxy
-        if not det > 0.0:
-            return None
-        # X = Q⁻¹ C and u = Q⁻¹ L_t
-        xxx = (qyy * cxx - qxy * cxy) / det
-        xxy = (qyy * cxy - qxy * cyy) / det
-        xyx = (qxx * cxy - qxy * cxx) / det
-        xyy = (qxx * cyy - qxy * cxy) / det
-        ux = (qyy * ltx - qxy * lty) / det
-        uy = (qxx * lty - qxy * ltx) / det
-        # (P - C X) Δs = L_s + C u
-        pxx = nu * sxx + mu * a + cxx - (cxx * xxx + cxy * xyx)
-        pxy = nu * sxy + cxy - (cxx * xxy + cxy * xyy)
-        pyy = nu * syy + mu * a + cyy - (cxy * xxy + cyy * xyy)
-        rx = lsx + cxx * ux + cxy * uy
-        ry = lsy + cxy * ux + cyy * uy
-        det = pxx * pyy - pxy * pxy
-        if not det > 0.0:
-            return None
-        dsx = (pyy * rx - pxy * ry) / det
-        dsy = (pxx * ry - pxy * rx) / det
-        return [dsx, dsy, ux + xxx * dsx + xxy * dsy, uy + xyx * dsx + xyy * dsy]
 
-    return s_cost + t_cost + w * r, [lsx, lsy, ltx, lty], step
+def _joint_step(state: tuple, mu: float) -> Optional[Tuple[float, float, float, float]]:
+    """The trial point ``z + Δ`` for ``((1 - μ) H + μ M) Δ = pull``, with
+    F's Hessian ``H`` and the Weiszfeld majorizer's ``M = [[A + W, -W],
+    [-W, B + W]] ⊗ I``: Newton at μ = 0, the joint Weiszfeld step at
+    μ = 1.  The trunk's Hessian is ``k n nᵀ`` with ``n ⊥ t - s``, so the
+    system is ``[[P, -C], [-C, Q]]`` with ``C = (1 - μ) k n nᵀ + μ W
+    I``; eliminating t leaves the 2×2 Schur complement ``P - C Q⁻¹ C``."""
+    (
+        _, _, sx, sy, tx, ty, a, b, sxx, sxy, syy, txx, txy, tyy, k, wr, dx, dy,
+        lsx, lsy, ltx, lty,
+    ) = state
+    nu = 1.0 - mu
+    cxx = nu * k * dy * dy + mu * wr
+    cxy = -nu * k * dx * dy
+    cyy = nu * k * dx * dx + mu * wr
+    qxx = nu * txx + mu * b + cxx
+    qxy = nu * txy + cxy
+    qyy = nu * tyy + mu * b + cyy
+    det = qxx * qyy - qxy * qxy
+    if not det > 0.0:
+        return None
+    # X = Q⁻¹ C and u = Q⁻¹ L_t
+    xxx = (qyy * cxx - qxy * cxy) / det
+    xxy = (qyy * cxy - qxy * cyy) / det
+    xyx = (qxx * cxy - qxy * cxx) / det
+    xyy = (qxx * cyy - qxy * cxy) / det
+    ux = (qyy * ltx - qxy * lty) / det
+    uy = (qxx * lty - qxy * ltx) / det
+    # (P - C X) Δs = L_s + C u
+    pxx = nu * sxx + mu * a + cxx - (cxx * xxx + cxy * xyx)
+    pxy = nu * sxy + cxy - (cxx * xxy + cxy * xyy)
+    pyy = nu * syy + mu * a + cyy - (cxy * xxy + cyy * xyy)
+    rx = lsx + cxx * ux + cxy * uy
+    ry = lsy + cxy * ux + cyy * uy
+    det = pxx * pyy - pxy * pxy
+    if not det > 0.0:
+        return None
+    dsx = (pyy * rx - pxy * ry) / det
+    dsy = (pxx * ry - pxy * rx) / det
+    return (
+        sx + dsx, sy + dsy,
+        tx + (ux + xxx * dsx + xxy * dsy), ty + (uy + xyx * dsx + xyy * dsy),
+    )
 
 
 def _better(cost: float, grad2: float, old_cost: float, old_grad2: float) -> bool:
@@ -280,62 +296,91 @@ def _better(cost: float, grad2: float, old_cost: float, old_grad2: float) -> boo
 
 
 def _descend(
-    state_at: Callable[[List[float]], Optional[tuple]],
-    z: List[float],
+    terms: Callable[[object, tuple], Optional[tuple]],
+    step: Callable[[tuple, float], Optional[tuple]],
+    data: object,
+    z: tuple,
     lim: float,
     max_iter: int,
-    damp: float = _DAMP_START,
-) -> Tuple[List[float], int, bool, float]:
+    damp: float,
+    state: Optional[tuple],
+) -> Tuple[tuple, int, bool, float, Optional[tuple], int]:
     """Minimize a Weiszfeld-majorized objective from ``z``.
 
-    Each iteration tries ``step(μ)`` (see :func:`_joint_state`) and keeps
-    it if :func:`_better`, else raises μ tenfold; at μ = 1 it is the
+    ``state`` is ``terms(data, z)`` when the caller knows it (None:
+    evaluate it).  Each iteration tries ``step(state, μ)`` and keeps it
+    if :func:`_better`, else raises μ tenfold; at μ = 1 it is the
     Weiszfeld step, the majorizer's minimizer, which never ascends and
     is kept.  Small μ is damped Newton, which crosses the near-flat
     valleys of nearly collinear anchors where Weiszfeld alone crawls.
     Stops once the certified gap bound ``||pull|| / lim`` is within the
-    objective, or at ``z`` where ``state_at`` is None.  Returns ``(z,
-    steps, certified, μ)``.
+    objective, or at ``z`` where the state is None.  Returns ``(z,
+    steps, certified, μ, state at z, evaluations of terms)``.
     """
-    state = state_at(z)
+    evaluations = 0
+    if state is None:
+        state = terms(data, z)
+        evaluations = 1
     for it in range(max_iter):
         if state is None:
-            return z, it, False, damp
-        cost, pull, step_at = state
-        norm2 = sum(p * p for p in pull)
+            return z, it, False, damp, None, evaluations
+        cost = state[0]
+        norm2 = state[1]
         if norm2 <= (lim * cost) ** 2:
-            return z, it, True, damp
+            return z, it, True, damp, state, evaluations
         while True:
-            step = step_at(damp)
-            if step is None:
+            trial_z = step(state, damp)
+            if trial_z is None:
                 if damp == 1.0:
-                    return z, it, False, damp  # nothing pulls
+                    return z, it, False, damp, state, evaluations  # nothing pulls
                 damp = 1.0
                 continue
-            trial = state_at([v + d for v, d in zip(z, step)])
-            if damp == 1.0 or (
-                trial is not None
-                and _better(trial[0], sum(p * p for p in trial[1]), cost, norm2)
-            ):
+            trial = terms(data, trial_z)
+            evaluations += 1
+            if damp == 1.0 or (trial is not None and _better(trial[0], trial[1], cost, norm2)):
                 damp = max(damp / 10, _DAMP_MIN)
                 break
             damp = min(damp * 10, 1.0)
-        z = [v + d for v, d in zip(z, step)]
+        z = trial_z
         state = trial
-    return z, max_iter, False, damp
+    return z, max_iter, False, damp, state, evaluations
 
 
-def _fermat_weber(anchors: Sequence[_Anchor], x: float, y: float) -> Tuple[float, float, int]:
+def _fermat_weber(
+    anchors: Sequence[_Anchor], x: float, y: float
+) -> Tuple[float, float, int, int]:
     """Weighted Fermat–Weber point of ``anchors`` (positive weights),
-    iterated from ``(x, y)`` unless an anchor is optimal."""
+    iterated from ``(x, y)`` unless an anchor is optimal.  Returns ``(x,
+    y, iterations, evaluations)``."""
     i = _optimal_anchor(anchors)
     if i is not None:
-        return anchors[i][0], anchors[i][1], 0
-    (x, y), iterations, _, _ = _descend(
-        partial(_single_state, anchors), [x, y], _GAP_RTOL / _diameter(anchors),
-        _WEISZFELD_MAX_ITER,
+        return anchors[i][0], anchors[i][1], 0, 0
+    (x, y), iterations, _, _, _, evaluations = _descend(
+        _single_terms, _single_step, anchors, (x, y), _GAP_RTOL / _diameter(anchors),
+        _WEISZFELD_MAX_ITER, _DAMP_START, None,
     )
-    return x, y, iterations
+    return x, y, iterations, evaluations
+
+
+def _weiszfeld(
+    pts: Sequence[Tuple[Point, float]], start: Optional[Tuple[float, float]]
+) -> Tuple[Point, int, int]:
+    """:func:`weiszfeld` of the positively weighted ``(anchor, weight)``
+    pairs ``pts`` from ``start`` (the weighted centroid when None):
+    ``(point, iterations, evaluations)``."""
+    if not pts:
+        raise ValueError("weiszfeld needs at least one positively weighted anchor")
+    if len(pts) == 1:
+        return pts[0][0], 0, 0
+    if start is None:
+        total = sum(w for _, w in pts)
+        start = (sum(p.x * w for p, w in pts) / total, sum(p.y * w for p, w in pts) / total)
+    ox, oy = pts[0][0]
+    exact = {(p.x - ox, p.y - oy): p for p, _ in pts}
+    x, y, iterations, evaluations = _fermat_weber(
+        [(p.x - ox, p.y - oy, w) for p, w in pts], start[0] - ox, start[1] - oy
+    )
+    return exact.get((x, y)) or Point(x + ox, y + oy), iterations, evaluations
 
 
 def weiszfeld(
@@ -354,20 +399,11 @@ def weiszfeld(
     used.  Zero-weight anchors are ignored; a single effective anchor
     returns that anchor directly.
     """
-    pts = [(p, w) for p, w in zip(anchors, weights) if w > 0]
-    if not pts:
-        raise ValueError("weiszfeld needs at least one positively weighted anchor")
-    if len(pts) == 1:
-        return pts[0][0], 0
-    if start is None:
-        total = sum(w for _, w in pts)
-        start = Point(sum(p.x * w for p, w in pts) / total, sum(p.y * w for p, w in pts) / total)
-    ox, oy = pts[0][0]
-    exact = {(p.x - ox, p.y - oy): p for p, _ in pts}
-    x, y, iterations = _fermat_weber(
-        [(p.x - ox, p.y - oy, w) for p, w in pts], start.x - ox, start.y - oy
+    point, iterations, _ = _weiszfeld(
+        [(p, w) for p, w in zip(anchors, weights) if w > 0],
+        None if start is None else (start.x, start.y),
     )
-    return exact.get((x, y)) or Point(x + ox, y + oy), iterations
+    return point, iterations
 
 
 def _discs_meet(discs: Sequence[Tuple[float, float, float]], slack: float) -> bool:
@@ -396,8 +432,8 @@ def _discs_meet(discs: Sequence[Tuple[float, float, float]], slack: float) -> bo
 
 
 def _collapse(
-    src: Sequence[_Anchor], snk: Sequence[_Anchor], w: float, x: float, y: float
-) -> Tuple[float, float, int, bool]:
+    src: List[_Anchor], snk: List[_Anchor], w: float, x: float, y: float
+) -> Tuple[float, float, int, int, bool]:
     """Test whether F is minimized with s = t.
 
     On the diagonal F is the Fermat–Weber objective of all 2k anchors,
@@ -405,52 +441,63 @@ def _collapse(
     optimal iff some y with ``||y|| <= w`` balances both sides: the
     sources' subgradient must contain ``-y`` and the sinks' ``y``.  Off
     the anchors this is "the sources' pull is at most the trunk
-    weight".  Returns ``(x*, y*, iterations, optimal)``.
+    weight".  Returns ``(x*, y*, iterations, evaluations, optimal)``.
     """
-    anchors = list(src) + list(snk)
-    x, y, iterations = _fermat_weber(anchors, x, y)
+    anchors = src + snk
+    x, y, iterations, evaluations = _fermat_weber(anchors, x, y)
     near = _near(_diameter(anchors))
     here_s, psx, psy = _pull(src, x, y, near)
     here_t, ptx, pty = _pull(snk, x, y, near)
     limit = w * (1 + _KINK_RTOL)
     if here_s == 0.0:
-        return x, y, iterations, math.hypot(psx, psy) <= limit
+        return x, y, iterations, evaluations, math.hypot(psx, psy) <= limit
     if here_t == 0.0:
-        return x, y, iterations, math.hypot(ptx, pty) <= limit
+        return x, y, iterations, evaluations, math.hypot(ptx, pty) <= limit
     slack = _KINK_RTOL * (w + here_s + here_t)
     ok = _discs_meet([(0.0, 0.0, w), (psx, psy, here_s), (-ptx, -pty, here_t)], slack)
-    return x, y, iterations, ok
+    return x, y, iterations, evaluations, ok
+
+
+def _qualifies(
+    side: Sequence[_Anchor], w: float, ax: float, ay: float, ox: float, oy: float,
+    near: float, close: float,
+) -> bool:
+    """Whether the anchor ``(ax, ay)`` minimizes its side given the other
+    facility at ``(ox, oy)``, which must not be ``close`` to it (that is
+    a collapse)."""
+    r = math.hypot(ox - ax, oy - ay)
+    if r <= close:
+        return False
+    here, px, py = _pull(side, ax, ay, near)
+    return math.hypot(px + w * (ox - ax) / r, py + w * (oy - ay) / r) <= here * (1 + _KINK_RTOL)
 
 
 def _pin(
-    side: Sequence[_Anchor], other: Sequence[_Anchor], w: float,
+    side: Sequence[_Anchor], other: List[_Anchor], w: float,
     fx: float, fy: float, ox: float, oy: float, near: float, close: float,
-) -> Optional[Tuple[float, float, float, float, int, bool]]:
-    """Try to pin the facility at ``(fx, fy)`` on its nearest anchor.
+) -> Optional[Tuple[float, float, float, float, int, int, bool]]:
+    """Try to pin the facility at ``(fx, fy)`` on its nearest anchor
+    (the first of the nearest).
 
-    The anchor qualifies when it minimizes the facility's side given
-    the other facility at ``(ox, oy)`` (which must not be ``close`` to
-    it: that is a collapse).  The other facility is then re-solved with
-    the pinned one as an anchor of weight ``w``.  Returns None, or
-    ``(ax, ay, ox, oy, iterations, holds)`` where ``holds`` says the pin
-    still qualifies against the re-solved facility — then the pair is
-    optimal, as F's only coupling term is smooth there.
+    The anchor must qualify (:func:`_qualifies`) against the other
+    facility at ``(ox, oy)``.  The other facility is then re-solved
+    with the pinned one as an anchor of weight ``w``.  Returns None, or
+    ``(ax, ay, ox, oy, iterations, evaluations, holds)`` where
+    ``holds`` says the pin still qualifies against the re-solved
+    facility — then the pair is optimal, as F's only coupling term is
+    smooth there.
     """
-
-    def qualifies(ax: float, ay: float, ox: float, oy: float) -> bool:
-        r = math.hypot(ox - ax, oy - ay)
-        if r <= close:
-            return False
-        here, px, py = _pull(side, ax, ay, near)
-        return math.hypot(px + w * (ox - ax) / r, py + w * (oy - ay) / r) <= here * (
-            1 + _KINK_RTOL
-        )
-
-    ax, ay, _ = min(side, key=lambda a: (a[0] - fx) ** 2 + (a[1] - fy) ** 2)
-    if not qualifies(ax, ay, ox, oy):
+    ax, ay, _ = side[0]
+    best = (ax - fx) ** 2 + (ay - fy) ** 2
+    for bx, by, _ in side:
+        d2 = (bx - fx) ** 2 + (by - fy) ** 2
+        if d2 < best:
+            best, ax, ay = d2, bx, by
+    if not _qualifies(side, w, ax, ay, ox, oy, near, close):
         return None
-    ox, oy, iterations = _fermat_weber(list(other) + [(ax, ay, w)], ox, oy)
-    return ax, ay, ox, oy, iterations, qualifies(ax, ay, ox, oy)
+    ox, oy, iterations, evaluations = _fermat_weber(other + [(ax, ay, w)], ox, oy)
+    holds = _qualifies(side, w, ax, ay, ox, oy, near, close)
+    return ax, ay, ox, oy, iterations, evaluations, holds
 
 
 def _wants_collapse(
@@ -463,9 +510,9 @@ def _wants_collapse(
 
 
 def _joint_weiszfeld(
-    src: Sequence[_Anchor], snk: Sequence[_Anchor], w: float,
+    src: List[_Anchor], snk: List[_Anchor], w: float,
     sx: float, sy: float, tx: float, ty: float,
-) -> Tuple[float, float, float, float, int]:
+) -> Tuple[float, float, float, float, int, int]:
     """Minimize ``Σ a_i |u_i - s| + w |s - t| + Σ b_j |t - v_j|`` jointly.
 
     ``src``/``snk`` hold the positively weighted anchors.  The
@@ -475,26 +522,33 @@ def _joint_weiszfeld(
     first).  Every ``_KINK_EVERY`` steps the exact kink tests run: once
     either facility would rather sit on the other, :func:`_collapse`
     decides s = t for good; a facility whose nearest anchor minimizes
-    its side is pinned there (:func:`_pin`).  The run stops when the
-    certified gap closes.  Returns ``(sx, sy, tx, ty, iterations)``.
+    its side is pinned there (:func:`_pin`).  The descent's state
+    carries from one interval to the next and is dropped when a pin
+    moves (s, t); a split starts from s = t, where there is none.  The
+    run stops when the certified gap closes.  Returns ``(sx, sy, tx,
+    ty, iterations, evaluations)``.
     """
-    diam = _diameter(list(src) + list(snk))
+    diam = _diameter(src + snk)
     near = _near(diam)
     # facilities this close are converging onto one kink: the collapse
     # test, not a pin, decides it
     close = 1e-9 * diam
     lim = _GAP_RTOL / (math.sqrt(2.0) * diam)
-    state_at = partial(_joint_state, src, snk, w)
-    z = [sx, sy, tx, ty]
+    data = (src, snk, w)
+    z = (sx, sy, tx, ty)
+    state = None
     damp = _DAMP_START
     collapse_tested = False
     # doubles after every pin that fails to hold, so the descent gets
     # time to leave a nearly optimal anchor before it is tried again
     interval = _KINK_EVERY
-    iterations = 0
+    iterations = evaluations = 0
     while iterations < _WEISZFELD_MAX_ITER:
-        z, used, certified, damp = _descend(state_at, z, lim, interval, damp)
+        z, used, certified, damp, state, evals = _descend(
+            _joint_terms, _joint_step, data, z, lim, interval, damp, state
+        )
         iterations += max(used, 1)
+        evaluations += evals
         if certified:
             break
         sx, sy, tx, ty = z
@@ -504,19 +558,22 @@ def _joint_weiszfeld(
             or _wants_collapse(snk, sx, sy, w, near)
         ):
             collapse_tested = True
-            x, y, extra, ok = _collapse(src, snk, w, (sx + tx) / 2, (sy + ty) / 2)
+            x, y, extra, evals, ok = _collapse(src, snk, w, (sx + tx) / 2, (sy + ty) / 2)
             iterations += extra
+            evaluations += evals
             if ok:
-                return x, y, x, y, iterations
+                return x, y, x, y, iterations, evaluations
         if sx == tx and sy == ty:
             # s = t but no collapse optimum: split, each side stepping
-            # towards its own anchors alone
-            _, a_den, psx, psy, *_ = _fermat_weber_terms(src, sx, sy)
-            _, b_den, ptx, pty, *_ = _fermat_weber_terms(snk, tx, ty)
+            # towards its own anchors alone (F has no state at s = t,
+            # so none carries over)
+            _, _, _, _, a_den, psx, psy, _, _, _ = _single_terms(src, (sx, sy))
+            _, _, _, _, b_den, ptx, pty, _, _, _ = _single_terms(snk, (tx, ty))
             if a_den > 0.0:
-                z[0:2] = [sx + psx / a_den, sy + psy / a_den]
+                sx, sy = sx + psx / a_den, sy + psy / a_den
             if b_den > 0.0:
-                z[2:4] = [tx + ptx / b_den, ty + pty / b_den]
+                tx, ty = tx + ptx / b_den, ty + pty / b_den
+            z = (sx, sy, tx, ty)
             continue
         # a pin that fails to hold leaves the other facility re-solved,
         # maybe on an anchor of its own: try pinning that one next
@@ -528,38 +585,40 @@ def _joint_weiszfeld(
                 pinned = _pin(snk, src, w, tx, ty, sx, sy, near, close)
             if pinned is None:
                 continue
-            ax, ay, ox, oy, extra, holds = pinned
+            ax, ay, ox, oy, extra, evals, holds = pinned
             iterations += extra
-            z = [ax, ay, ox, oy] if on_s else [ox, oy, ax, ay]
+            evaluations += evals
+            z = (ax, ay, ox, oy) if on_s else (ox, oy, ax, ay)
+            state = None
             if holds:
-                return z[0], z[1], z[2], z[3], iterations
+                return z[0], z[1], z[2], z[3], iterations, evaluations
             interval *= 2
-    return z[0], z[1], z[2], z[3], iterations
+    return z[0], z[1], z[2], z[3], iterations, evaluations
 
 
-def _objective(
+def _exact_cost(
     norm: Norm,
     sources: Sequence[Point],
     sinks: Sequence[Point],
     feeder_costs: Sequence[StageCost],
     trunk_cost: StageCost,
     distributor_costs: Sequence[StageCost],
-) -> Callable[[Point, Point], float]:
-    def F(s: Point, t: Point) -> float:
-        total = trunk_cost(norm.distance(s, t))
-        for u, fc in zip(sources, feeder_costs):
-            total += fc(norm.distance(u, s))
-        for v, hc in zip(sinks, distributor_costs):
-            total += hc(norm.distance(t, v))
-        return total
-
-    return F
+    s: Point,
+    t: Point,
+) -> float:
+    """F(s, t) by the stages' exact costs: trunk, feeders, distributors."""
+    total = trunk_cost(norm.distance(s, t))
+    for u, fc in zip(sources, feeder_costs):
+        total += fc(norm.distance(u, s))
+    for v, hc in zip(sinks, distributor_costs):
+        total += hc(norm.distance(t, v))
+    return total
 
 
 def _all_same(points: Sequence[Point]) -> Optional[Point]:
     first = points[0]
-    for p in points[1:]:
-        if not first.is_close(p):
+    for i in range(1, len(points)):
+        if not first.is_close(points[i]):
             return None
     return first
 
@@ -572,46 +631,54 @@ def _linear_placement(
     distributor_costs: Sequence[StageCost],
     pinned_s: Optional[Point],
     pinned_t: Optional[Point],
-) -> Tuple[Point, Point, int]:
-    """(s, t, iterations) minimizing the linear objective, the free
-    points started at their sides' centroids.
+) -> Tuple[Point, Point, int, int]:
+    """(s, t, iterations, evaluations) minimizing the linear objective,
+    the free points started at their sides' centroids.
 
     With one point pinned the other is the Fermat–Weber point of its
     side's anchors plus the pinned point, weighted by the trunk
     (:func:`weiszfeld`).
     """
-    s = pinned_s if pinned_s is not None else centroid(list(sources))
-    t = pinned_t if pinned_t is not None else centroid(list(sinks))
     w = trunk_cost.slope
-    if pinned_s is not None:
-        t, iterations = weiszfeld(
-            list(sinks) + [s], [c.slope for c in distributor_costs] + [w], start=t
+    if pinned_s is not None or pinned_t is not None:
+        if pinned_s is not None:
+            pinned, side, costs = pinned_s, sinks, distributor_costs
+        else:
+            pinned, side, costs = pinned_t, sources, feeder_costs
+        pts = [(p, c.slope) for p, c in zip(side, costs) if c.slope > 0]
+        if w > 0:
+            pts.append((pinned, w))
+        n = len(side)
+        free, iterations, evaluations = _weiszfeld(
+            pts, (sum(p.x for p in side) / n, sum(p.y for p in side) / n)
         )
-        return s, t, iterations
-    if pinned_t is not None:
-        s, iterations = weiszfeld(
-            list(sources) + [t], [c.slope for c in feeder_costs] + [w], start=s
-        )
-        return s, t, iterations
+        if pinned_s is not None:
+            return pinned_s, free, iterations, evaluations
+        return free, pinned_t, iterations, evaluations
     # Solve in coordinates relative to one anchor, so precision follows
     # the anchors' spread rather than their distance from the origin;
     # an answer on an anchor maps back to that anchor exactly.
-    positive = [(p, c.slope) for p, c in zip(sources, feeder_costs) if c.slope > 0]
-    positive += [(p, c.slope) for p, c in zip(sinks, distributor_costs) if c.slope > 0]
-    if not positive:
-        return t, t, 0
-    ox, oy = positive[0][0]
-    exact = {(p.x - ox, p.y - oy): p for p, _ in positive}
+    anchors = [p for p, c in zip(sources, feeder_costs) if c.slope > 0]
+    anchors += [p for p, c in zip(sinks, distributor_costs) if c.slope > 0]
+    if not anchors:
+        t = centroid(sinks)
+        return t, t, 0, 0
+    ox, oy = anchors[0]
+    exact = {(p.x - ox, p.y - oy): p for p in anchors}
     if len(exact) == 1:
-        return positive[0][0], positive[0][0], 0  # every anchor on one point
+        return anchors[0], anchors[0], 0, 0  # every anchor on one point
     src = [(p.x - ox, p.y - oy, c.slope) for p, c in zip(sources, feeder_costs) if c.slope > 0]
     snk = [(p.x - ox, p.y - oy, c.slope) for p, c in zip(sinks, distributor_costs) if c.slope > 0]
-    sx, sy, tx, ty, iterations = _joint_weiszfeld(
-        src, snk, w, s.x - ox, s.y - oy, t.x - ox, t.y - oy
+    n = len(sources)
+    m = len(sinks)
+    sx, sy, tx, ty, iterations, evaluations = _joint_weiszfeld(
+        src, snk, w,
+        sum(p.x for p in sources) / n - ox, sum(p.y for p in sources) / n - oy,
+        sum(p.x for p in sinks) / m - ox, sum(p.y for p in sinks) / m - oy,
     )
     s = exact.get((sx, sy)) or Point(sx + ox, sy + oy)
     t = exact.get((tx, ty)) or Point(tx + ox, ty + oy)
-    return s, t, iterations
+    return s, t, iterations, evaluations
 
 
 def optimize_two_points(
@@ -633,50 +700,55 @@ def optimize_two_points(
     refinement — much faster on floor-style cost surfaces, at a small
     cost-quality risk — and never affects the linear path.  The
     returned ``cost`` is always the *exact* objective at the returned
-    points.  The Weiszfeld iterations feed the ``placement.iterations``
-    counter of the ambient tracer.
+    points.  The Weiszfeld iterations and objective evaluations of the
+    linear solve feed the ``placement.iterations`` and
+    ``placement.evaluations`` counters of the ambient tracer.
     """
     if not sources or not sinks:
         raise ValueError("need at least one source and one sink")
     if len(sources) != len(feeder_costs) or len(sinks) != len(distributor_costs):
         raise ValueError("one stage-cost per source/sink required")
 
-    F = _objective(norm, sources, sinks, feeder_costs, trunk_cost, distributor_costs)
-
-    pinned_s = _all_same(list(sources))
-    pinned_t = _all_same(list(sinks))
+    stages = (norm, sources, sinks, feeder_costs, trunk_cost, distributor_costs)
+    pinned_s = _all_same(sources)
+    pinned_t = _all_same(sinks)
     if pinned_s is not None and pinned_t is not None:
-        return PlacementResult(pinned_s, pinned_t, F(pinned_s, pinned_t), 0, "degenerate")
+        cost = _exact_cost(*stages, pinned_s, pinned_t)
+        return PlacementResult(pinned_s, pinned_t, cost, 0, "degenerate")
 
-    all_linear = (
-        trunk_cost.is_linear
+    linear = (
+        norm.name == "euclidean"
+        and trunk_cost.is_linear
         and all(c.is_linear for c in feeder_costs)
         and all(c.is_linear for c in distributor_costs)
     )
-    if all_linear and norm.name == "euclidean":
-        s, t, iterations = _linear_placement(
-            sources, sinks, feeder_costs, trunk_cost, distributor_costs, pinned_s, pinned_t
+    if linear:
+        surrogate = (feeder_costs, trunk_cost, distributor_costs)
+    else:
+        # General costs: place with a linear surrogate (slope = average
+        # cost density at the instance's own length scale), then polish
+        # with Nelder-Mead from that point and a couple of centroid seeds.
+        scale = _typical_scale(list(sources) + list(sinks), norm)
+        surrogate = (
+            [_linearize(c, scale) for c in feeder_costs],
+            _linearize(trunk_cost, scale),
+            [_linearize(c, scale) for c in distributor_costs],
         )
-        current_tracer().count("placement.iterations", iterations)
-        return PlacementResult(s, t, F(s, t), iterations, "weiszfeld")
-
-    # General costs: place with a linear surrogate (slope = average cost
-    # density at the instance's own length scale), then polish with
-    # Nelder-Mead from that point and a couple of centroid seeds.
-    scale = _typical_scale(list(sources) + list(sinks), norm)
-    s, t, iterations = _linear_placement(
-        sources,
-        sinks,
-        [_linearize(c, scale) for c in feeder_costs],
-        _linearize(trunk_cost, scale),
-        [_linearize(c, scale) for c in distributor_costs],
-        pinned_s,
-        pinned_t,
+    s, t, iterations, evaluations = _linear_placement(
+        sources, sinks, *surrogate, pinned_s, pinned_t
     )
-    current_tracer().count("placement.iterations", iterations)
+    tracer = current_tracer()
+    tracer.count("placement.iterations", iterations)
+    tracer.count("placement.evaluations", evaluations)
+    if linear:
+        return PlacementResult(s, t, _exact_cost(*stages, s, t), iterations, "weiszfeld")
     if not polish:
         # exact evaluation at the surrogate optimum, no refinement
-        return PlacementResult(s, t, F(s, t), iterations, "surrogate")
+        return PlacementResult(s, t, _exact_cost(*stages, s, t), iterations, "surrogate")
+
+    def F(s: Point, t: Point) -> float:
+        return _exact_cost(*stages, s, t)
+
     return _nelder_mead(sources, sinks, F, norm, pinned_s, pinned_t, extra_seeds=[(s, t)])
 
 

@@ -136,25 +136,20 @@ class _StageModel:
 
     __slots__ = ("structures", "repeater", "mux", "demux", "stage")
 
-    def __init__(self, bandwidth: float, library: CommunicationLibrary) -> None:
+    def __init__(
+        self, shapes: Tuple[Optional[Tuple[int, float]], ...], library: CommunicationLibrary
+    ) -> None:
         library.validate()
         self.repeater = library.cheapest_node(NodeKind.REPEATER)
         self.mux = library.cheapest_node(NodeKind.MUX)
         self.demux = library.cheapest_node(NodeKind.DEMUX)
         # (M, o, c_fixed, c_unit, L or None when unbounded, link)
         structures = []
-        for link in library.links:
-            reach = None if math.isinf(link.max_length) else link.max_length
-            if link.can_carry(bandwidth):
-                branches, overhead = 1, 0.0
-            elif self.mux is not None and self.demux is not None:
-                branches = int(math.ceil(bandwidth / link.bandwidth - 1e-12))
-                overhead = self.mux.cost + self.demux.cost
-            else:
+        for link, shape in zip(library.links, shapes):
+            if shape is None:
                 continue
-            structures.append(
-                (branches, overhead, link.cost_fixed, link.cost_per_unit, reach, link)
-            )
+            reach = None if math.isinf(link.max_length) else link.max_length
+            structures.append((*shape, link.cost_fixed, link.cost_per_unit, reach, link))
         self.structures = tuple(structures)
         slope = self._linear_slope()
         self.stage = StageCost(fn=self.cost, is_linear=slope is not None, slope=slope or 0.0)
@@ -226,13 +221,41 @@ class _StageModel:
         return c
 
 
+def _link_shapes(
+    bandwidth: float, library: CommunicationLibrary
+) -> Tuple[Optional[Tuple[int, float]], ...]:
+    """Per library link, the ``(M, o)`` with which it carries
+    ``bandwidth``: one instance when it can, else ``M`` parallel
+    instances behind the cheapest mux/demux pair costing ``o``; None
+    when it cannot carry it at all (no mux or demux)."""
+    mux = library.cheapest_node(NodeKind.MUX)
+    demux = library.cheapest_node(NodeKind.DEMUX)
+    shapes = []
+    for link in library.links:
+        if link.can_carry(bandwidth):
+            shapes.append((1, 0.0))
+        elif mux is not None and demux is not None:
+            branches = int(math.ceil(bandwidth / link.bandwidth - 1e-12))
+            shapes.append((branches, mux.cost + demux.cost))
+        else:
+            shapes.append(None)
+    return tuple(shapes)
+
+
 def _stage_model(bandwidth: float, library: CommunicationLibrary) -> _StageModel:
     """The structure table of ``bandwidth``, memoized until the library
-    mutates."""
+    mutates.  Bandwidths that every link carries with the same ``(M,
+    o)`` (:func:`_link_shapes`) have the same table, so they share one
+    model."""
     models = library.derived_cache("stage_model")
     model = models.get(bandwidth)
     if model is None:
-        model = models[bandwidth] = _StageModel(bandwidth, library)
+        shapes = _link_shapes(bandwidth, library)
+        shared = library.derived_cache("stage_model_by_shape")
+        model = shared.get(shapes)
+        if model is None:
+            model = shared[shapes] = _StageModel(shapes, library)
+        models[bandwidth] = model
     return model
 
 

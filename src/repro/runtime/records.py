@@ -54,9 +54,39 @@ def encode_line(record: Dict[str, Any]) -> bytes:
     return (canonical_json(dict(record, crc=record_crc(record))) + "\n").encode("utf-8")
 
 
+#: the ``crc`` member as :func:`encode_line` writes it, up to its value.
+_CRC_MEMBER = b'"crc":"'
+
+
+def _line_crc(raw: bytes) -> Optional[str]:
+    """CRC-32 of ``raw`` with its ``"crc":"xxxxxxxx"`` member, one
+    adjacent comma and a trailing newline cut out, as 8 hex digits: on a
+    line :func:`encode_line` wrote, exactly the bytes it checksummed.
+    None unless the member occurs exactly once.  (The member's quotes
+    are unescaped, so it cannot occur inside a JSON string.)"""
+    start = raw.find(_CRC_MEMBER)
+    if start < 0 or raw.find(_CRC_MEMBER, start + 1) >= 0:
+        return None
+    end = start + len(_CRC_MEMBER) + 9  # 8 hex digits and the closing quote
+    if raw[end - 1 : end] != b'"':
+        return None
+    if raw[end : end + 1] == b",":
+        end += 1
+    elif raw[start - 1 : start] == b",":
+        start -= 1
+    stop = len(raw) - 1 if raw.endswith(b"\n") else len(raw)
+    view = memoryview(raw)
+    return format(zlib.crc32(view[end:stop], zlib.crc32(view[:start])), "08x")
+
+
 def parse_line(raw: bytes) -> Dict[str, Any]:
     """The record stored in ``raw`` (``crc`` popped); raises
-    :class:`CorruptRecord` for a torn, garbled or CRC-failing line."""
+    :class:`CorruptRecord` for a torn, garbled or CRC-failing line.
+
+    The checksum is checked over the line's own bytes first
+    (:func:`_line_crc`) and, when that does not match, over the
+    re-encoded record — so any line whose record re-encodes to its
+    ``crc`` is intact, in whatever form it was written."""
     try:
         record = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
@@ -64,7 +94,7 @@ def parse_line(raw: bytes) -> Dict[str, Any]:
     if not isinstance(record, dict) or "crc" not in record:
         raise CorruptRecord("record is not an object with a crc")
     crc = record.pop("crc")
-    if record_crc(record) != crc:
+    if _line_crc(raw) != crc and record_crc(record) != crc:
         raise CorruptRecord("checksum mismatch")
     return record
 

@@ -3,8 +3,8 @@ independent optimality check of merge placement.
 
 Two synthesis hot paths run vectorized numpy code that promises the
 exact doubles of a plain scalar loop: the batched Lemma 3.2 / Theorem
-3.2 predicates of :mod:`repro.core.pruning`, and the Manhattan /
-Chebyshev Δ fill of :mod:`repro.core.matrices`.  This pack keeps the
+3.2 predicates of :mod:`repro.core.pruning`, and the Δ fill of
+:mod:`repro.core.matrices`.  This pack keeps the
 scalar loops as test oracles and holds the production code to them.  A
 run on the ``"numpy"`` path is production as shipped; a run on the
 ``"python"`` path swaps every vectorized routine for its scalar oracle.
@@ -432,10 +432,11 @@ def test_sweep_placements_are_optimal(seed):
     assert not bad
 
 
-@pytest.mark.parametrize("norm", [MANHATTAN, CHEBYSHEV], ids=lambda n: n.name)
+@pytest.mark.parametrize("norm", [EUCLIDEAN, MANHATTAN, CHEBYSHEV], ids=lambda n: n.name)
 @pytest.mark.parametrize("seed", range(6))
 def test_vectorized_delta_equals_pair_loop(norm, seed):
-    graph = uniform_graph(n_ports=8, n_arcs=6 + seed, seed=seed, norm=norm)
+    # 6 to 31 arcs: both sides of the Euclidean fill's size cutover
+    graph = uniform_graph(n_ports=8, n_arcs=6 + 5 * seed, seed=seed, norm=norm)
     assert np.array_equal(compute_delta(graph), _delta_pair_loop(graph))
 
 
