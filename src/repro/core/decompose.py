@@ -440,12 +440,10 @@ def _solve_components(
     blocks: Dict[int, List[str]] = {}
     for arc in graph.arcs:
         blocks.setdefault(arc_component[arc.name], []).append(arc.name)
+    # ``covering`` holds one column per candidate, in candidate order
     columns_by_block: Dict[int, List[Column]] = {lab: [] for lab in blocks}
-    for cand in candidates.all:
-        lab = arc_component[cand.arc_names[0]]
-        columns_by_block[lab].append(
-            Column(name=cand.label(), rows=frozenset(cand.arc_names), weight=cand.cost)
-        )
+    for cand, column in zip(candidates.all, covering.columns):
+        columns_by_block[arc_component[cand.arc_names[0]]].append(column)
 
     selected: List[str] = []
     total = 0.0

@@ -278,16 +278,19 @@ class CommunicationLibrary:
         """The cheapest node type able to act as ``role``; ``None`` when
         the library offers no such node (then the corresponding graph
         transformation — segmentation, duplication, merging — is simply
-        unavailable).  Memoized per role until the library mutates."""
+        unavailable).  Memoized per role until the library mutates,
+        keyed by the role's value: hashing the member itself runs
+        ``Enum.__hash__`` in Python."""
         nodes = self.derived_cache("cheapest_node")
-        if role not in nodes:
+        key = role._value_
+        if key not in nodes:
             candidates = [n for n in self._nodes.values() if n.kind.can_act_as(role)]
             # On cost ties prefer the exact-kind node (an inverter should
             # repeat before a demux is drafted into the role).
-            nodes[role] = min(
+            nodes[key] = min(
                 candidates, key=lambda n: (n.cost, n.kind is not role, n.name), default=None
             )
-        return nodes[role]
+        return nodes[key]
 
     def node_cost(self, role: NodeKind) -> Optional[float]:
         """Cost of the cheapest node playing ``role``; ``None`` if absent."""

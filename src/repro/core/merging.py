@@ -16,12 +16,13 @@ family's fixed cost (zero for per-unit-priced links).
 
 Candidate generation plans thousands of mergings and the cover selects
 few, so a :class:`MergingPlan` is lean: the placement, the exact cost
-and the hop count, priced through the stage-cost model without building
-a stage plan.  :func:`stage_plans` builds the ``2K + 1`` concrete
-:class:`~repro.core.point_to_point.PointToPointPlan` stages and picks
-the mux/demux of a plan on demand, and :func:`materialize_merging`
-instantiates them into an implementation graph — for selected mergings
-only.
+and the hop count, from the stage prices the placement computed at its
+optimum (:func:`build_merging_plans_batch`, the one planning kernel),
+without building a stage plan.  :func:`stage_plans` builds the
+``2K + 1`` concrete :class:`~repro.core.point_to_point.PointToPointPlan`
+stages and picks the mux/demux of a plan on demand, and
+:func:`materialize_merging` instantiates them into an implementation
+graph — for selected mergings only.
 """
 
 from __future__ import annotations
@@ -36,16 +37,10 @@ from .geometry import Point
 from .implementation import ImplementationGraph, Path
 from .library import CommunicationLibrary, NodeKind, NodeSpec
 from .mux_trees import tree_node_count
-from .placement import optimize_two_points
+from .placement import PlacementResult, StageCost, optimize_two_points
 # perfbench traces the placement layer under this module's names
 from .placement import optimize_two_points_batch  # noqa: F401
-from .point_to_point import (
-    PointToPointPlan,
-    best_point_to_point,
-    materialize_plan,
-    price_stage,
-    stage_cost,
-)
+from .point_to_point import PointToPointPlan, best_point_to_point, materialize_plan, stage_cost
 
 __all__ = [
     "MergingPlan",
@@ -135,59 +130,100 @@ def build_merging_plan(
     Infeasible means the library offers no mux or demux node, or some
     stage cannot be implemented point-to-point at all.  This is the
     paper's "simple nonlinear optimization problem" solved per
-    candidate: positions of the communication nodes, then each of the
-    ``2K + 1`` stages priced once by the stage-cost model
-    (:func:`~repro.core.point_to_point.price_stage`), which gives the
-    exact cost and hop count without building a stage plan.
+    candidate: positions of the communication nodes, whose placement
+    prices each of the ``2K + 1`` stages once by the stage-cost model,
+    which gives the exact cost and hop count without building a stage
+    plan.  The one-group call of :func:`build_merging_plans_batch`.
     """
-    if len(arc_names) < 2:
-        raise ValueError("a merging involves at least two arcs")
-    arcs = [graph.arc(name) for name in arc_names]
+    return build_merging_plans_batch(graph, [arc_names], library, polish_placement)[0]
 
+
+def build_merging_plans_batch(
+    graph: ConstraintGraph,
+    groups: Sequence[Sequence[str]],
+    library: CommunicationLibrary,
+    polish_placement: bool = True,
+) -> List[Optional[MergingPlan]]:
+    """:func:`build_merging_plan` for every group, in order: the one
+    merge-planning kernel, which candidate generation plans each chunk
+    through.
+
+    The cheapest mux and demux, the reduction-tree node counts of each
+    arity and each arc's feeder stage cost are looked up once per call.
+    Each group reads the persistent cache (a hit, ``None`` included,
+    serves it); otherwise its trunk stage cost is looked up, the
+    placement (:func:`~repro.core.placement.optimize_two_points`) prices
+    every stage once at the optimum, and the plan sums those prices —
+    feeders, trunk, distributors, then the mux and demux — and is
+    stored, ``None`` when infeasible.
+    """
     store = current_persistent_cache()
-    cache_key = None
-    if store is not None:
-        cache_key = _merge_cache_key(graph, arcs, polish_placement)
-        found, cached = store.lookup("merge", library, cache_key)
-        if found:
-            if cached is None:
-                return None
-            return replace(cached, arc_names=tuple(arc_names))
-
     mux = library.cheapest_node(NodeKind.MUX)
     demux = library.cheapest_node(NodeKind.DEMUX)
-    if mux is None or demux is None:
+    trees: Dict[int, Tuple[int, int]] = {}
+    feeder_costs: Dict[str, StageCost] = {}
+    plans: List[Optional[MergingPlan]] = []
+    for arc_names in groups:
+        if len(arc_names) < 2:
+            raise ValueError("a merging involves at least two arcs")
+        arcs = [graph.arc(name) for name in arc_names]
+        cache_key = None
         if store is not None:
-            store.put("merge", library, cache_key, None)
-        return None
-    mux_count = tree_node_count(len(arcs), mux.max_degree)
-    demux_count = tree_node_count(len(arcs), demux.max_degree)
-
-    sources = [a.source.position for a in arcs]
-    sinks = [a.target.position for a in arcs]
-    total_bw = sum(a.bandwidth for a in arcs)
-
-    try:
-        feeder_costs = [stage_cost(a.bandwidth, library) for a in arcs]
-        trunk_cost = stage_cost(total_bw, library)
-        distributor_costs = feeder_costs  # same per-arc bandwidths on both sides
-        placement = optimize_two_points(
-            sources, sinks, feeder_costs, trunk_cost, distributor_costs,
-            norm=graph.norm, polish=polish_placement,
-        )
-        s, t = placement.merge_point, placement.split_point
-
-        distance = graph.norm.distance
-        feeders = [price_stage(distance(a.source.position, s), a.bandwidth, library) for a in arcs]
-        trunk_price, trunk_segments = price_stage(distance(s, t), total_bw, library)
-        distributors = [
-            price_stage(distance(t, a.target.position), a.bandwidth, library) for a in arcs
-        ]
-    except InfeasibleError:
+            cache_key = _merge_cache_key(graph, arcs, polish_placement)
+            found, cached = store.lookup("merge", library, cache_key)
+            if found:
+                if cached is not None:
+                    cached = replace(cached, arc_names=tuple(arc_names))
+                plans.append(cached)
+                continue
+        plan = None
+        if mux is not None and demux is not None:
+            k = len(arcs)
+            counts = trees.get(k)
+            if counts is None:
+                counts = trees[k] = (
+                    tree_node_count(k, mux.max_degree), tree_node_count(k, demux.max_degree)
+                )
+            total_bw = sum(a.bandwidth for a in arcs)
+            try:
+                feeders = []
+                for a in arcs:
+                    stage = feeder_costs.get(a.name)
+                    if stage is None:
+                        stage = feeder_costs[a.name] = stage_cost(a.bandwidth, library)
+                    feeders.append(stage)
+                # distributors carry the same per-arc bandwidths as feeders
+                placement = optimize_two_points(
+                    [a.source.position for a in arcs], [a.target.position for a in arcs],
+                    feeders, stage_cost(total_bw, library), feeders,
+                    norm=graph.norm, polish=polish_placement,
+                )
+            except InfeasibleError:
+                pass
+            else:
+                plan = _plan(arc_names, placement, total_bw, counts, mux, demux)
         if store is not None:
-            store.put("merge", library, cache_key, None)
-        return None
+            store.put("merge", library, cache_key, plan)
+        plans.append(plan)
+    return plans
 
+
+def _plan(
+    arc_names: Sequence[str],
+    placement: PlacementResult,
+    trunk_bandwidth: float,
+    counts: Tuple[int, int],
+    mux: NodeSpec,
+    demux: NodeSpec,
+) -> MergingPlan:
+    """The plan of ``placement``: its stage prices summed feeders,
+    trunk, distributors, then ``counts`` muxes and demuxes."""
+    k = len(arc_names)
+    prices = placement.stage_prices
+    feeders = prices[:k]
+    trunk_price, trunk_segments = prices[k]
+    distributors = prices[k + 1:]
+    mux_count, demux_count = counts
     cost = (
         sum(c for c, _ in feeders)
         + trunk_price
@@ -197,34 +233,17 @@ def build_merging_plan(
     )
     # segments - 1 repeaters per stage, plus the mux and the demux
     max_hops = max(f + trunk_segments + d for (_, f), (_, d) in zip(feeders, distributors)) - 1
-    plan = MergingPlan(
+    return MergingPlan(
         arc_names=tuple(arc_names),
-        merge_point=s,
-        split_point=t,
-        trunk_bandwidth=total_bw,
+        merge_point=placement.merge_point,
+        split_point=placement.split_point,
+        trunk_bandwidth=trunk_bandwidth,
         mux_count=mux_count,
         demux_count=demux_count,
         cost=cost,
         max_hops=max_hops,
         placement_method=placement.method,
     )
-    if store is not None:
-        store.put("merge", library, cache_key, plan)
-    return plan
-
-
-def build_merging_plans_batch(
-    graph: ConstraintGraph,
-    groups: Sequence[Sequence[str]],
-    library: CommunicationLibrary,
-    polish_placement: bool = True,
-) -> List[Optional[MergingPlan]]:
-    """:func:`build_merging_plan` for every group, in order — the name
-    candidate generation plans each chunk through."""
-    return [
-        build_merging_plan(graph, names, library, polish_placement=polish_placement)
-        for names in groups
-    ]
 
 
 def stage_plans(

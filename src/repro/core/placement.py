@@ -87,14 +87,23 @@ class StageCost:
 
     ``fn(d)`` is the exact cost; ``slope`` is the linear coefficient
     when ``is_linear`` (then ``fn(d) == slope * d`` for all d >= 0).
+    ``pricer(d)``, when given, is ``(fn(d), segments)`` with the number
+    of links in series of the structure that costs ``fn(d)``.
     """
 
     fn: Callable[[float], float]
     is_linear: bool
     slope: float = 0.0
+    pricer: Optional[Callable[[float], Tuple[float, int]]] = None
 
     def __call__(self, d: float) -> float:
         return self.fn(d)
+
+    def price(self, d: float) -> Tuple[float, int]:
+        """``(fn(d), segments)``; one segment without a ``pricer``."""
+        if self.pricer is None:
+            return self.fn(d), 1
+        return self.pricer(d)
 
 
 def linear_stage(slope: float) -> StageCost:
@@ -111,6 +120,9 @@ class PlacementResult:
     cost: float
     iterations: int
     method: str
+    #: :meth:`StageCost.price` of every stage at the returned points:
+    #: feeders, trunk, distributors.
+    stage_prices: Tuple[Tuple[float, int], ...] = ()
 
 
 def _diameter(anchors: Sequence[_Anchor]) -> float:
@@ -217,7 +229,8 @@ def _joint_terms(
     z: Tuple[float, float, float, float],
 ) -> Optional[tuple]:
     """State of F at ``z = (s, t)`` for ``data = (src, snk, w)``, or None
-    at s = t, where the trunk term has no gradient."""
+    at s = t, where the trunk term has no gradient.  Each side's sums are
+    :func:`_single_terms`' at its facility, accumulated inline."""
     src, snk, w = data
     sx, sy, tx, ty = z
     dx = tx - sx
@@ -225,8 +238,40 @@ def _joint_terms(
     r2 = dx * dx + dy * dy
     if r2 == 0.0:
         return None
-    s_cost, _, _, _, a, psx, psy, sxx, sxy, syy = _single_terms(src, (sx, sy))
-    t_cost, _, _, _, b, ptx, pty, txx, txy, tyy = _single_terms(snk, (tx, ty))
+    s_cost = a = psx = psy = sxx = sxy = syy = 0.0
+    for ax, ay, aw in src:
+        ex = ax - sx
+        ey = ay - sy
+        d2 = ex * ex + ey * ey
+        if d2 == 0.0:
+            continue
+        d = math.sqrt(d2)
+        c = aw / d
+        s_cost += aw * d
+        a += c
+        psx += c * ex
+        psy += c * ey
+        c /= d2
+        sxx += c * ey * ey
+        sxy -= c * ex * ey
+        syy += c * ex * ex
+    t_cost = b = ptx = pty = txx = txy = tyy = 0.0
+    for ax, ay, aw in snk:
+        ex = ax - tx
+        ey = ay - ty
+        d2 = ex * ex + ey * ey
+        if d2 == 0.0:
+            continue
+        d = math.sqrt(d2)
+        c = aw / d
+        t_cost += aw * d
+        b += c
+        ptx += c * ex
+        pty += c * ey
+        c /= d2
+        txx += c * ey * ey
+        txy -= c * ex * ey
+        tyy += c * ex * ex
     r = math.sqrt(r2)
     wr = w / r
     k = wr / r2
@@ -605,14 +650,20 @@ def _exact_cost(
     distributor_costs: Sequence[StageCost],
     s: Point,
     t: Point,
-) -> float:
-    """F(s, t) by the stages' exact costs: trunk, feeders, distributors."""
-    total = trunk_cost(norm.distance(s, t))
-    for u, fc in zip(sources, feeder_costs):
-        total += fc(norm.distance(u, s))
-    for v, hc in zip(sinks, distributor_costs):
-        total += hc(norm.distance(t, v))
-    return total
+) -> Tuple[float, Tuple[Tuple[float, int], ...]]:
+    """F(s, t) by the stages' exact costs, summed trunk, feeders,
+    distributors, and every stage's :meth:`~StageCost.price`: feeders,
+    trunk, distributors."""
+    distance = norm.distance
+    trunk = trunk_cost.price(distance(s, t))
+    feeders = [fc.price(distance(u, s)) for u, fc in zip(sources, feeder_costs)]
+    distributors = [hc.price(distance(t, v)) for v, hc in zip(sinks, distributor_costs)]
+    total = trunk[0]
+    for cost, _ in feeders:
+        total += cost
+    for cost, _ in distributors:
+        total += cost
+    return total, (*feeders, trunk, *distributors)
 
 
 def _all_same(points: Sequence[Point]) -> Optional[Point]:
@@ -700,9 +751,10 @@ def optimize_two_points(
     refinement — much faster on floor-style cost surfaces, at a small
     cost-quality risk — and never affects the linear path.  The
     returned ``cost`` is always the *exact* objective at the returned
-    points.  The Weiszfeld iterations and objective evaluations of the
-    linear solve feed the ``placement.iterations`` and
-    ``placement.evaluations`` counters of the ambient tracer.
+    points, and ``stage_prices`` each stage's price there, so a caller
+    never prices a stage again.  The Weiszfeld iterations and objective
+    evaluations of the linear solve feed the ``placement.iterations``
+    and ``placement.evaluations`` counters of the ambient tracer.
     """
     if not sources or not sinks:
         raise ValueError("need at least one source and one sink")
@@ -713,8 +765,7 @@ def optimize_two_points(
     pinned_s = _all_same(sources)
     pinned_t = _all_same(sinks)
     if pinned_s is not None and pinned_t is not None:
-        cost = _exact_cost(*stages, pinned_s, pinned_t)
-        return PlacementResult(pinned_s, pinned_t, cost, 0, "degenerate")
+        return _priced(stages, pinned_s, pinned_t, 0, "degenerate")
 
     linear = (
         norm.name == "euclidean"
@@ -741,15 +792,33 @@ def optimize_two_points(
     tracer.count("placement.iterations", iterations)
     tracer.count("placement.evaluations", evaluations)
     if linear:
-        return PlacementResult(s, t, _exact_cost(*stages, s, t), iterations, "weiszfeld")
+        return _priced(stages, s, t, iterations, "weiszfeld")
     if not polish:
         # exact evaluation at the surrogate optimum, no refinement
-        return PlacementResult(s, t, _exact_cost(*stages, s, t), iterations, "surrogate")
+        return _priced(stages, s, t, iterations, "surrogate")
+
+    distance = norm.distance
 
     def F(s: Point, t: Point) -> float:
-        return _exact_cost(*stages, s, t)
+        # _exact_cost's sum, without building the stage prices
+        total = trunk_cost(distance(s, t))
+        for u, fc in zip(sources, feeder_costs):
+            total += fc(distance(u, s))
+        for v, hc in zip(sinks, distributor_costs):
+            total += hc(distance(t, v))
+        return total
 
-    return _nelder_mead(sources, sinks, F, norm, pinned_s, pinned_t, extra_seeds=[(s, t)])
+    s, t, evals = _nelder_mead(sources, sinks, F, pinned_s, pinned_t, extra_seeds=[(s, t)])
+    return _priced(stages, s, t, evals, "nelder-mead")
+
+
+def _priced(
+    stages: tuple, s: Point, t: Point, iterations: int, method: str
+) -> PlacementResult:
+    """The result at ``(s, t)``: F there by :func:`_exact_cost` and
+    every stage's price."""
+    cost, prices = _exact_cost(*stages, s, t)
+    return PlacementResult(s, t, cost, iterations, method, prices)
 
 
 def _typical_scale(points: Sequence[Point], norm: Norm) -> float:
@@ -807,12 +876,12 @@ def _nelder_mead(
     sources: Sequence[Point],
     sinks: Sequence[Point],
     F: Callable[[Point, Point], float],
-    norm: Norm,
     pinned_s: Optional[Point],
     pinned_t: Optional[Point],
     extra_seeds: Optional[Sequence[Tuple[Point, Point]]] = None,
-) -> PlacementResult:
-    """Multi-start Nelder–Mead over the free coordinates.
+) -> Tuple[Point, Point, int]:
+    """Multi-start Nelder–Mead over the free coordinates: the best
+    ``(s, t)`` by ``F`` and the evaluations spent.
 
     Seeds: the caller-provided warm starts (e.g. the linear-surrogate
     optimum) plus side and global centroids — enough to escape the
@@ -872,4 +941,4 @@ def _nelder_mead(
             best = cand
 
     assert best is not None
-    return PlacementResult(best[1], best[2], best[0], evals, "nelder-mead")
+    return best[1], best[2], evals

@@ -20,9 +20,10 @@ bandwidth it is also the placement objective's cost of one stage
 Plans are pure descriptions — materializing one into an
 :class:`~repro.core.implementation.ImplementationGraph` is
 :func:`materialize_plan`'s job, so candidate generation can cost
-thousands of alternatives without building graphs; :func:`price_stage`
-gives a plan's cost and segment count without building the plan, which
-is how merge candidates price their stages.
+thousands of alternatives without building graphs; a stage cost's
+:meth:`~repro.core.placement.StageCost.price` gives a plan's cost and
+segment count without building the plan, which is how merge candidates
+price their stages.
 
 The module also hosts :func:`check_assumption`, the Assumption 2.1
 verifier (cost positive and monotone nondecreasing in ``(d, b)`` over
@@ -47,7 +48,6 @@ from .placement import StageCost
 __all__ = [
     "PointToPointPlan",
     "best_point_to_point",
-    "price_stage",
     "point_to_point_cost",
     "stage_cost",
     "materialize_plan",
@@ -152,7 +152,9 @@ class _StageModel:
             structures.append((*shape, link.cost_fixed, link.cost_per_unit, reach, link))
         self.structures = tuple(structures)
         slope = self._linear_slope()
-        self.stage = StageCost(fn=self.cost, is_linear=slope is not None, slope=slope or 0.0)
+        self.stage = StageCost(
+            fn=self.cost, is_linear=slope is not None, slope=slope or 0.0, pricer=self.price
+        )
 
     def cheapest(self, distance: float) -> Optional[Tuple[float, int, int, Link]]:
         """``(cost, segments, branches, link)`` of the cheapest structure
@@ -182,11 +184,22 @@ class _StageModel:
         return best
 
     def cost(self, distance: float) -> float:
-        """The stage's cost at ``distance`` (negative lengths clamp to 0)."""
+        """The stage's cost at ``distance`` (negative lengths clamp to 0):
+        :meth:`price`'s first element, without building the pair (the
+        Nelder–Mead objective calls it thousands of times)."""
         best = self.cheapest(max(distance, 0.0))
         if best is None:
             raise InfeasibleError(f"no link structure spans distance {distance}")
         return best[0]
+
+    def price(self, distance: float) -> Tuple[float, int]:
+        """``(cost, segments)`` of the cheapest structure at ``distance``
+        (negative lengths clamp to 0): ``best_point_to_point``'s plan
+        cost and segment count, bit for bit, without building the plan."""
+        best = self.cheapest(max(distance, 0.0))
+        if best is None:
+            raise InfeasibleError(f"no link structure spans distance {distance}")
+        return best[0], best[1]
 
     def _linear_slope(self) -> Optional[float]:
         """The ``c`` with ``f(d) = c·d`` at every length, or None
@@ -323,17 +336,6 @@ def best_point_to_point(
     return plan
 
 
-def price_stage(
-    distance: float, bandwidth: float, library: CommunicationLibrary
-) -> Tuple[float, int]:
-    """``(cost, segments)`` of ``best_point_to_point(distance,
-    bandwidth, library)``, bit for bit, without building or memoizing
-    the plan: merge candidates price their ``2K + 1`` stages through
-    this, and only the mergings a cover selects build stage plans."""
-    _, best = _cheapest(distance, bandwidth, library)
-    return best[0], best[1]
-
-
 def point_to_point_cost(distance: float, bandwidth: float, library: CommunicationLibrary) -> float:
     """Cost of the best point-to-point plan (Lemma 2.1's C(P(a)))."""
     return best_point_to_point(distance, bandwidth, library).cost
@@ -342,7 +344,8 @@ def point_to_point_cost(distance: float, bandwidth: float, library: Communicatio
 def stage_cost(bandwidth: float, library: CommunicationLibrary) -> StageCost:
     """The cost-versus-length function of one pipeline stage at fixed
     bandwidth: ``fn(d)`` equals ``best_point_to_point(d, bandwidth,
-    library).cost`` bit for bit, without building plans (the placement
+    library).cost`` bit for bit, and ``price(d)`` is that cost with the
+    plan's segment count, without building plans (the placement
     objective evaluates it thousands of times per candidate).
 
     ``is_linear`` and ``slope`` are read off the link structures, not

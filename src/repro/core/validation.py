@@ -138,11 +138,10 @@ def validate_capacity(impl: ImplementationGraph, constraints: ConstraintGraph) -
 
     # demand rows: A_eq f == b(a)
     demands = constraints.arcs
+    demand_row = {arc.name: i for i, arc in enumerate(demands)}
     a_eq = np.zeros((len(demands), n))
-    for i, arc in enumerate(demands):
-        for j, (name, _) in enumerate(flows):
-            if name == arc.name:
-                a_eq[i, j] = 1.0
+    for j, (name, _) in enumerate(flows):
+        a_eq[demand_row[name], j] = 1.0
     b_eq = np.array([a.bandwidth for a in demands], dtype=float)
 
     res = optimize.linprog(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from repro import MANHATTAN, Point
+from repro import EUCLIDEAN, MANHATTAN, Point
 from repro.core.placement import (
     PlacementResult,
     StageCost,
@@ -65,6 +65,40 @@ class TestStageCost:
     def test_callable_protocol(self):
         s = StageCost(fn=lambda d: d * d, is_linear=False)
         assert s(3.0) == 9.0
+        assert s.price(3.0) == (9.0, 1)  # no pricer: one segment
+
+    def test_results_carry_every_stage_price(self):
+        """Every path returns the ``price`` of each stage at its points,
+        feeders, trunk, distributors, and ``cost`` is their sum taken
+        trunk, feeders, distributors."""
+        feeders = [linear_stage(2.0), linear_stage(3.0)]
+        trunk = StageCost(
+            fn=lambda d: 5.0 + d, is_linear=False, pricer=lambda d: (5.0 + d, 4)
+        )
+        cases = [
+            ([Point(0, 0), Point(0, 0)], [Point(9, 0), Point(9, 0)], linear_stage(4.0), True),
+            ([Point(0, 0), Point(0, 3)], [Point(9, 1), Point(8, -2)], linear_stage(4.0), True),
+            ([Point(0, 0), Point(0, 3)], [Point(9, 1), Point(8, -2)], trunk, False),
+            ([Point(0, 0), Point(0, 3)], [Point(9, 1), Point(8, -2)], trunk, True),
+        ]
+        methods = set()
+        for sources, sinks, trunk_cost, polish in cases:
+            res = optimize_two_points(
+                sources, sinks, feeders, trunk_cost, feeders, polish=polish
+            )
+            s, t = res.merge_point, res.split_point
+            want = (
+                *(f.price(EUCLIDEAN.distance(u, s)) for f, u in zip(feeders, sources)),
+                trunk_cost.price(EUCLIDEAN.distance(s, t)),
+                *(f.price(EUCLIDEAN.distance(t, v)) for f, v in zip(feeders, sinks)),
+            )
+            assert res.stage_prices == want
+            total = want[2][0]
+            for cost, _ in want[:2] + want[3:]:
+                total += cost
+            assert res.cost == total
+            methods.add(res.method)
+        assert methods == {"degenerate", "weiszfeld", "surrogate", "nelder-mead"}
 
 
 class TestOptimizeTwoPoints:

@@ -1,6 +1,12 @@
 """Unit tests for repro.core.validation — the Definition 2.4 checker."""
 
+from types import SimpleNamespace
+from unittest import mock
+
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro import (
     EUCLIDEAN,
@@ -11,6 +17,7 @@ from repro import (
     synthesize,
 )
 from repro.core.constraint_graph import ConstraintGraph, Port
+from repro.core import validation
 from repro.core.validation import (
     validate,
     validate_bandwidth,
@@ -191,6 +198,65 @@ class TestCapacity:
         impl.set_arc_implementation("a1", [Path((f1.name, trunk.name, g1.name))])
         impl.set_arc_implementation("a2", [Path((f2.name, trunk.name, g2_.name))])
         validate(impl, g)
+
+
+class _Paths:
+    """The two views ``validate_capacity`` reads of an implementation:
+    its link instances and each constraint arc's registered paths (any
+    number, none included)."""
+
+    def __init__(self, capacities, paths):
+        self.arcs = [
+            SimpleNamespace(name=name, link=SimpleNamespace(bandwidth=cap))
+            for name, cap in capacities.items()
+        ]
+        self._paths = paths
+
+    def arc_implementation(self, name):
+        return list(self._paths[name])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_demand_rows_equal_the_double_loop(data):
+    """``A_eq`` built from the arc -> row index is the arcs x flows
+    double loop's matrix, on random path sets: duplicated paths, arcs
+    with several paths and arcs with none."""
+    links = [f"e{i}" for i in range(data.draw(st.integers(1, 6)))]
+    capacities = {name: data.draw(st.floats(1.0, 20.0)) for name in links}
+    demands = [
+        SimpleNamespace(name=f"a{i}", bandwidth=data.draw(st.floats(0.5, 10.0)))
+        for i in range(data.draw(st.integers(1, 6)))
+    ]
+    path = st.lists(st.sampled_from(links), min_size=1, max_size=3, unique=True)
+    paths = {
+        arc.name: [Path(tuple(p)) for p in data.draw(st.lists(path, max_size=3))]
+        for arc in demands
+    }
+    flows = [arc.name for arc in demands for _ in paths[arc.name]]
+    expected = np.zeros((len(demands), len(flows)))
+    for i, arc in enumerate(demands):
+        for j, name in enumerate(flows):
+            if name == arc.name:
+                expected[i, j] = 1.0
+
+    seen = []
+    real = validation.optimize.linprog
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs["A_eq"])
+        return real(*args, **kwargs)
+
+    with mock.patch.object(validation.optimize, "linprog", recorded):
+        try:
+            validate_capacity(_Paths(capacities, paths), SimpleNamespace(arcs=demands))
+        except ValidationError:
+            pass
+    if flows:
+        (a_eq,) = seen
+        assert np.array_equal(a_eq, expected)
+    else:
+        assert seen == []
 
 
 class TestEndToEnd:
